@@ -219,9 +219,10 @@ func measureDirect(profile calib.Profile, locked bool, readPct, nc, keySpace int
 	if err != nil {
 		return ReadMixPoint{}, err
 	}
-	// The harness itself is many simulated cores hitting one shard, so
-	// PM charges must yield-spin even though the store is unsharded.
-	r.SetMultiCore(true)
+	// The harness itself is nc simulated cores hitting one shard, so PM
+	// charges yield-spin once nc outgrows the host's CPUs even though the
+	// store is unsharded.
+	r.SetCores(nc)
 	// Preformat the keyspace: the worker loop must spend its cycles in
 	// the store, not in fmt.
 	keys := make([][]byte, keySpace)

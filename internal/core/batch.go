@@ -121,8 +121,8 @@ func (s *Store) commitStagedLocked() {
 	// Phase A. Parity deltas fold in first so the parity lines join the
 	// same batch and persist under the same fence as the data they cover.
 	s.applyParityLocked()
-	s.r.FlushBatchFrom(s.nd(), &s.fs)
-	s.r.Fence()
+	s.pm.FlushBatch(&s.fs)
+	s.pm.Fence()
 
 	// Phase B.
 	live := 0
@@ -133,26 +133,26 @@ func (s *Store) commitStagedLocked() {
 		}
 		live++
 		off := s.slotOff(p.slot)
-		s.r.WriteUint64From(s.nd(), off+oSeq, p.seq)
+		s.pm.WriteUint64(off+oSeq, p.seq)
 		s.fs.Add(off+oSeq, 8)
 		s.fs.Add(p.linkOff, 4)
 	}
-	s.r.FlushBatchFrom(s.nd(), &s.fs)
-	s.r.Fence()
+	s.pm.FlushBatch(&s.fs)
+	s.pm.Fence()
 
 	// Phase C.
 	clears := false
 	for i := range s.staged {
 		if p := &s.staged[i]; p.old >= 0 {
 			o := s.slotOff(p.old) + oSeq
-			s.r.WriteUint64From(s.nd(), o, 0)
+			s.pm.WriteUint64(o, 0)
 			s.fs.Add(o, 8)
 			clears = true
 		}
 	}
 	if clears {
-		s.r.FlushBatchFrom(s.nd(), &s.fs)
-		s.r.Fence()
+		s.pm.FlushBatch(&s.fs)
+		s.pm.Fence()
 		for i := range s.staged {
 			if p := &s.staged[i]; p.old >= 0 {
 				s.recycleRecordLocked(p.old)
@@ -197,7 +197,7 @@ func (s *Store) recycleRecordLocked(idx int) {
 	for chain >= 0 {
 		cs := s.slot(chain)
 		next := int(binary.LittleEndian.Uint32(cs[oChainNext:])) - 1
-		s.r.WriteUint32From(s.nd(), s.slotOff(chain)+oMagic, 0)
+		s.pm.WriteUint32(s.slotOff(chain)+oMagic, 0)
 		s.metaFree = append(s.metaFree, chain)
 		chain = next
 	}

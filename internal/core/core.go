@@ -269,8 +269,12 @@ type Breakdown struct {
 // of its region; a ShardedStore lays several Stores side by side in one
 // region, each with its own allocators, index and commit sequence.
 type Store struct {
-	mu  sync.Mutex
-	r   *pmem.Region
+	mu sync.Mutex
+	// pm is the store's persist-domain handle: every PM access goes
+	// through it, so the store takes only its own partition's lock,
+	// fences only what it flushed, and is billed as the NUMA node stamped
+	// on it. A lone Store drives the region's default domain.
+	pm  *pmem.Domain
 	cfg Config
 
 	base     int // region offset of this store's superblock
@@ -380,42 +384,31 @@ type Store struct {
 	fastGets         atomic.Uint64
 	fastGetRetries   atomic.Uint64
 	fastGetFallbacks atomic.Uint64
-
-	// numaNode is the NUMA node of the core currently driving this
-	// store — stamped by the serving event loop (its own node when it
-	// owns the shard, the thief's node during a stolen cycle) and passed
-	// to every node-aware pmem charge. Atomic because the lock-free read
-	// path loads it concurrently with restamps; approximate for reads
-	// that overlap a stamp, exact for the single-writer mutation path.
-	// Zero until a placement is configured, which keeps Nodes=1
-	// deployments on the pre-NUMA charge arithmetic.
-	numaNode atomic.Int32
 }
 
 // SetNUMANode declares which NUMA node the core currently driving this
-// store runs on. The kvserver executor stamps it at cycle start.
-func (s *Store) SetNUMANode(n int) { s.numaNode.Store(int32(n)) }
-
-// NUMANode reports the last stamped driving node.
-func (s *Store) NUMANode() int { return int(s.numaNode.Load()) }
-
-// nd is the caller-node shorthand for pmem *From charges.
-func (s *Store) nd() int { return int(s.numaNode.Load()) }
+// store runs on — the serving event loop stamps its own node at cycle
+// start when it owns the shard, the thief's during a stolen cycle — by
+// stamping the store's PM handle. Unstamped handles are node 0, which
+// keeps Nodes=1 deployments on the pre-NUMA charge arithmetic.
+func (s *Store) SetNUMANode(n int) { s.pm.SetNode(n) }
 
 // Open formats (fresh region) or recovers (existing) a Store over r.
 func Open(r *pmem.Region, cfg Config) (*Store, error) {
-	return openAt(r, cfg, 0)
+	return openAt(&r.Domain, cfg, 0)
 }
 
-// openAt opens a Store whose superblock starts at base within r (shard
-// layouts place several stores in one region).
-func openAt(r *pmem.Region, cfg Config, base int) (*Store, error) {
+// openAt opens a Store whose superblock starts at base within pm's
+// region and which drives PM through pm (shard layouts place several
+// stores in one region, each on its own carved domain).
+func openAt(pm *pmem.Domain, cfg Config, base int) (*Store, error) {
 	cfg.fill()
+	r := pm.Region()
 	if base+cfg.RegionSize() > r.Size() {
 		return nil, fmt.Errorf("pktstore: region %d bytes, need %d at base %d", r.Size(), cfg.RegionSize(), base)
 	}
 	s := &Store{
-		r: r, cfg: cfg,
+		pm: pm, cfg: cfg,
 		base:     base,
 		metaBase: base + superblockSize,
 		rng:      rand.New(rand.NewSource(0x9e3779b9)),
@@ -435,7 +428,7 @@ func openAt(r *pmem.Region, cfg Config, base int) (*Store, error) {
 	s.valueBad = make([]bool, cfg.MetaSlots)
 	s.pool = pkt.NewPMPool(r, s.dataBase, cfg.DataBufSize, cfg.DataSlots)
 
-	switch magic := r.ReadUint64(base + sbOMagic); magic {
+	switch magic := pm.ReadUint64(base + sbOMagic); magic {
 	case sbMagic:
 		if err := s.validateSuperblock(); err != nil {
 			return nil, err
@@ -460,7 +453,7 @@ func openAt(r *pmem.Region, cfg Config, base int) (*Store, error) {
 func (s *Store) Pool() *pkt.Pool { return s.pool }
 
 // Region returns the backing PM region.
-func (s *Store) Region() *pmem.Region { return s.r }
+func (s *Store) Region() *pmem.Region { return s.pm.Region() }
 
 // Len returns the number of live records.
 func (s *Store) Len() int {
@@ -503,7 +496,7 @@ func (s *Store) Sync() error {
 	s.mu.Lock()
 	s.commitStagedLocked()
 	s.mu.Unlock()
-	return s.r.Sync()
+	return s.pm.Region().Sync()
 }
 
 // Close commits staged puts, syncs the backing region and releases its
@@ -513,7 +506,7 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	s.commitStagedLocked()
 	s.mu.Unlock()
-	return s.r.Close()
+	return s.pm.Region().Close()
 }
 
 // Breakdown returns cumulative put-phase timings.
@@ -544,7 +537,7 @@ func (s *Store) format() {
 // superblock is unrecoverable state; the head tower it also zeroes is
 // rebuilt by the slot rescan that follows every repair).
 func (s *Store) writeSuperblock() {
-	r := s.r
+	r := s.pm
 	zero := make([]byte, superblockSize)
 	r.Write(s.base, zero)
 	r.WriteUint64(s.base+sbOMetaBase, uint64(s.metaBase))
@@ -558,7 +551,7 @@ func (s *Store) writeSuperblock() {
 }
 
 func (s *Store) validateSuperblock() error {
-	r := s.r
+	r := s.pm
 	if int(r.ReadUint64(s.base+sbOMetaBase)) != s.metaBase ||
 		int(r.ReadUint64(s.base+sbOMetaSlots)) != s.cfg.MetaSlots ||
 		int(r.ReadUint64(s.base+sbOSlotSize)) != s.cfg.SlotSize ||
@@ -574,14 +567,14 @@ func (s *Store) validateSuperblock() error {
 
 func (s *Store) slotOff(idx int) int { return s.metaBase + idx*s.cfg.SlotSize }
 
-func (s *Store) slot(idx int) []byte { return s.r.Slice(s.slotOff(idx), s.cfg.SlotSize) }
+func (s *Store) slot(idx int) []byte { return s.pm.Slice(s.slotOff(idx), s.cfg.SlotSize) }
 
 func (s *Store) headNext(level int) int {
-	return int(s.r.ReadUint32(s.base+sbOTower+4*level)) - 1
+	return int(s.pm.ReadUint32(s.base+sbOTower+4*level)) - 1
 }
 
 func (s *Store) setHeadNext(level, idx int) {
-	s.r.WriteUint32From(s.nd(), s.base+sbOTower+4*level, uint32(idx+1))
+	s.pm.WriteUint32(s.base+sbOTower+4*level, uint32(idx+1))
 	// Mirror the head link for lock-free readers (fastget.go).
 	s.fastHead[level].Store(uint32(idx + 1))
 }
@@ -602,7 +595,7 @@ func keyPrefix(key []byte) uint64 {
 func (s *Store) slotKey(sl []byte) []byte {
 	klen := int(binary.LittleEndian.Uint32(sl[oKLen:]))
 	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
-	return s.r.Slice(koff, klen)
+	return s.pm.Slice(koff, klen)
 }
 
 // compareKey orders key against the slot's key, using the inline prefix
@@ -631,9 +624,9 @@ func (s *Store) compareKey(key []byte, kp uint64, sl []byte, charge bool) int {
 	}
 	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
 	if charge {
-		s.r.TouchFrom(s.nd(), koff, min(klen, 64))
+		s.pm.Touch(koff, min(klen, 64))
 	}
-	return bytes.Compare(key, s.r.Slice(koff, klen))
+	return bytes.Compare(key, s.pm.Slice(koff, klen))
 }
 
 // findGE walks the persistent skip list to the first slot with key >=
@@ -653,7 +646,7 @@ func (s *Store) findGE(key []byte, prev *[maxHeight]int) int {
 			// Model warm caches at the upper tower levels (few, hot
 			// nodes); PM read latency bills at the bottom two levels.
 			if level <= 1 {
-				s.r.TouchFrom(s.nd(), s.slotOff(nxt), 64)
+				s.pm.Touch(s.slotOff(nxt), 64)
 			}
 			if s.compareKey(key, kp, s.slot(nxt), level <= 1) > 0 {
 				x = nxt
@@ -797,7 +790,7 @@ func (s *Store) Epoch() uint64 {
 }
 
 // Slice exposes data-area bytes (zero-copy read path).
-func (s *Store) Slice(off, n int) []byte { return s.r.Slice(off, n) }
+func (s *Store) Slice(off, n int) []byte { return s.pm.Slice(off, n) }
 
 // AllocDataSlot reserves a data slot for store-side use (for example the
 // server's key arena) and marks it adopted with zero references. It
@@ -816,7 +809,7 @@ func (s *Store) AllocDataSlot() int {
 }
 
 // WriteData writes bytes into the data area (key-arena writes).
-func (s *Store) WriteData(off int, b []byte) { s.r.WriteFrom(s.nd(), off, b) }
+func (s *Store) WriteData(off int, b []byte) { s.pm.Write(off, b) }
 
 // DataBufSize returns the data slot size.
 func (s *Store) DataBufSize() int { return s.cfg.DataBufSize }

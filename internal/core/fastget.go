@@ -110,9 +110,10 @@ func (s *Store) endMutLocked() {
 
 // publishDescLocked builds and publishes slot idx's descriptor from its
 // current slot image. seq is the record's commit sequence (at stage time
-// the image still carries seq=0, so the caller passes the assigned one).
+// the image still carries seq=0, so the caller passes the assigned one);
+// key is a DRAM copy of the record's key, which the descriptor keeps.
 // Caller holds s.mu inside a mutation bracket.
-func (s *Store) publishDescLocked(idx int, seq uint64) {
+func (s *Store) publishDescLocked(idx int, seq uint64, key []byte) {
 	sl := s.slot(idx)
 	exts, err := s.readExtentsLocked(sl)
 	if err != nil {
@@ -122,7 +123,7 @@ func (s *Store) publishDescLocked(idx int, seq uint64) {
 		return
 	}
 	d := &nodeDesc{
-		key:    append([]byte(nil), s.slotKey(sl)...),
+		key:    key,
 		kp:     binary.LittleEndian.Uint64(sl[oKPrefix:]),
 		koff:   int(binary.LittleEndian.Uint32(sl[oKOff:])),
 		exts:   exts,
@@ -176,7 +177,7 @@ func (s *Store) cmpDesc(key []byte, kp uint64, d *nodeDesc, charge bool) int {
 		}
 	}
 	if charge {
-		s.r.TouchFrom(s.nd(), d.koff, min(len(d.key), 64))
+		s.pm.Touch(d.koff, min(len(d.key), 64))
 	}
 	return bytes.Compare(key, d.key)
 }
@@ -209,7 +210,7 @@ func (s *Store) fastFindGE(key []byte, kp uint64) (ge *nodeDesc, ok bool) {
 				return nil, false
 			}
 			if level <= 1 {
-				s.r.TouchFrom(s.nd(), s.slotOff(nxt), 64)
+				s.pm.Touch(s.slotOff(nxt), 64)
 			}
 			if s.cmpDesc(key, kp, d, level <= 1) > 0 {
 				cur = d
@@ -407,13 +408,13 @@ func (s *Store) fastGet(key []byte) (val []byte, ok, done bool) {
 			s.fastGets.Add(1)
 			return nil, false, true
 		}
-		// Copy each extent under the region's write lock (atomic against
+		// Copy each extent under its range's lock (atomic against
 		// every locked mutator), billing the whole value as one batched
 		// PM read charge — same total lines the locked path reads.
 		buf := make([]byte, d.vlen)
 		pos, nl := 0, 0
 		for _, e := range d.exts {
-			s.r.CopyOut(buf[pos:pos+e.Len], e.Off)
+			s.pm.CopyOut(buf[pos:pos+e.Len], e.Off)
 			pos += e.Len
 			nl += lineSpan(e.Off, e.Len)
 		}
@@ -421,7 +422,7 @@ func (s *Store) fastGet(key []byte) (val []byte, ok, done bool) {
 		if len(d.exts) > 0 {
 			off0 = d.exts[0].Off
 		}
-		s.r.TouchLinesFrom(s.nd(), off0, nl)
+		s.pm.TouchLines(off0, nl)
 		s.unpinFast(d.exts)
 		if s.mutSeq.Load() != seq0 {
 			// A mutation (possibly fault injection into our pinned bytes —

@@ -56,7 +56,7 @@ func (s *Store) Rehydrate() error {
 	s.staged = nil
 	s.stagedN.Store(0)
 	s.fs.Reset()
-	if s.r.ReadUint64(s.base+sbOMagic) != sbMagic || s.validateSuperblock() != nil {
+	if s.pm.ReadUint64(s.base+sbOMagic) != sbMagic || s.validateSuperblock() != nil {
 		s.writeSuperblock()
 	}
 	s.epoch++
@@ -70,7 +70,7 @@ func (s *Store) Rehydrate() error {
 func (s *Store) CheckSuperblock() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m := s.r.ReadUint64(s.base + sbOMagic); m != sbMagic {
+	if m := s.pm.ReadUint64(s.base + sbOMagic); m != sbMagic {
 		return fmt.Errorf("%w: superblock magic %#x", ErrCorrupt, m)
 	}
 	return s.validateSuperblock()
@@ -149,7 +149,7 @@ func (s *Store) ScrubSlots(cursor, n int) ScrubResult {
 			continue // uncommitted or deleted
 		}
 		res.Checked++
-		s.r.TouchFrom(s.nd(), s.slotOff(i), s.cfg.SlotSize)
+		s.pm.Touch(s.slotOff(i), s.cfg.SlotSize)
 		if err := s.validateSlot(sl); err != nil {
 			res.Bad++
 			s.scrubStamp[i] = 0
@@ -187,8 +187,8 @@ func (s *Store) ScrubSlots(cursor, n int) ScrubResult {
 		}
 		var acc checksum.Accumulator
 		for _, e := range exts {
-			s.r.TouchFrom(s.nd(), e.Off, e.Len)
-			acc.Add(s.r.Slice(e.Off, e.Len))
+			s.pm.Touch(e.Off, e.Len)
+			acc.Add(s.pm.Slice(e.Off, e.Len))
 		}
 		want := binary.LittleEndian.Uint32(sl[oVCsum:])
 		if checksum.Norm16(checksum.Fold(acc.Sum())) != checksum.Norm16(checksum.Fold(want)) {
@@ -403,6 +403,6 @@ func (s *Store) CorruptRecord(key []byte, t FlipTarget, pick int, mask byte) int
 		// detection.
 		off = s.slotOff(idx) + oHWTime + pick%(oKLen-oHWTime)
 	}
-	s.r.CorruptByte(off, mask)
+	s.pm.Region().CorruptByte(off, mask)
 	return off
 }

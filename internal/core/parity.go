@@ -26,8 +26,8 @@ import (
 // into the parity partition and adds the parity lines to the same
 // FlushSet, so they persist under the same fence. XOR is commutative, so
 // members of one group commit concurrently without a group lock: the
-// per-line folds are atomic under the region lock and order does not
-// matter.
+// per-line folds are atomic under the parity partition's own range lock
+// and order does not matter.
 //
 // Repair reconstructs a damaged record's data-area ranges as the XOR of
 // the parity partition and the surviving members' durable images, then
@@ -154,7 +154,7 @@ func (ss *ShardedStore) SmashSuperblock(i int) {
 	}
 	st.mu.Lock()
 	st.beginMutLocked()
-	st.r.CorruptByte(st.base+sbOMagic, 0xff)
+	st.pm.Region().CorruptByte(st.base+sbOMagic, 0xff)
 	st.endMutLocked()
 	st.mu.Unlock()
 }
@@ -179,6 +179,9 @@ func (ss *ShardedStore) initParity() {
 	dataLen := ss.cfg.DataSlots * ss.cfg.DataBufSize
 	for gi, g := range groups {
 		pbase := pbase0 + gi*pstride
+		// The partition is its own lock range: members folding into it
+		// contend with each other, not with any shard's own partition.
+		ss.r.Carve(pbase, pstride)
 		mu := new(sync.Mutex)
 		srcs := make([]int, 0, len(g))
 		for _, m := range g {
@@ -262,7 +265,7 @@ func (s *Store) applyParityLocked() {
 	if len(s.parityFold) == 0 {
 		return
 	}
-	s.r.XorDeltaBatch(s.parityFold)
+	s.pm.XorDeltaBatch(s.parityFold)
 	s.stats.ParityWrites += uint64(lines)
 }
 
@@ -352,8 +355,8 @@ func (s *Store) valueChecksumOKLocked(sl []byte) bool {
 		// A validation sweep misses cache by construction (the bytes were
 		// not recently served), so it pays PM read latency — same charge
 		// the scrubber's value re-read pays.
-		s.r.TouchFrom(s.nd(), e.Off, e.Len)
-		acc.Add(s.r.Slice(e.Off, e.Len))
+		s.pm.Touch(e.Off, e.Len)
+		acc.Add(s.pm.Slice(e.Off, e.Len))
 	}
 	want := binary.LittleEndian.Uint32(sl[oVCsum:])
 	return checksum.Norm16(checksum.Fold(acc.Sum())) == checksum.Norm16(checksum.Fold(want))
@@ -434,7 +437,7 @@ func (s *Store) repairRecordLocked(idx int, groupHeld bool) error {
 	saved := make([][]byte, len(ranges))
 	for i, rg := range ranges {
 		b := make([]byte, rg[1]-rg[0])
-		s.r.ReadShadow(b, rg[0])
+		s.pm.Region().ReadShadow(b, rg[0])
 		saved[i] = b
 	}
 	skipped := 0
@@ -446,13 +449,13 @@ func (s *Store) repairRecordLocked(idx int, groupHeld bool) error {
 		for _, p := range peers {
 			srcs = append(srcs, p.dataBase+rel)
 		}
-		skipped += s.r.XorReconstruct(rg[0], srcs, rg[1]-rg[0])
+		skipped += s.pm.Region().XorReconstruct(rg[0], srcs, rg[1]-rg[0])
 	}
 	rt.unlockPeers(peers)
 	rollback := func() {
 		for i, rg := range ranges {
-			s.r.WriteFrom(s.nd(), rg[0], saved[i])
-			s.r.PersistFrom(s.nd(), rg[0], len(saved[i]))
+			s.pm.Write(rg[0], saved[i])
+			s.pm.Persist(rg[0], len(saved[i]))
 		}
 	}
 	if skipped > 0 {

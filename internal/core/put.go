@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -77,7 +78,7 @@ func (s *Store) putCopy(key, value []byte, staged bool) error {
 	// The key occupies the head of the first slot; value bytes follow and
 	// spill into subsequent slots.
 	var exts []Extent
-	s.r.WriteFrom(s.nd(), slots[0], key)
+	s.pm.Write(slots[0], key)
 	vOffInSlot := len(key)
 	rest := value
 	for i, base := range slots {
@@ -89,7 +90,7 @@ func (s *Store) putCopy(key, value []byte, staged bool) error {
 		}
 		n := min(room, len(rest))
 		if n > 0 {
-			s.r.WriteFrom(s.nd(), start, rest[:n])
+			s.pm.Write(start, rest[:n])
 			exts = append(exts, Extent{Off: start, Len: n})
 			rest = rest[n:]
 		}
@@ -156,15 +157,15 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 		for i := range exts {
 			if !acc.AddPartial(exts[i].Sum, exts[i].Len) {
 				// Odd alignment: fold this extent in by reading it.
-				acc.Add(s.r.Slice(exts[i].Off, exts[i].Len))
+				acc.Add(s.pm.Slice(exts[i].Off, exts[i].Len))
 			}
 		}
 		s.stats.ChecksumReused++
 	} else {
 		for i := range exts {
-			exts[i].Sum = checksum.Partial(0, s.r.Slice(exts[i].Off, exts[i].Len))
+			exts[i].Sum = checksum.Partial(0, s.pm.Slice(exts[i].Off, exts[i].Len))
 			if !acc.AddPartial(exts[i].Sum, exts[i].Len) {
-				acc.Add(s.r.Slice(exts[i].Off, exts[i].Len))
+				acc.Add(s.pm.Slice(exts[i].Off, exts[i].Len))
 			}
 		}
 		s.stats.ChecksumComputed++
@@ -239,7 +240,7 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	// line with the key, or two slots sharing a line, costs one clwb).
 	tFlush := s.tnow()
 	off := s.slotOff(slotIdx)
-	s.r.WriteFrom(s.nd(), off, img)
+	s.pm.Write(off, img)
 	for _, e := range exts {
 		s.fs.Add(e.Off, e.Len)
 	}
@@ -308,14 +309,14 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	// cannot serve it before Commit — stagedN forces the fallback, whose
 	// locked read is the commit barrier — but publishing here keeps the
 	// mirror in lockstep with the index links written above.
-	s.publishDescLocked(slotIdx, seq)
+	s.publishDescLocked(slotIdx, seq, bytes.Clone(s.slotKey(s.slot(slotIdx))))
 	s.stats.Puts++
 	s.stats.BytesStored += uint64(vlen)
 	return nil
 }
 
 func (s *Store) writeSlotNextLocked(idx, level, next int) {
-	s.r.WriteUint32From(s.nd(), s.slotOff(idx)+oTower+4*level, uint32(next+1))
+	s.pm.WriteUint32(s.slotOff(idx)+oTower+4*level, uint32(next+1))
 	// Mirror the link into the published descriptor, if any, so the
 	// lock-free walk (fastget.go) tracks every retarget.
 	if d := s.recs[idx].Load(); d != nil {
@@ -347,7 +348,7 @@ func (s *Store) writeChainsLocked(chains []int, exts []Extent) {
 		}
 		binary.LittleEndian.PutUint32(img[oSlotSum:], chainSum(img))
 		off := s.slotOff(idx)
-		s.r.WriteFrom(s.nd(), off, img)
+		s.pm.Write(off, img)
 		s.fs.Add(off, s.cfg.SlotSize)
 	}
 }
@@ -401,8 +402,8 @@ func (s *Store) readExtentsLocked(sl []byte) ([]Extent, error) {
 // from (or replaced it in) the index.
 func (s *Store) freeRecordLocked(idx int) {
 	off := s.slotOff(idx)
-	s.r.WriteUint64From(s.nd(), off+oSeq, 0)
-	s.r.PersistFrom(s.nd(), off+oSeq, 8)
+	s.pm.WriteUint64(off+oSeq, 0)
+	s.pm.Persist(off+oSeq, 8)
 	s.recycleRecordLocked(idx)
 }
 
@@ -487,7 +488,7 @@ func (s *Store) Get(key []byte) ([]byte, bool, error) {
 	var acc checksum.Accumulator
 	nl := 0
 	for _, e := range ref.Extents {
-		b := s.r.Slice(e.Off, e.Len)
+		b := s.pm.Slice(e.Off, e.Len)
 		nl += lineSpan(e.Off, e.Len)
 		out = append(out, b...)
 		if s.cfg.VerifyOnGet {
@@ -501,7 +502,7 @@ func (s *Store) Get(key []byte) ([]byte, bool, error) {
 	if len(ref.Extents) > 0 {
 		off0 = ref.Extents[0].Off
 	}
-	s.r.TouchLinesFrom(s.nd(), off0, nl)
+	s.pm.TouchLines(off0, nl)
 	s.mu.Unlock()
 	if s.cfg.VerifyOnGet && checksum.Norm16(checksum.Fold(acc.Sum())) != checksum.Norm16(checksum.Fold(ref.Csum)) {
 		return nil, false, fmt.Errorf("%w: checksum mismatch for key %q", ErrCorrupt, key)
@@ -538,9 +539,9 @@ func (s *Store) Delete(key []byte) (bool, error) {
 		}
 	}
 	if prev[0] < 0 {
-		s.r.PersistFrom(s.nd(), s.base+sbOTower, 4)
+		s.pm.Persist(s.base+sbOTower, 4)
 	} else {
-		s.r.PersistFrom(s.nd(), s.slotOff(prev[0])+oTower, 4)
+		s.pm.Persist(s.slotOff(prev[0])+oTower, 4)
 	}
 	s.freeRecordLocked(idx)
 	s.count--

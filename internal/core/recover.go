@@ -1,10 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"packetstore/internal/checksum"
 )
@@ -229,11 +230,9 @@ func (s *Store) rescan(mode rescanMode) error {
 	}
 
 	// Rebuild the index in key order with each record's stored height.
-	sort.Slice(survivors, func(a, b int) bool {
-		ka, kb := survivors[a].key, survivors[b].key
-		return string(ka) < string(kb)
-	})
+	slices.SortFunc(survivors, func(a, b rec) int { return bytes.Compare(a.key, b.key) })
 	var last [maxHeight]int
+	var noLinks [4 * maxHeight]byte
 	for l := range last {
 		last[l] = -1
 		s.setHeadNext(l, -1)
@@ -244,14 +243,12 @@ func (s *Store) rescan(mode rescanMode) error {
 		if h < 1 || h > maxHeight {
 			h = 1
 		}
-		// Publish the survivor's descriptor before retargeting its tower:
-		// the writeSlotNextLocked calls below then mirror into it.
-		s.publishDescLocked(rv.idx, rv.seq)
-		for l := 0; l < maxHeight; l++ {
-			// Clear the tower; links below are rewritten as successors
-			// arrive.
-			s.writeSlotNextLocked(rv.idx, l, -1)
-		}
+		// Clear the tower with one store (links are rewritten as successors
+		// arrive), then publish the descriptor from the cleared image — the
+		// writeSlotNextLocked calls below mirror into it — handing it the
+		// scan's copy of the key: no second read of the data area.
+		s.pm.Write(s.slotOff(rv.idx)+oTower, noLinks[:])
+		s.publishDescLocked(rv.idx, rv.seq, rv.key)
 		for l := 0; l < h; l++ {
 			if last[l] < 0 {
 				s.setHeadNext(l, rv.idx)
@@ -262,11 +259,11 @@ func (s *Store) rescan(mode rescanMode) error {
 		}
 	}
 	// Persist the rebuilt level-0 chain and head.
-	s.r.FlushFrom(s.nd(), s.base+sbOTower, 4*maxHeight)
+	s.pm.Flush(s.base+sbOTower, 4*maxHeight)
 	for _, rv := range survivors {
-		s.r.FlushFrom(s.nd(), s.slotOff(rv.idx)+oTower, 4*maxHeight)
+		s.pm.Flush(s.slotOff(rv.idx)+oTower, 4*maxHeight)
 	}
-	s.r.Fence()
+	s.pm.Fence()
 
 	s.count = len(survivors)
 	if unrecoverable > 0 {
@@ -347,8 +344,8 @@ func (s *Store) inDataArea(off, n int) bool {
 func (s *Store) clearSeqLocked(idx int) {
 	s.clearDescLocked(idx)
 	off := s.slotOff(idx)
-	s.r.WriteUint64From(s.nd(), off+oSeq, 0)
-	s.r.PersistFrom(s.nd(), off+oSeq, 8)
+	s.pm.WriteUint64(off+oSeq, 0)
+	s.pm.Persist(off+oSeq, 8)
 }
 
 // Record is one entry reported by iteration. Value is populated only by
@@ -384,7 +381,7 @@ func (s *Store) Ascend(start []byte, fn func(rec Record) bool) error {
 			idx = slotNext(sl, 0)
 			continue
 		}
-		s.r.TouchFrom(s.nd(), s.slotOff(idx), 64)
+		s.pm.Touch(s.slotOff(idx), 64)
 		exts, err := s.readExtentsLocked(sl)
 		if err != nil {
 			return err
@@ -445,8 +442,8 @@ func (s *Store) Verify() ([][]byte, error) {
 	err := s.Ascend(nil, func(rec Record) bool {
 		var acc checksum.Accumulator
 		for _, e := range rec.Ref.Extents {
-			s.r.TouchFrom(s.nd(), e.Off, e.Len)
-			acc.Add(s.r.Slice(e.Off, e.Len))
+			s.pm.Touch(e.Off, e.Len)
+			acc.Add(s.pm.Slice(e.Off, e.Len))
 		}
 		if checksum.Norm16(checksum.Fold(acc.Sum())) != checksum.Norm16(checksum.Fold(rec.Ref.Csum)) {
 			bad = append(bad, rec.Key)

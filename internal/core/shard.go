@@ -56,6 +56,7 @@ type ShardedStore struct {
 	r      *pmem.Region
 	cfg    Config
 	stride int
+	doms   []*pmem.Domain // each shard's persist-domain handle
 
 	// mu guards shards/down/parked/rebuilding: a shard can be quarantined
 	// at runtime (nil entry + reason) while the others keep serving, and
@@ -113,16 +114,26 @@ func OpenSharded(r *pmem.Region, cfg Config, shards int) (*ShardedStore, error) 
 	}
 	cc := cfg
 	cc.fill()
-	// Each shard's event loop is its own simulated core; PM stalls must
-	// not busy-wait the other loops off the physical CPUs.
-	r.SetMultiCore(shards > 1)
+	// Each shard's event loop is its own simulated core, driving PM
+	// through the shard's own persist domain — a lone shard through the
+	// default one, so a region of exactly cfg.RegionSize() still opens.
+	r.SetCores(shards)
 	ss := &ShardedStore{
-		r: r, cfg: cc, stride: shardStride(cc),
+		r: r, cfg: cc, stride: shardStride(cc), doms: []*pmem.Domain{&r.Domain},
 		shards:     make([]*Store, shards),
 		down:       make([]error, shards),
 		parked:     make([]*Store, shards),
 		rebuilding: make([]bool, shards),
 		owners:     make([]sync.Mutex, shards),
+	}
+	if shards > 1 {
+		if need := ShardedRegionSize(cc, shards); need > r.Size() {
+			return nil, fmt.Errorf("pktstore: region %d bytes, need %d for %d shards", r.Size(), need, shards)
+		}
+		ss.doms = make([]*pmem.Domain, shards)
+		for i := range ss.doms { // every range before the concurrent opens below
+			ss.doms[i] = r.Carve(i*ss.stride, ss.stride)
+		}
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, shards)
@@ -130,7 +141,7 @@ func OpenSharded(r *pmem.Region, cfg Config, shards int) (*ShardedStore, error) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ss.shards[i], errs[i] = openAt(r, cc, i*ss.stride)
+			ss.shards[i], errs[i] = openAt(ss.doms[i], cc, i*ss.stride)
 		}(i)
 	}
 	wg.Wait()
@@ -156,7 +167,7 @@ func OpenSharded(r *pmem.Region, cfg Config, shards int) (*ShardedStore, error) 
 // ShardedStore (servers use the sharded API uniformly).
 func WrapSharded(s *Store) *ShardedStore {
 	return &ShardedStore{
-		r: s.r, cfg: s.cfg, stride: shardStride(s.cfg),
+		r: s.pm.Region(), cfg: s.cfg, stride: shardStride(s.cfg), doms: []*pmem.Domain{s.pm},
 		shards: []*Store{s}, down: make([]error, 1),
 		parked: make([]*Store, 1), rebuilding: make([]bool, 1),
 		owners: make([]sync.Mutex, 1),
@@ -248,7 +259,7 @@ func (ss *ShardedStore) Rebuild(i int) error {
 		reconsBefore = st.Stats().Reconstructions
 		err = st.Rehydrate()
 	} else {
-		st, err = openAt(ss.r, ss.cfg, i*ss.stride)
+		st, err = openAt(ss.doms[i], ss.cfg, i*ss.stride)
 		if err == nil && ss.parity != nil {
 			// A fresh open recovers without parity attached (slots whose CRC
 			// fails are fenced, not repaired). Attach the group runtime and,

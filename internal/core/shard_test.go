@@ -55,6 +55,46 @@ func TestShardedSingleShardLayoutMatchesStore(t *testing.T) {
 	}
 }
 
+// TestOpenShardedRegionSizing: a single shard opens on a region of
+// exactly cfg.RegionSize() even when that is no 4 KB multiple (pktstored
+// sizes single-shard images that way on purpose), and a region too small
+// for the layout is an error, never a panic.
+func TestOpenShardedRegionSizing(t *testing.T) {
+	cfg := Config{MetaSlots: 1000, DataSlots: 1001, VerifyOnGet: true}
+	if cfg.RegionSize()%4096 == 0 {
+		t.Fatal("geometry must not be 4 KB-aligned for this test to bite")
+	}
+	r := pmem.New(cfg.RegionSize(), calib.Off())
+	ss, err := OpenSharded(r, cfg, 1)
+	if err != nil {
+		t.Fatalf("exact-size single shard: %v", err)
+	}
+	if err := ss.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	r.Crash(1)
+	if ss, err = OpenSharded(r, cfg, 1); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if v, ok, err := ss.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("Get after reopen = %q,%v,%v", v, ok, err)
+	}
+	for _, tc := range []struct{ size, shards int }{
+		{cfg.RegionSize() - 64, 1},
+		{ShardedRegionSize(cfg, 2) - 4096, 2},
+		{cfg.RegionSize(), 2},
+	} {
+		if _, err := OpenSharded(pmem.New(tc.size, calib.Off()), cfg, tc.shards); err == nil {
+			t.Errorf("%d shards on %d bytes: no error", tc.shards, tc.size)
+		}
+	}
+	pcfg := cfg
+	pcfg.ParityGroup = 2 // the parity partition must fit too
+	if _, err := OpenSharded(pmem.New(ShardedRegionSize(cfg, 2), calib.Off()), pcfg, 2); err == nil {
+		t.Error("region without room for the parity partition: no error")
+	}
+}
+
 // shardedModel drives a ShardedStore and a reference map through the
 // same random PUT/DELETE/RANGE schedule, crashes, recovers in parallel,
 // and checks full agreement. Returns false (for testing/quick) on any

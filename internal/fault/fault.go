@@ -35,7 +35,7 @@ type Plan struct {
 }
 
 // Hook returns the pmem.PersistHook implementing the plan. The hook
-// only counts and compares — it is safe under the region lock.
+// only counts and compares — it is safe under the region's range locks.
 func (p *Plan) Hook() pmem.PersistHook {
 	return func(op pmem.PersistOp) pmem.PersistDecision {
 		n := p.ops.Add(1)

@@ -348,6 +348,77 @@ func RunCrash(seed int64, shards int) (RunStats, error) {
 	return rs, nil
 }
 
+// RunDropFence plants a protocol bug instead of a power cut: every fence
+// of one acked Put in a victim shard is swallowed (PersistDecision.Drop),
+// the other shards keep committing — and fencing — afterwards, then the
+// power dies. An sfence orders only the issuing core's own clwbs, so the
+// victim's flushed lines are still in the undefined window and the crash
+// loses the acked key on about half the seeds; a simulator whose fence
+// drained the whole region would let the neighbours' fences paper over
+// the bug on every seed. It reports whether this seed's crash exposed
+// the bug (the recovered store no longer serves the acked value). err is
+// for harness failures and for damage to any other key, which the
+// planted bug does not excuse.
+func RunDropFence(seed int64) (caught bool, err error) {
+	const shards = 4
+	cfg := tortureCfg()
+	rng := rand.New(rand.NewSource(seed))
+	r := pmem.New(core.ShardedRegionSize(cfg, shards), calib.Off())
+	ss, err := core.OpenSharded(r, cfg, shards)
+	if err != nil {
+		return false, err
+	}
+	model := make(map[string][]byte)
+	put := func(k string) error {
+		v := make([]byte, 1+rng.Intn(360))
+		rng.Read(v)
+		model[k] = v
+		return ss.Put([]byte(k), v)
+	}
+	for i := 0; i < 16; i++ {
+		if err := put(fmt.Sprintf("key-%03d", i)); err != nil {
+			return false, err
+		}
+	}
+	victimKey := fmt.Sprintf("victim-%d", seed)
+	victim := core.ShardOf([]byte(victimKey), shards)
+	drop := true
+	r.SetPersistHook(func(op pmem.PersistOp) pmem.PersistDecision {
+		return pmem.PersistDecision{Drop: drop && op == pmem.OpFence}
+	})
+	if err := put(victimKey); err != nil { // acked by a store that believes it fenced
+		return false, err
+	}
+	drop = false
+	for i, n := 0, 0; n < 16; i++ {
+		k := fmt.Sprintf("late-%03d", i)
+		if core.ShardOf([]byte(k), shards) == victim {
+			continue
+		}
+		if err := put(k); err != nil {
+			return false, err
+		}
+		n++
+	}
+
+	r.Crash(seed)
+	ss2, err := core.OpenSharded(r, cfg, shards)
+	if err != nil {
+		return false, fmt.Errorf("recovery failed: %w", err)
+	}
+	for k, want := range model {
+		got, ok, gerr := ss2.Get([]byte(k))
+		intact := gerr == nil && ok && bytes.Equal(got, want)
+		switch {
+		case k == victimKey:
+			caught = !intact
+		case !intact:
+			return caught, fmt.Errorf("fenced key %q damaged by a neighbour's dropped fence: ok=%v err=%v", k, ok, gerr)
+		}
+	}
+	return caught, nil
+}
+
 // storeRegion recovers the region under a store opened by openStore.
 func storeRegion(st storeAPI) *pmem.Region {
 	switch s := st.(type) {

@@ -37,6 +37,28 @@ func TestTortureCrash(t *testing.T) {
 	}
 }
 
+// TestTortureDroppedFence is the strictness sweep: a fence dropped in one
+// shard while the others keep committing must be caught by the crash
+// sweep — on at least one seed the acked key is gone — and must never
+// damage a fenced key.
+func TestTortureDroppedFence(t *testing.T) {
+	n := seeds(t, 16, 64)
+	caught := 0
+	for i := 0; i < n; i++ {
+		c, err := RunDropFence(tortureBase + int64(i))
+		if err != nil {
+			t.Fatalf("seed %d: %v", tortureBase+int64(i), err)
+		}
+		if c {
+			caught++
+		}
+	}
+	if caught == 0 {
+		t.Fatalf("a fence dropped in one shard went unseen over %d crash seeds: a neighbour's fence retired its lines", n)
+	}
+	t.Logf("dropped fence caught on %d of %d seeds", caught, n)
+}
+
 // TestTortureCorrupt flips random media bits and requires detection:
 // reads return correct bytes, a miss, or an error — never wrong data.
 func TestTortureCorrupt(t *testing.T) {

@@ -1,0 +1,188 @@
+package pmem
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"packetstore/internal/latency"
+)
+
+// domainAlign is the granularity of Carve: 64 lines, one word of the
+// dirty/pending bitsets, so no bitset word is shared by two range locks.
+const domainAlign = 64 * LineSize
+
+// Domain is a persist domain: the handle one simulated core (a shard's
+// store) drives PM through, stamped with that core's NUMA node, and — if
+// carved — the lock over its own lines. Three scopes differ on purpose:
+//
+//   - Lock scope is the address range. An access takes the lock of the
+//     range that owns the address, whoever issues it: a store in its own
+//     partition takes only its own lock; parity folds, NIC DMA
+//     (MarkDirty) and CopyOut landing in another range take that
+//     range's. One access must lie inside one range. More than one range
+//     lock is only ever held in ascending address order, default first.
+//   - Fence scope is the issuer, as sfence orders only the issuing
+//     core's own clwbs: the handle lists the lines it flushed, wherever
+//     they live, and Fence retires exactly those. A line another handle
+//     already flushed joins this handle's list too: the first of the two
+//     fences retires it, and a write-back issued after that is a new
+//     generation the older list entry cannot retire.
+//   - Power cuts are global: failed/frozen/Crash cover every domain.
+type Domain struct {
+	r      *Region
+	lo, hi int // owned lines [lo, hi); -1, -1 for the default domain
+
+	// mu guards the owned lines' dirty/pending bits and, against the
+	// other locked mutators, their image bytes — plus stats, the
+	// write-side counters of operations that landed in this range and of
+	// the fences and folds this handle issued. Charged reads and delays
+	// count in atomics on the issuing handle: a read takes no lock, so
+	// lock-free GETs never meet the writer inside the simulator.
+	mu                   sync.Mutex
+	stats                Stats
+	reads, local, remote atomic.Uint64
+	charged, remoteExtra atomic.Int64
+
+	// fmu guards flushed: the lines this handle wrote back and has not
+	// fenced. A leaf lock: taken inside a range lock or alone, never the
+	// other way round.
+	fmu     sync.Mutex
+	flushed []flushedLine
+
+	node atomic.Int32
+}
+
+// flushedLine is one write-back a handle owes a fence: the line and its
+// generation at the flush. Lines (not bitset words) keep a fence from
+// retiring a neighbour's line in a range both flush into, such as a
+// parity partition; the generation, a later write-back of the same line.
+type flushedLine struct {
+	l   int
+	gen uint16
+}
+
+// Carve gives [off, off+n) its own persist domain and returns the
+// handle. off and n must be multiples of 4096. Call it while no other
+// goroutine uses the region: accesses find their range lock without
+// synchronisation. Carving an existing range again (a store reopened
+// over the same Region after Crash) returns the same handle — the range
+// keeps one lock for the Region's life; a partial overlap panics.
+func (r *Region) Carve(off, n int) *Domain {
+	r.check(off, n)
+	if n == 0 || off%domainAlign != 0 || n%domainAlign != 0 {
+		panic("pmem: Carve range is not a positive multiple of 4096 bytes")
+	}
+	lo, hi := off/LineSize, (off+n)/LineSize
+	i := 0
+	for i < len(r.carved) && r.carved[i].hi <= lo {
+		i++
+	}
+	if i < len(r.carved) && r.carved[i].lo < hi {
+		if c := r.carved[i]; c.lo == lo && c.hi == hi {
+			return c
+		}
+		panic("pmem: Carve overlaps an existing persist domain")
+	}
+	d := &Domain{r: r, lo: lo, hi: hi}
+	r.carved = slices.Insert(r.carved, i, d)
+	return d
+}
+
+// Region returns the device the domain belongs to.
+func (d *Domain) Region() *Region { return d.r }
+
+// SetNode declares which NUMA node the core driving this handle runs on
+// (a serving loop restamps it per cycle, so a stolen cycle bills the
+// thief's socket). Lines homed elsewhere are charged the remote rates.
+func (d *Domain) SetNode(n int) { d.node.Store(int32(n)) }
+
+// Node reports the last stamped driving node (0 until stamped).
+func (d *Domain) Node() int { return int(d.node.Load()) }
+
+// extent returns the domain owning line l and the exclusive end of the
+// run of consecutive lines it owns from l on.
+func (d *Domain) extent(l int) (*Domain, int) {
+	if l >= d.lo && l < d.hi {
+		return d, d.hi
+	}
+	r := d.r
+	for _, c := range r.carved {
+		if l < c.hi {
+			if l >= c.lo {
+				return c, c.hi
+			}
+			return &r.Domain, c.lo
+		}
+	}
+	return &r.Domain, len(r.buf) / LineSize
+}
+
+// own bounds-checks [off, off+n) and returns the domain whose lock
+// guards it.
+func (d *Domain) own(off, n int) *Domain {
+	d.r.check(off, n)
+	o, end := d.extent(off / LineSize)
+	if n > 0 && (off+n-1)/LineSize >= end {
+		panic("pmem: access straddles a persist-domain boundary")
+	}
+	return o
+}
+
+// each visits every domain in lock order: the default domain, then the
+// carved ones by ascending address.
+func (r *Region) each(fn func(*Domain)) {
+	fn(&r.Domain)
+	for _, c := range r.carved {
+		fn(c)
+	}
+}
+
+func (r *Region) lockAll()   { r.each(func(d *Domain) { d.mu.Lock() }) }
+func (r *Region) unlockAll() { r.each(func(d *Domain) { d.mu.Unlock() }) }
+
+// enter takes what a persist operation needs before touching lines o
+// owns: o's lock — or, while a fault hook is installed, every range
+// lock, so fault plans keep seeing one total order of cut points and a
+// cut can freeze every domain's pending lines.
+func (r *Region) enter(o *Domain) (all bool) {
+	o.mu.Lock()
+	if r.persistHook == nil {
+		return false
+	}
+	o.mu.Unlock()
+	r.lockAll()
+	return true
+}
+
+func (r *Region) leave(o *Domain, all bool) {
+	if all {
+		r.unlockAll()
+	} else {
+		o.mu.Unlock()
+	}
+}
+
+// bill counts one operation's emulated delay and NUMA attribution, then
+// consumes the delay; callers release their range lock first. PM delays
+// stall the issuing core (blocking loads, clwb retire, sfence drain), so
+// they spin hot — unless simulated cores outnumber physical (SetCores).
+func (d *Domain) bill(cost time.Duration, a *nodeAcc) {
+	if cost <= 0 && a.loc+a.rem == 0 {
+		return // an unmodelled device (calib.Off) pays nothing per call
+	}
+	d.charged.Add(int64(cost))
+	if a.loc != 0 {
+		d.local.Add(a.loc)
+	}
+	if a.rem != 0 {
+		d.remote.Add(a.rem)
+		d.remoteExtra.Add(int64(a.extra))
+	}
+	if d.r.yield.Load() {
+		latency.Spin(cost)
+	} else {
+		latency.SpinHot(cost)
+	}
+}

@@ -1,9 +1,6 @@
 package pmem
 
-import (
-	"sort"
-	"time"
-)
+import "slices"
 
 // FlushSet accumulates dirty byte ranges for one batched write-back.
 // Ranges are deduplicated at cache-line granularity when the set is
@@ -21,6 +18,10 @@ type FlushSet struct {
 
 // lineSpan is an inclusive range of cache-line indices.
 type lineSpan struct{ first, last int }
+
+// byFirst orders spans by start line (slices.SortFunc, unlike sort.Slice,
+// allocates nothing — FlushBatch sits on the commit path).
+func byFirst(a, b lineSpan) int { return a.first - b.first }
 
 // Add records that [off, off+n) must be written back in the next
 // FlushBatch. Zero-length ranges are ignored.
@@ -66,7 +67,7 @@ func (fs *FlushSet) VisitSpans(fn func(off, n int)) {
 		return
 	}
 	fs.scratch = append(fs.scratch[:0], fs.spans...)
-	sort.Slice(fs.scratch, func(a, b int) bool { return fs.scratch[a].first < fs.scratch[b].first })
+	slices.SortFunc(fs.scratch, byFirst)
 	cur := fs.scratch[0]
 	for _, sp := range fs.scratch[1:] {
 		if sp.first <= cur.last+1 {
@@ -88,7 +89,7 @@ func (fs *FlushSet) normalize() int {
 	if len(fs.spans) < 2 {
 		return 0
 	}
-	sort.Slice(fs.spans, func(a, b int) bool { return fs.spans[a].first < fs.spans[b].first })
+	slices.SortFunc(fs.spans, byFirst)
 	coalesced := 0
 	out := fs.spans[:1]
 	for _, sp := range fs.spans[1:] {
@@ -136,98 +137,18 @@ type BatchStats struct {
 // the first dirty line of the deduplicated set), latency is charged for
 // the deduplicated dirty-line count only, and Stats.Flushes increments
 // by one. The set is reset afterwards. Durability still requires a
-// Fence, exactly as for Flush.
-func (r *Region) FlushBatch(fs *FlushSet) BatchStats { return r.FlushBatchFrom(0, fs) }
-
-// FlushBatchFrom is FlushBatch issued from the given NUMA node: each
-// freshly written-back line whose home socket differs pays the remote
-// flush rate plus interconnect hops.
-func (r *Region) FlushBatchFrom(node int, fs *FlushSet) BatchStats {
+// Fence on the same handle, exactly as for Flush.
+func (d *Domain) FlushBatch(fs *FlushSet) BatchStats {
 	bs := BatchStats{Coalesced: fs.normalize()}
-	numa := r.numaNodes > 1
-	var acc nodeAcc
 	for _, sp := range fs.spans {
 		bs.Lines += sp.last - sp.first + 1
 	}
-	if bs.Lines == 0 {
-		fs.Reset()
-		return bs
-	}
-	last := fs.spans[len(fs.spans)-1].last
-	if (last+1)*LineSize > len(r.buf) {
-		panic("pmem: FlushBatch range outside region")
-	}
-	r.mu.Lock()
-	if r.failed {
-		r.mu.Unlock()
-		fs.Reset()
-		return bs
-	}
-	if r.persistHook != nil {
-		if d := r.persistHook(OpFlush); d.Cut {
-			r.failSpansLocked(fs.spans, d.TearBytes)
-			r.mu.Unlock()
-			fs.Reset()
-			return bs
+	if bs.Lines > 0 {
+		if last := fs.spans[len(fs.spans)-1].last; (last+1)*LineSize > len(d.r.buf) {
+			panic("pmem: FlushBatch range outside region")
 		}
+		d.flushSpans(fs.spans, &bs, true)
 	}
-	for _, sp := range fs.spans {
-		for l := sp.first; l <= sp.last; l++ {
-			w, bit := l/64, uint64(1)<<(l%64)
-			switch {
-			case r.dirty[w]&bit != 0:
-				r.dirty[w] &^= bit
-				if r.pending[w] == 0 {
-					r.pendingWords = append(r.pendingWords, w)
-				}
-				r.pending[w] |= bit
-				bs.Flushed++
-				if numa {
-					r.accLine(&acc, node, l, r.flushLine, r.remoteFlush)
-				}
-			case r.pending[w]&bit != 0:
-				bs.Wasted++
-			}
-		}
-	}
-	r.mu.Unlock()
-	cost := time.Duration(bs.Flushed) * r.flushLine
-	if numa {
-		cost = acc.cost
-		r.commitAcc(&acc)
-	}
-	r.charge(cost)
-	r.statsMu.Lock()
-	r.stats.Flushes++
-	r.stats.BatchFlushes++
-	r.stats.LinesFlushed += uint64(bs.Flushed)
-	r.stats.LinesCoalesced += uint64(bs.Coalesced)
-	r.stats.WastedFlushes += uint64(bs.Wasted)
-	r.statsMu.Unlock()
 	fs.Reset()
 	return bs
-}
-
-// failSpansLocked cuts the power at a batched flush: pending lines are
-// frozen exactly as in failLocked, and a torn write-back persists
-// tearBytes of the first dirty line of the (sorted, deduplicated) set —
-// never of some unrelated dirty line outside it.
-func (r *Region) failSpansLocked(spans []lineSpan, tearBytes int) {
-	r.failed = true
-	r.freezePendingLocked()
-	if tearBytes <= 0 {
-		return
-	}
-	if tearBytes >= LineSize {
-		tearBytes = LineSize - 1
-	}
-	for _, sp := range spans {
-		for l := sp.first; l <= sp.last; l++ {
-			if r.dirty[l/64]&(1<<(l%64)) != 0 {
-				o := l * LineSize
-				copy(r.shadow[o:o+tearBytes], r.buf[o:o+tearBytes])
-				return
-			}
-		}
-	}
 }

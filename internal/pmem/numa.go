@@ -5,9 +5,10 @@
 // much steeper than the DRAM NUMA ratio — which makes placement a
 // first-order cost for a store whose packet buffers ARE the medium.
 //
-// The design keeps Nodes=1 a strict no-op: without a map every *From
-// method computes the exact pre-NUMA charge (count × local rate) and
-// never touches the node table or the atomic counters.
+// The accessing socket is the node stamped on the Domain handle the
+// access is issued through (Domain.SetNode). The design keeps Nodes=1 a
+// strict no-op: without a map every access computes the exact pre-NUMA
+// charge (count × local rate) and never touches the node table.
 package pmem
 
 import (
@@ -33,8 +34,8 @@ type NodeRange struct {
 // SetNUMA must be called on a quiescent region (before serving starts):
 // the table is read lock-free by every access afterwards.
 func (r *Region) SetNUMA(nodes int, prof calib.NUMAProfile, ranges []NodeRange) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lockAll()
+	defer r.unlockAll()
 	if nodes <= 1 {
 		r.numaNodes = 0
 		r.lineNode = nil
@@ -93,7 +94,8 @@ func (r *Region) NodeAt(off int) int {
 }
 
 // nodeAcc accumulates the node-attributed cost of a batch of lines so
-// the atomic counters are bumped once per operation, not once per line.
+// the counters are bumped once per operation (Domain.bill), not once per
+// line.
 type nodeAcc struct {
 	cost, extra time.Duration
 	loc, rem    uint64
@@ -120,30 +122,17 @@ func (r *Region) accLine(a *nodeAcc, node, l int, local, remote time.Duration) {
 	a.rem++
 }
 
-// commitAcc publishes an accumulator into the region's atomic counters.
-func (r *Region) commitAcc(a *nodeAcc) {
-	if a.loc != 0 {
-		r.localLines.Add(a.loc)
-	}
-	if a.rem != 0 {
-		r.remoteLines.Add(a.rem)
-		r.remoteExtraNs.Add(int64(a.extra))
-	}
-}
-
 // spanCost returns the charge for nl consecutive lines starting at the
-// line containing off, accessed from node. Without a NUMA model this is
-// exactly nl × local — the pre-NUMA arithmetic, with no table walk and
-// no counter traffic.
-func (r *Region) spanCost(node, off, nl int, local, remote time.Duration) time.Duration {
+// line containing off, accessed from node, attributing them in a.
+// Without a NUMA model this is exactly nl × local — the pre-NUMA
+// arithmetic, with no table walk.
+func (r *Region) spanCost(a *nodeAcc, node, off, nl int, local, remote time.Duration) time.Duration {
 	if r.numaNodes <= 1 || nl == 0 {
 		return time.Duration(nl) * local
 	}
-	var acc nodeAcc
 	first := off / LineSize
 	for l := first; l < first+nl; l++ {
-		r.accLine(&acc, node, l, local, remote)
+		r.accLine(a, node, l, local, remote)
 	}
-	r.commitAcc(&acc)
-	return acc.cost
+	return a.cost
 }

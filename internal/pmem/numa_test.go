@@ -82,18 +82,24 @@ func TestNUMANodeTable(t *testing.T) {
 	}
 }
 
+// on stamps the region's default handle with the accessing node.
+func on(r *Region, node int) *Region {
+	r.SetNode(node)
+	return r
+}
+
 func TestNUMATouchReadWriteAttribution(t *testing.T) {
 	r := twoNode(t)
 	p := numaProfile()
 
 	// Local touch: 2 lines on node 0 from node 0.
 	st := r.Stats()
-	r.TouchFrom(0, 0, 2*LineSize)
+	on(r, 0).Touch(0, 2*LineSize)
 	st = lineDelta(t, r, st, 2, 0)
 
 	// Remote touch: 2 lines on node 1 from node 0; the surcharge is
 	// exactly (remote - local) per line.
-	r.TouchFrom(0, 2048, 2*LineSize)
+	on(r, 0).Touch(2048, 2*LineSize)
 	after := lineDelta(t, r, st, 0, 2)
 	wantExtra := 2 * (p.NUMA.RemoteReadLine - p.PMReadLine)
 	if got := after.RemoteExtra - st.RemoteExtra; got != wantExtra {
@@ -102,16 +108,16 @@ func TestNUMATouchReadWriteAttribution(t *testing.T) {
 
 	// The same lines from their own node are local again.
 	st = r.Stats()
-	r.TouchFrom(1, 2048, 2*LineSize)
+	on(r, 1).Touch(2048, 2*LineSize)
 	st = lineDelta(t, r, st, 2, 0)
 
-	// ReadFrom and WriteFrom attribute by span the same way.
+	// Read and Write attribute by span the same way.
 	buf := make([]byte, LineSize)
-	r.ReadFrom(1, buf, 0) // node-0 line from node 1: remote
+	on(r, 1).Read(buf, 0) // node-0 line from node 1: remote
 	st = lineDelta(t, r, st, 0, 1)
-	r.WriteFrom(0, 0, buf) // node-0 line from node 0: local
+	on(r, 0).Write(0, buf) // node-0 line from node 0: local
 	st = lineDelta(t, r, st, 1, 0)
-	r.WriteFrom(1, 0, buf) // node-0 line from node 1: remote
+	on(r, 1).Write(0, buf) // node-0 line from node 1: remote
 	after = lineDelta(t, r, st, 0, 1)
 	if got := after.RemoteExtra - st.RemoteExtra; got != p.NUMA.RemoteWriteLine-p.PMWriteLine {
 		t.Errorf("write RemoteExtra += %v, want %v", got, p.NUMA.RemoteWriteLine-p.PMWriteLine)
@@ -126,23 +132,23 @@ func TestNUMAFlushAttribution(t *testing.T) {
 	// Dirty two node-1 lines (writing from node 1, local), then flush
 	// them from node 0: the flush is charged remote per freshly-flushed
 	// dirty line.
-	r.WriteFrom(1, 2048, buf)
+	on(r, 1).Write(2048, buf)
 	st := r.Stats()
-	r.FlushFrom(0, 2048, len(buf))
+	on(r, 0).Flush(2048, len(buf))
 	after := lineDelta(t, r, st, 0, 2)
 	if got := after.RemoteExtra - st.RemoteExtra; got != 2*(p.NUMA.RemoteFlushLine-p.PMFlushLine) {
 		t.Errorf("flush RemoteExtra += %v, want %v", got, 2*(p.NUMA.RemoteFlushLine-p.PMFlushLine))
 	}
 	// Re-flushing clean lines charges (and counts) nothing.
 	st = r.Stats()
-	r.FlushFrom(0, 2048, len(buf))
+	on(r, 0).Flush(2048, len(buf))
 	lineDelta(t, r, st, 0, 0)
 	r.Fence()
 
-	// PersistFrom = flush + fence, same per-line accounting, local side.
-	r.WriteFrom(1, 2048+len(buf), buf)
+	// Persist = flush + fence, same per-line accounting, local side.
+	on(r, 1).Write(2048+len(buf), buf)
 	st = r.Stats()
-	r.PersistFrom(1, 2048+len(buf), len(buf))
+	on(r, 1).Persist(2048+len(buf), len(buf))
 	lineDelta(t, r, st, 2, 0)
 }
 
@@ -153,13 +159,13 @@ func TestNUMAFlushBatchAttribution(t *testing.T) {
 
 	// One dirty line on each node, flushed as one batch from node 0:
 	// one local, one remote.
-	r.WriteFrom(0, 0, buf)
-	r.WriteFrom(1, 2048, buf)
+	on(r, 0).Write(0, buf)
+	on(r, 1).Write(2048, buf)
 	var fs FlushSet
 	fs.Add(0, LineSize)
 	fs.Add(2048, LineSize)
 	st := r.Stats()
-	bs := r.FlushBatchFrom(0, &fs)
+	bs := on(r, 0).FlushBatch(&fs)
 	if bs.Flushed != 2 {
 		t.Fatalf("batch flushed %d lines, want 2", bs.Flushed)
 	}
@@ -172,12 +178,12 @@ func TestNUMAFlushBatchAttribution(t *testing.T) {
 
 func TestNUMATouchLinesAttribution(t *testing.T) {
 	r := twoNode(t)
-	// TouchLinesFrom attributes the whole batch to the node owning the
+	// TouchLines attributes the whole batch to the node owning the
 	// line at off (batched reads stay within one shard's partition).
 	st := r.Stats()
-	r.TouchLinesFrom(0, 2048, 3)
+	on(r, 0).TouchLines(2048, 3)
 	st = lineDelta(t, r, st, 0, 3)
-	r.TouchLinesFrom(1, 2048, 3)
+	on(r, 1).TouchLines(2048, 3)
 	lineDelta(t, r, st, 3, 0)
 }
 
@@ -186,10 +192,10 @@ func TestNUMALocalPlusRemoteEqualsTotal(t *testing.T) {
 	buf := make([]byte, 4*LineSize)
 	// 4 touched + 4 read + 4 written + 4 flushed = 16 charged lines, from
 	// alternating callers; every one must land in exactly one counter.
-	r.TouchFrom(0, 0, len(buf))
-	r.ReadFrom(1, buf, 2048)
-	r.WriteFrom(0, 1024, buf)
-	r.FlushFrom(1, 1024, len(buf))
+	on(r, 0).Touch(0, len(buf))
+	on(r, 1).Read(buf, 2048)
+	on(r, 0).Write(1024, buf)
+	on(r, 1).Flush(1024, len(buf))
 	r.Fence()
 	st := r.Stats()
 	if total := st.LocalLines + st.RemoteLines; total != 16 {
@@ -203,14 +209,14 @@ func TestNUMAHopCost(t *testing.T) {
 	r := New(4096, p)
 	r.SetNUMA(4, p.NUMA, []NodeRange{{Off: 0, Len: 4096, Node: 3}})
 	st := r.Stats()
-	r.TouchFrom(0, 0, LineSize) // distance 3: remote + 2 extra hops
+	on(r, 0).Touch(0, LineSize) // distance 3: remote + 2 extra hops
 	after := r.Stats()
 	want := p.NUMA.RemoteReadLine + 2*p.NUMA.HopCost - p.PMReadLine
 	if got := after.RemoteExtra - st.RemoteExtra; got != want {
 		t.Errorf("3-hop RemoteExtra = %v, want %v", got, want)
 	}
 	st = after
-	r.TouchFrom(2, 0, LineSize) // distance 1: no hop surcharge
+	on(r, 2).Touch(0, LineSize) // distance 1: no hop surcharge
 	after = r.Stats()
 	if got := after.RemoteExtra - st.RemoteExtra; got != p.NUMA.RemoteReadLine-p.PMReadLine {
 		t.Errorf("1-hop RemoteExtra = %v, want %v", got, p.NUMA.RemoteReadLine-p.PMReadLine)
@@ -222,7 +228,7 @@ func TestNUMAZeroRemoteRatesFallBackToLocal(t *testing.T) {
 	// but charges no surcharge: orLocal keeps remote == local.
 	r := New(4096, off())
 	r.SetNUMA(2, calib.NUMAProfile{}, []NodeRange{{Off: 2048, Len: 2048, Node: 1}})
-	r.TouchFrom(0, 2048, 2*LineSize)
+	on(r, 0).Touch(2048, 2*LineSize)
 	st := r.Stats()
 	if st.RemoteLines != 2 {
 		t.Errorf("remote lines = %d, want 2", st.RemoteLines)
@@ -256,7 +262,7 @@ func TestNUMANodes1IsNoOp(t *testing.T) {
 			fs.Add(off, len(buf))
 			r.FlushBatch(&fs)
 			r.Fence()
-			r.TouchLines(4)
+			r.TouchLines(off, 4)
 		}
 		return r.Stats()
 	}

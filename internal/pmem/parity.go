@@ -30,39 +30,49 @@ type XorSpan struct {
 // into its parity range: for every covered byte,
 // parity ^= member_volatile ^ member_durable. The parity lines are
 // marked dirty — the caller adds them to its FlushSet so they persist
-// under the very fence that makes the member changes durable. Write
+// under the very fence that makes the member changes durable. Each fold
+// holds the locks of both ranges it touches (in address order), so
+// members of one group fold into a shared parity line atomically. Write
 // latency is charged per parity line touched, in a single charge for
 // the whole batch: a group commit folds its spans back-to-back, and
 // consuming an emulated sub-microsecond delay costs far more scheduler
 // time than it models when paid span by span.
-func (r *Region) XorDeltaBatch(spans []XorSpan) {
+func (d *Domain) XorDeltaBatch(spans []XorSpan) {
+	r := d.r
 	nl := 0
-	r.mu.Lock()
 	for _, sp := range spans {
 		if sp.N == 0 {
 			continue
 		}
 		if sp.Off%LineSize != 0 || sp.Poff%LineSize != 0 {
-			r.mu.Unlock()
 			panic("pmem: unaligned XorDeltaBatch")
 		}
-		r.check(sp.Off, sp.N)
-		r.check(sp.Poff, sp.N)
+		a, b := d.own(sp.Off, sp.N), d.own(sp.Poff, sp.N)
+		if b.lo < a.lo {
+			a, b = b, a
+		}
+		a.mu.Lock()
+		if b != a {
+			b.mu.Lock()
+		}
 		for i := 0; i < sp.N; i++ {
 			r.buf[sp.Poff+i] ^= r.buf[sp.Off+i] ^ r.shadow[sp.Off+i]
 		}
 		r.markDirtyLocked(sp.Poff, sp.N)
+		if b != a {
+			b.mu.Unlock()
+		}
+		a.mu.Unlock()
 		nl += lines(sp.Poff, sp.N)
 	}
-	r.mu.Unlock()
 	if nl == 0 {
 		return
 	}
-	r.charge(time.Duration(nl) * r.writeLine)
-	r.statsMu.Lock()
-	r.stats.Writes++
-	r.stats.ParityLines += uint64(nl)
-	r.statsMu.Unlock()
+	d.mu.Lock()
+	d.stats.Writes++
+	d.stats.ParityLines += uint64(nl)
+	d.mu.Unlock()
+	d.bill(time.Duration(nl)*r.writeLine, &nodeAcc{})
 }
 
 // XorReconstruct rebuilds [off, off+n) as the byte-wise XOR of the
@@ -72,8 +82,9 @@ func (r *Region) XorDeltaBatch(spans []XorSpan) {
 // would leave them. Destination lines that are volatile-dirty are
 // skipped and counted — someone is mid-write there, and clobbering an
 // in-flight line would corrupt state the durable images cannot vouch
-// for; the caller treats skipped lines as not-yet-repairable. Write and
-// flush latency is charged per reconstructed line, plus one fence.
+// for; the caller treats skipped lines as not-yet-repairable. It reads
+// and writes across ranges, so it runs with every range lock held. Write
+// and flush latency is charged per reconstructed line, plus one fence.
 func (r *Region) XorReconstruct(off int, srcs []int, n int) (skipped int) {
 	if n == 0 || len(srcs) == 0 {
 		return 0
@@ -90,7 +101,7 @@ func (r *Region) XorReconstruct(off int, srcs []int, n int) (skipped int) {
 	}
 	line := make([]byte, LineSize)
 	restored := 0
-	r.mu.Lock()
+	r.lockAll()
 	for o := 0; o < n; o += LineSize {
 		l := (off + o) / LineSize
 		if r.dirty[l/64]&(1<<(l%64)) != 0 {
@@ -107,15 +118,14 @@ func (r *Region) XorReconstruct(off int, srcs []int, n int) (skipped int) {
 		copy(r.shadow[off+o:], line)
 		// The line is durable again: drop it from any flushed-but-unfenced
 		// window so a later fence cannot resurrect pre-repair content.
-		r.pending[l/64] &^= 1 << (l % 64)
+		r.retire(l)
 		restored++
 	}
-	r.mu.Unlock()
-	r.charge(time.Duration(restored)*(r.writeLine+r.flushLine) + r.fence)
-	r.statsMu.Lock()
-	r.stats.Writes++
-	r.stats.ReconstructedLines += uint64(restored)
-	r.statsMu.Unlock()
+	cost := time.Duration(restored)*(r.writeLine+r.flushLine) + r.fence
+	r.Domain.stats.Writes++
+	r.Domain.stats.ReconstructedLines += uint64(restored)
+	r.unlockAll()
+	r.bill(cost, &nodeAcc{})
 	return skipped
 }
 
@@ -128,7 +138,7 @@ func (r *Region) EraseRange(off, n int) {
 	if n == 0 {
 		return
 	}
-	r.mu.Lock()
+	r.lockAll()
 	for i := off; i < off+n; i++ {
 		r.buf[i] = 0
 		r.shadow[i] = 0
@@ -136,11 +146,10 @@ func (r *Region) EraseRange(off, n int) {
 	first := off / LineSize
 	last := (off + n - 1) / LineSize
 	for l := first; l <= last; l++ {
-		w, bit := l/64, uint64(1)<<(l%64)
-		r.dirty[w] &^= bit
-		r.pending[w] &^= bit
+		r.dirty[l/64] &^= 1 << (l % 64)
+		r.retire(l)
 	}
-	r.mu.Unlock()
+	r.unlockAll()
 }
 
 // ReadShadow copies the durable image of [off, off+len(dst)) into dst,
@@ -149,7 +158,7 @@ func (r *Region) EraseRange(off, n int) {
 // members) without perturbing latency accounting.
 func (r *Region) ReadShadow(dst []byte, off int) {
 	r.check(off, len(dst))
-	r.mu.Lock()
+	r.lockAll()
 	copy(dst, r.shadow[off:])
-	r.mu.Unlock()
+	r.unlockAll()
 }

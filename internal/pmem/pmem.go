@@ -32,12 +32,12 @@ import (
 	"math/bits"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"packetstore/internal/calib"
-	"packetstore/internal/latency"
 )
 
 // LineSize is the cache-line granularity of flush operations, in bytes.
@@ -66,28 +66,33 @@ type PersistDecision struct {
 	// write-back, the partial-line state real PM exposes when power dies
 	// mid-write-back. 0 cuts cleanly. Values are clamped to LineSize-1.
 	TearBytes int
+	// Drop swallows this one operation and nothing else: the planted
+	// protocol bug (a forgotten clwb or sfence) a crash sweep must catch.
+	Drop bool
 }
 
-// PersistHook observes every Flush and Fence on a Region and may cut the
-// power at any of them. It is called with the region lock held: it must
-// decide from its own state only and must not call back into the Region.
+// PersistHook observes every Flush and Fence on a Region, whichever
+// domain issues it, and may cut the power at any of them. It is called
+// with every range lock of the region held (persist operations take them
+// all while a hook is installed): it must decide from its own state only
+// and must not call back into the Region.
 type PersistHook func(op PersistOp) PersistDecision
 
 // SetPersistHook installs (or, with nil, removes) a fault-injection hook
 // consulted on every Flush and Fence. Crash removes the hook — the
 // rebooted device persists normally again.
 func (r *Region) SetPersistHook(h PersistHook) {
-	r.mu.Lock()
+	r.lockAll()
 	r.persistHook = h
-	r.mu.Unlock()
+	r.unlockAll()
 }
 
 // PowerFailed reports whether an installed hook has cut the power (and
 // no Crash has rebooted the device yet). While failed, no Flush or Fence
 // has any durable effect.
 func (r *Region) PowerFailed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.Domain.mu.Lock()
+	defer r.Domain.mu.Unlock()
 	return r.failed
 }
 
@@ -115,8 +120,8 @@ type Stats struct {
 	ParityLines        uint64
 	ReconstructedLines uint64
 	// LocalLines / RemoteLines attribute charged line accesses to the
-	// accessor's socket when a NUMA map is installed (SetNUMA with
-	// nodes > 1); both stay zero on single-node regions. RemoteExtra is
+	// accessing handle's socket when a NUMA map is installed (SetNUMA
+	// with nodes > 1); both stay zero on single-node regions. RemoteExtra is
 	// the total surcharge remote lines paid over the local rate — the
 	// modeled cross-socket penalty a perfectly aligned placement would
 	// have avoided.
@@ -127,20 +132,22 @@ type Stats struct {
 }
 
 // Region is a simulated PM device. All mutating methods are safe for
-// concurrent use. Read-side helpers that return direct slices (Slice) do
-// not synchronize with writers; callers partition the address space, as
-// software sharing a real PM mapping must.
+// concurrent use. There is no region-wide lock: an access takes the lock
+// of the range its address lies in — a carved persist domain (Carve) or
+// the embedded default Domain, which owns every line not carved out and
+// whose promoted methods are the Region's own PM accessors. Operations
+// on the whole device (Crash, Sync, fault injection, reconstruction)
+// take every range lock. Read-side helpers that return direct slices
+// (Slice) do not synchronize with writers; callers partition the address
+// space, as software sharing a real PM mapping must.
 type Region struct {
-	mu      sync.Mutex
-	buf     []byte   // volatile image (CPU caches + PM, merged view)
-	shadow  []byte   // durable image
-	dirty   []uint64 // bitset: line written since last flush
-	pending []uint64 // bitset: line flushed but not yet fenced
-	// pendingWords lists bitset words with pending bits, so Fence scans
-	// only what was flushed instead of the whole (potentially multi-GB)
-	// line space.
-	pendingWords []int
-	closed       bool
+	Domain            // default domain: every line no Carve claimed
+	carved  []*Domain // ascending by address; fixed while serving (Carve)
+	buf     []byte    // volatile image (CPU caches + PM, merged view)
+	shadow  []byte    // durable image
+	dirty   []uint64  // bitset: line written since last flush
+	pending []uint64  // bitset: line flushed but not yet fenced
+	gen     []uint16  // per line: times retired from pending (see retire)
 
 	// Fault injection: persistHook is consulted on every Flush/Fence;
 	// once it cuts the power, failed stays true until Crash reboots the
@@ -148,12 +155,16 @@ type Region struct {
 	// the pending lines' content at the instant of the cut: the software
 	// under test keeps running against the volatile image, but stores
 	// issued after power died must never reach the media, even when their
-	// line was already in the clwb/sfence window.
+	// line was already in the clwb/sfence window. All three are written
+	// only with every range lock held: any one suffices to read them.
 	persistHook PersistHook
 	failed      bool
 	frozen      map[int][]byte
 
-	file *os.File // nil if purely in-memory
+	// fileMu guards file and closed and serialises Sync/Close.
+	fileMu sync.Mutex
+	file   *os.File // nil if purely in-memory
+	closed bool
 
 	readLine  time.Duration
 	writeLine time.Duration
@@ -161,12 +172,12 @@ type Region struct {
 	fence     time.Duration
 
 	// NUMA model (SetNUMA): lineNode maps each cache line to its home
-	// socket; accesses from another socket are charged the remote rates
-	// plus per-hop interconnect cost. numaNodes <= 1 means no NUMA model
-	// and every *From method degenerates to exactly the pre-NUMA
-	// arithmetic with zero extra work on the hot path. The table and
-	// rates are written only by SetNUMA on a quiescent region (before
-	// serving) and read-only afterwards, so lock-free readers are safe.
+	// socket; accesses from a handle on another socket are charged the
+	// remote rates plus per-hop interconnect cost. numaNodes <= 1 means
+	// no NUMA model: every access costs exactly the pre-NUMA arithmetic
+	// with zero extra work on the hot path. The table and rates are
+	// written only by SetNUMA on a quiescent region (before serving) and
+	// read-only afterwards, so lock-free readers are safe.
 	numaNodes   int
 	lineNode    []int8
 	remoteRead  time.Duration
@@ -174,29 +185,19 @@ type Region struct {
 	remoteFlush time.Duration
 	hopCost     time.Duration
 
-	localLines    atomic.Uint64
-	remoteLines   atomic.Uint64
-	remoteExtraNs atomic.Int64
-
-	// multiCore: the region serves several simulated cores (sharded
-	// stores with one event loop each), so a PM stall must yield the
-	// physical CPU to the other loops instead of busy-waiting — see
-	// charge.
-	multiCore atomic.Bool
-
-	stats   Stats
-	statsMu sync.Mutex
+	// yield: a PM stall yields instead of busy-waiting (SetCores).
+	yield atomic.Bool
 }
 
-// SetMultiCore declares whether several simulated cores issue PM
-// operations concurrently. Single-core deployments (the paper's) leave
-// it off: a stall busy-waits, stalling the one simulated CPU exactly as
-// clwb/sfence drains stall a real one. Sharded deployments turn it on:
-// each shard's event loop is its own simulated core, and on a host with
-// fewer physical CPUs than loops a busy wait would falsely stall the
-// *other* simulated cores too, so stalls yield instead (the wall-clock
-// charge is identical; only scheduling differs).
-func (r *Region) SetMultiCore(on bool) { r.multiCore.Store(on) }
+// SetCores declares how many simulated cores drive the region at once (a
+// sharded store passes its shard count, a harness its goroutine count;
+// undeclared is the paper's single core). A PM stall busy-waits,
+// stalling the issuing core exactly as a clwb/sfence drain stalls a real
+// one — unless n exceeds runtime.GOMAXPROCS(0), where a busy wait would
+// falsely stall the *other* simulated cores too, so stalls yield instead
+// (the wall-clock charge is identical; only scheduling differs).
+// GOMAXPROCS is sampled here: reading it takes the scheduler lock.
+func (r *Region) SetCores(n int) { r.yield.Store(n > runtime.GOMAXPROCS(0)) }
 
 // New creates an in-memory Region of the given size with latencies taken
 // from profile. Size is rounded up to a whole number of lines.
@@ -206,16 +207,19 @@ func New(size int, profile calib.Profile) *Region {
 	}
 	size = (size + LineSize - 1) &^ (LineSize - 1)
 	nlines := size / LineSize
-	return &Region{
+	r := &Region{
 		buf:       make([]byte, size),
 		shadow:    make([]byte, size),
 		dirty:     make([]uint64, (nlines+63)/64),
 		pending:   make([]uint64, (nlines+63)/64),
+		gen:       make([]uint16, nlines),
 		readLine:  profile.PMReadLine,
 		writeLine: profile.PMWriteLine,
 		flushLine: profile.PMFlushLine,
 		fence:     profile.PMFence,
 	}
+	r.Domain.r, r.Domain.lo, r.Domain.hi = r, -1, -1
+	return r
 }
 
 // fileMagic distinguishes a Region backing file.
@@ -288,127 +292,90 @@ func lines(off, n int) int {
 	return last - first + 1
 }
 
-func (r *Region) charge(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	// PM access and flush delays stall the issuing core (blocking loads,
-	// clwb retire, sfence drain), so they spin hot rather than yield —
-	// unless several simulated cores share the physical ones, where a
-	// hot spin would stall the whole simulation (SetMultiCore).
-	if r.multiCore.Load() {
-		latency.Spin(d)
-	} else {
-		latency.SpinHot(d)
-	}
-	r.statsMu.Lock()
-	r.stats.Charged += d
-	r.statsMu.Unlock()
-}
-
 // Slice returns a direct view of [off, off+n). Reads through the slice are
 // not charged PM latency (they model cache hits / streaming reads); writes
 // through the slice MUST be followed by MarkDirty or they will silently
 // vanish on Crash, exactly as un-tracked stores would on real hardware
 // with a buggy persistence protocol.
-func (r *Region) Slice(off, n int) []byte {
-	r.check(off, n)
-	return r.buf[off : off+n : off+n]
+func (d *Domain) Slice(off, n int) []byte {
+	d.r.check(off, n)
+	return d.r.buf[off : off+n : off+n]
 }
 
 // Touch charges the PM read latency for a cache-missing read of [off,
-// off+n). Index walks use it to model pointer-chasing loads.
-func (r *Region) Touch(off, n int) { r.TouchFrom(0, off, n) }
-
-// TouchFrom is Touch issued from the given NUMA node: lines whose home
-// socket differs are charged the remote read rate plus interconnect
-// hops. Without a NUMA map (SetNUMA not called, or nodes <= 1) it is
-// exactly Touch.
-func (r *Region) TouchFrom(node, off, n int) {
+// off+n). Index walks use it to model pointer-chasing loads. With a NUMA
+// map installed, lines whose home socket differs from the handle's node
+// are charged the remote read rate plus interconnect hops.
+func (d *Domain) Touch(off, n int) {
+	r := d.r
 	r.check(off, n)
 	nl := lines(off, n)
-	r.charge(r.spanCost(node, off, nl, r.readLine, r.remoteRead))
-	r.statsMu.Lock()
-	r.stats.Reads += uint64(nl)
-	r.statsMu.Unlock()
+	var acc nodeAcc
+	cost := r.spanCost(&acc, d.Node(), off, nl, r.readLine, r.remoteRead)
+	d.reads.Add(uint64(nl))
+	d.bill(cost, &acc)
 }
 
 // Read copies [off, off+len(dst)) into dst, charging read latency.
-func (r *Region) Read(dst []byte, off int) { r.ReadFrom(0, dst, off) }
-
-// ReadFrom is Read issued from the given NUMA node.
-func (r *Region) ReadFrom(node int, dst []byte, off int) {
-	r.check(off, len(dst))
-	copy(dst, r.buf[off:])
-	nl := lines(off, len(dst))
-	r.charge(r.spanCost(node, off, nl, r.readLine, r.remoteRead))
-	r.statsMu.Lock()
-	r.stats.Reads += uint64(nl)
-	r.statsMu.Unlock()
+func (d *Domain) Read(dst []byte, off int) {
+	copy(dst, d.Slice(off, len(dst)))
+	d.Touch(off, len(dst))
 }
 
 // Write copies src into the region at off, marks the covered lines dirty,
-// and charges write latency.
-func (r *Region) Write(off int, src []byte) { r.WriteFrom(0, off, src) }
-
-// WriteFrom is Write issued from the given NUMA node: the store still
-// lands in the target DIMM's write-pending queue, but a cross-socket
-// store pays the interconnect transfer first.
-func (r *Region) WriteFrom(node, off int, src []byte) {
-	r.check(off, len(src))
-	r.mu.Lock()
+// and charges write latency. The store lands in the target DIMM's
+// write-pending queue either way, but a cross-socket store pays the
+// interconnect transfer first.
+func (d *Domain) Write(off int, src []byte) {
+	r := d.r
+	o := d.own(off, len(src))
+	var acc nodeAcc
+	cost := r.spanCost(&acc, d.Node(), off, lines(off, len(src)), r.writeLine, r.remoteWrite)
+	o.mu.Lock()
 	copy(r.buf[off:], src)
 	r.markDirtyLocked(off, len(src))
-	r.mu.Unlock()
-	r.charge(r.spanCost(node, off, lines(off, len(src)), r.writeLine, r.remoteWrite))
-	r.statsMu.Lock()
-	r.stats.Writes++
-	r.stats.BytesWritten += uint64(len(src))
-	r.statsMu.Unlock()
+	o.stats.Writes++
+	o.stats.BytesWritten += uint64(len(src))
+	o.mu.Unlock()
+	d.bill(cost, &acc)
 }
 
 // WriteUint64 stores an 8-byte little-endian value at off. off must be
 // 8-byte aligned so the store is atomic with respect to crashes, the
 // property commit words rely on.
-func (r *Region) WriteUint64(off int, v uint64) {
+func (d *Domain) WriteUint64(off int, v uint64) {
 	if off%8 != 0 {
 		panic("pmem: unaligned WriteUint64")
 	}
 	var b [8]byte
 	putUint64(b[:], v)
-	r.Write(off, b[:])
+	d.Write(off, b[:])
 }
 
 // ReadUint64 loads an 8-byte little-endian value (uncharged; callers that
 // model a cache miss call Touch).
-func (r *Region) ReadUint64(off int) uint64 {
-	r.check(off, 8)
-	return getUint64(r.buf[off:])
-}
+func (d *Domain) ReadUint64(off int) uint64 { return getUint64(d.Slice(off, 8)) }
 
 // WriteUint32 stores a 4-byte little-endian value at a 4-byte-aligned off.
-func (r *Region) WriteUint32(off int, v uint32) {
+func (d *Domain) WriteUint32(off int, v uint32) {
 	if off%4 != 0 {
 		panic("pmem: unaligned WriteUint32")
 	}
 	var b [4]byte
 	putUint32(b[:], v)
-	r.Write(off, b[:])
+	d.Write(off, b[:])
 }
 
 // ReadUint32 loads a 4-byte little-endian value (uncharged).
-func (r *Region) ReadUint32(off int) uint32 {
-	r.check(off, 4)
-	return getUint32(r.buf[off:])
-}
+func (d *Domain) ReadUint32(off int) uint32 { return getUint32(d.Slice(off, 4)) }
 
 // MarkDirty records that [off, off+n) was mutated through a Slice (for
 // example by DMA). No latency is charged; the writer charges its own cost.
-func (r *Region) MarkDirty(off, n int) {
-	r.check(off, n)
-	r.mu.Lock()
-	r.markDirtyLocked(off, n)
-	r.mu.Unlock()
+func (d *Domain) MarkDirty(off, n int) {
+	o := d.own(off, n)
+	o.mu.Lock()
+	d.r.markDirtyLocked(off, n)
+	o.mu.Unlock()
 }
 
 func (r *Region) markDirtyLocked(off, n int) {
@@ -425,171 +392,183 @@ func (r *Region) markDirtyLocked(off, n int) {
 // Flush issues clwb for every line in [off, off+n): dirty lines move to
 // the pending (flushed-but-unfenced) set and are charged flush latency.
 // Lines that are not dirty cost nothing, as clwb of a clean line retires
-// without a write-back.
-func (r *Region) Flush(off, n int) { r.FlushFrom(0, off, n) }
-
-// FlushFrom is Flush issued from the given NUMA node: each freshly
-// written-back line whose home socket differs pays the remote flush
-// rate plus interconnect hops (the write-back cannot complete until the
-// line reaches the remote DIMM's ADR domain).
-func (r *Region) FlushFrom(node, off, n int) {
-	r.check(off, n)
+// without a write-back. With a NUMA map, each freshly written-back line
+// homed on another socket pays the remote flush rate plus interconnect
+// hops (the write-back cannot complete until the line reaches the remote
+// DIMM's ADR domain).
+func (d *Domain) Flush(off, n int) {
+	d.r.check(off, n)
 	if n == 0 {
 		return
 	}
-	first := off / LineSize
-	last := (off + n - 1) / LineSize
-	flushed := 0
-	numa := r.numaNodes > 1
+	sp := [1]lineSpan{{off / LineSize, (off + n - 1) / LineSize}}
+	var bs BatchStats
+	d.flushSpans(sp[:], &bs, false)
+}
+
+// flushSpans is the write-back under Flush and FlushBatch: one persist
+// operation (one hook consult, one charge, Stats.Flushes + 1) over
+// sorted, disjoint line spans of any ranges; it fills bs.Flushed/Wasted.
+func (d *Domain) flushSpans(spans []lineSpan, bs *BatchStats, batch bool) {
+	r := d.r
+	node, numa := d.Node(), r.numaNodes > 1
 	var acc nodeAcc
-	r.mu.Lock()
-	if r.failed {
-		r.mu.Unlock()
+	o, end := d.extent(spans[0].first)
+	all := r.enter(o)
+	if r.failed || r.persistHook != nil && r.cut(OpFlush, spans) {
+		r.leave(o, all)
 		return
 	}
-	if r.persistHook != nil {
-		if d := r.persistHook(OpFlush); d.Cut {
-			r.failLocked(first, last, d.TearBytes)
-			r.mu.Unlock()
-			return
+	o.stats.Flushes++
+	if batch {
+		o.stats.BatchFlushes++
+		o.stats.LinesCoalesced += uint64(bs.Coalesced)
+	}
+	d.fmu.Lock()
+scan:
+	for _, sp := range spans {
+		for l := sp.first; l <= sp.last; l++ {
+			if l >= end {
+				var no *Domain
+				if no, end = d.extent(l); no != o && !all {
+					d.fmu.Unlock()
+					o.mu.Unlock()
+					o = no
+					o.mu.Lock()
+					d.fmu.Lock()
+					if r.failed { // power was cut between the two ranges
+						break scan
+					}
+				}
+			}
+			w, bit := l/64, uint64(1)<<(l%64)
+			switch {
+			case r.dirty[w]&bit != 0:
+				r.dirty[w] &^= bit
+				r.pending[w] |= bit
+				bs.Flushed++
+				if numa {
+					r.accLine(&acc, node, l, r.flushLine, r.remoteFlush)
+				}
+			case r.pending[w]&bit != 0:
+				bs.Wasted++ // already in flight: it still joins this fence
+			default:
+				continue
+			}
+			d.flushed = append(d.flushed, flushedLine{l, r.gen[l]})
 		}
 	}
-	wasted := 0
-	for l := first; l <= last; l++ {
-		w, bit := l/64, uint64(1)<<(l%64)
-		switch {
-		case r.dirty[w]&bit != 0:
-			r.dirty[w] &^= bit
-			if r.pending[w] == 0 {
-				r.pendingWords = append(r.pendingWords, w)
-			}
-			r.pending[w] |= bit
-			flushed++
-			if numa {
-				r.accLine(&acc, node, l, r.flushLine, r.remoteFlush)
-			}
-		case r.pending[w]&bit != 0:
-			wasted++
-		}
-	}
-	r.mu.Unlock()
-	cost := time.Duration(flushed) * r.flushLine
+	d.fmu.Unlock()
+	cost := time.Duration(bs.Flushed) * r.flushLine
 	if numa {
 		cost = acc.cost
-		r.commitAcc(&acc)
 	}
-	r.charge(cost)
-	r.statsMu.Lock()
-	r.stats.Flushes++
-	r.stats.LinesFlushed += uint64(flushed)
-	r.stats.WastedFlushes += uint64(wasted)
-	r.statsMu.Unlock()
+	o.stats.LinesFlushed += uint64(bs.Flushed)
+	o.stats.WastedFlushes += uint64(bs.Wasted)
+	r.leave(o, all)
+	d.bill(cost, &acc)
 }
 
-// failLocked cuts the power: all later persist operations become no-ops
-// until Crash. A torn flush persists tearBytes of the first dirty line in
-// [first, last] — the half-written-back line a real power cut can leave.
-func (r *Region) failLocked(first, last, tearBytes int) {
+// cut consults the installed hook at a persist operation (the caller
+// holds every range lock) and reports whether the operation must have no
+// effect. On a Cut verdict it cuts the power: all later persist
+// operations become no-ops until Crash. A torn flush persists tearBytes
+// of the first dirty line of spans — the half-written-back line a real
+// power cut can leave, never some unrelated dirty line.
+func (r *Region) cut(op PersistOp, spans []lineSpan) bool {
+	dec := r.persistHook(op)
+	if !dec.Cut {
+		return dec.Drop
+	}
 	r.failed = true
-	r.freezePendingLocked()
-	if tearBytes <= 0 {
-		return
-	}
-	if tearBytes >= LineSize {
-		tearBytes = LineSize - 1
-	}
-	for l := first; l <= last; l++ {
-		if r.dirty[l/64]&(1<<(l%64)) != 0 {
-			o := l * LineSize
-			copy(r.shadow[o:o+tearBytes], r.buf[o:o+tearBytes])
-			return
-		}
-	}
-}
-
-// freezePendingLocked snapshots the flushed-but-unfenced lines as they
-// are right now: Crash resolves each 50/50 from this snapshot, not from
-// whatever the still-running (but already powerless) software writes
-// afterwards.
-func (r *Region) freezePendingLocked() {
+	// Snapshot the flushed-but-unfenced lines as they are right now:
+	// Crash resolves each 50/50 from this snapshot, not from whatever the
+	// still-running (but already powerless) software writes afterwards.
 	r.frozen = make(map[int][]byte)
-	for _, w := range r.pendingWords {
-		bv := r.pending[w]
-		for bv != 0 {
-			l := w*64 + bits.TrailingZeros64(bv)
-			bv &= bv - 1
-			o := l * LineSize
-			r.frozen[l] = append([]byte(nil), r.buf[o:o+LineSize]...)
+	r.eachPending(func(l int) {
+		r.frozen[l] = append([]byte(nil), r.buf[l*LineSize:(l+1)*LineSize]...)
+	})
+	tear := min(dec.TearBytes, LineSize-1)
+	for _, sp := range spans {
+		for l := sp.first; l <= sp.last && tear > 0; l++ {
+			if r.dirty[l/64]&(1<<(l%64)) != 0 {
+				copy(r.shadow[l*LineSize:l*LineSize+tear], r.buf[l*LineSize:])
+				return true
+			}
+		}
+	}
+	return true
+}
+
+// retire takes line l out of the flushed-but-unfenced window, reporting
+// whether it was in it, and bumps its generation so the entries other
+// handles still list for it go stale. The caller holds l's range lock.
+func (r *Region) retire(l int) bool {
+	w, bit := l/64, uint64(1)<<(l%64)
+	was := r.pending[w]&bit != 0
+	r.pending[w] &^= bit
+	r.gen[l]++
+	return was
+}
+
+// eachPending visits every flushed-but-unfenced line of the region in
+// address order; the caller holds every range lock.
+func (r *Region) eachPending(fn func(l int)) {
+	for w, bv := range r.pending {
+		for ; bv != 0; bv &= bv - 1 {
+			fn(w*64 + bits.TrailingZeros64(bv))
 		}
 	}
 }
 
-// Fence orders all previously flushed lines: the pending set is committed
-// to the durable shadow image.
-func (r *Region) Fence() {
-	r.mu.Lock()
-	if r.failed {
-		r.mu.Unlock()
+// Fence orders the lines this handle flushed, wherever they live: they
+// are committed to the durable shadow image. Lines other handles flushed
+// stay pending until their own issuer fences, as an sfence orders only
+// the issuing core's clwbs.
+func (d *Domain) Fence() {
+	r := d.r
+	all := r.enter(d)
+	// A cut here kills the power before the sfence retires: the pending
+	// (flushed but unordered) lines stay in their undefined window —
+	// Crash resolves each 50/50, exactly as for a missing fence.
+	if r.failed || r.persistHook != nil && r.cut(OpFence, nil) {
+		r.leave(d, all)
 		return
 	}
-	if r.persistHook != nil {
-		if d := r.persistHook(OpFence); d.Cut {
-			// Power dies before the sfence retires: the pending (flushed
-			// but unordered) lines stay in their undefined window — Crash
-			// resolves each 50/50, exactly as for a missing fence.
-			r.failLocked(0, -1, 0)
-			r.mu.Unlock()
-			return
+	d.stats.Fences++
+	d.fmu.Lock()
+	mine := d.flushed
+	d.flushed = nil
+	d.fmu.Unlock()
+	o := d
+	for _, f := range mine {
+		if no, _ := d.extent(f.l); no != o && !all {
+			o.mu.Unlock()
+			o = no
+			o.mu.Lock()
+			if r.failed { // power was cut between the two ranges
+				break
+			}
+		}
+		// A stale generation: another handle's fence retired the line since;
+		// whoever flushed it again owes that write-back its own fence.
+		if p := f.l * LineSize; r.gen[f.l] == f.gen && r.retire(f.l) {
+			copy(r.shadow[p:p+LineSize], r.buf[p:p+LineSize])
 		}
 	}
-	for _, w := range r.pendingWords {
-		bv := r.pending[w]
-		for bv != 0 {
-			l := w*64 + bits.TrailingZeros64(bv)
-			bv &= bv - 1
-			o := l * LineSize
-			copy(r.shadow[o:o+LineSize], r.buf[o:o+LineSize])
-		}
-		r.pending[w] = 0
+	r.leave(o, all)
+	d.fmu.Lock()
+	if d.flushed == nil { // hand the buffer back unless a flush raced in
+		d.flushed = mine[:0]
 	}
-	r.pendingWords = r.pendingWords[:0]
-	r.mu.Unlock()
-	r.charge(r.fence)
-	r.statsMu.Lock()
-	r.stats.Fences++
-	r.statsMu.Unlock()
+	d.fmu.Unlock()
+	d.bill(r.fence, &nodeAcc{})
 }
 
 // Persist is the common flush-then-fence sequence for a single range.
-func (r *Region) Persist(off, n int) {
-	r.Flush(off, n)
-	r.Fence()
-}
-
-// PersistFrom is Persist issued from the given NUMA node.
-func (r *Region) PersistFrom(node, off, n int) {
-	r.FlushFrom(node, off, n)
-	r.Fence()
-}
-
-// WriteUint64From is WriteUint64 issued from the given NUMA node.
-func (r *Region) WriteUint64From(node, off int, v uint64) {
-	if off%8 != 0 {
-		panic("pmem: unaligned WriteUint64")
-	}
-	var b [8]byte
-	putUint64(b[:], v)
-	r.WriteFrom(node, off, b[:])
-}
-
-// WriteUint32From is WriteUint32 issued from the given NUMA node.
-func (r *Region) WriteUint32From(node, off int, v uint32) {
-	if off%4 != 0 {
-		panic("pmem: unaligned WriteUint32")
-	}
-	var b [4]byte
-	putUint32(b[:], v)
-	r.WriteFrom(node, off, b[:])
+func (d *Domain) Persist(off, n int) {
+	d.Flush(off, n)
+	d.Fence()
 }
 
 // crashLogger receives the seed of every injected crash. The default
@@ -597,20 +576,16 @@ func (r *Region) WriteUint32From(node, off int, v uint32) {
 // the seed that reproduces it; torture harnesses install a recorder.
 var crashLogger atomic.Value // func(seed int64)
 
-func init() {
-	crashLogger.Store(func(seed int64) {
-		log.Printf("pmem: injected crash (reproduce with seed %d)", seed)
-	})
-}
+func logCrash(seed int64) { log.Printf("pmem: injected crash (reproduce with seed %d)", seed) }
+
+func init() { crashLogger.Store(logCrash) }
 
 // SetCrashLogger replaces the crash-seed logger (nil restores the
 // default). Harnesses that inject thousands of crashes record the seeds
 // into their results instead of spamming the log.
 func SetCrashLogger(fn func(seed int64)) {
 	if fn == nil {
-		fn = func(seed int64) {
-			log.Printf("pmem: injected crash (reproduce with seed %d)", seed)
-		}
+		fn = logCrash
 	}
 	crashLogger.Store(fn)
 }
@@ -626,34 +601,30 @@ func SetCrashLogger(fn func(seed int64)) {
 func (r *Region) Crash(seed int64) {
 	crashLogger.Load().(func(seed int64))(seed)
 	rng := rand.New(rand.NewSource(seed))
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lockAll()
+	defer r.unlockAll()
 	r.persistHook = nil
 	r.failed = false
-	defer func() { r.frozen = nil }()
-	for _, w := range r.pendingWords {
-		bv := r.pending[w]
-		for bv != 0 {
-			l := w*64 + bits.TrailingZeros64(bv)
-			bv &= bv - 1
-			if rng.Intn(2) == 0 {
-				o := l * LineSize
-				src := r.buf[o : o+LineSize]
-				if b, ok := r.frozen[l]; ok {
-					// The power cut froze this line before later volatile
-					// writes landed on it.
-					src = b
-				}
-				copy(r.shadow[o:o+LineSize], src)
+	r.eachPending(func(l int) {
+		if rng.Intn(2) == 0 {
+			src := r.buf[l*LineSize : (l+1)*LineSize]
+			if b, ok := r.frozen[l]; ok {
+				// The power cut froze this line before later volatile
+				// writes landed on it.
+				src = b
 			}
+			copy(r.shadow[l*LineSize:], src)
 		}
-		r.pending[w] = 0
-	}
-	r.pendingWords = r.pendingWords[:0]
+	})
+	r.frozen = nil
 	copy(r.buf, r.shadow)
-	for i := range r.dirty {
-		r.dirty[i] = 0
-	}
+	clear(r.dirty)
+	clear(r.pending)
+	r.each(func(d *Domain) {
+		d.fmu.Lock()
+		d.flushed = d.flushed[:0]
+		d.fmu.Unlock()
+	})
 }
 
 // CorruptByte XORs mask into the byte at off in both the volatile and the
@@ -662,29 +633,36 @@ func (r *Region) Crash(seed int64) {
 // detects, quarantines, and never serves corrupted data.
 func (r *Region) CorruptByte(off int, mask byte) {
 	r.check(off, 1)
-	r.mu.Lock()
+	r.lockAll()
 	r.buf[off] ^= mask
 	r.shadow[off] ^= mask
-	r.mu.Unlock()
+	r.unlockAll()
 }
 
 // Sync writes the durable image to the backing file, if any.
 func (r *Region) Sync() error {
+	r.fileMu.Lock()
+	defer r.fileMu.Unlock()
+	return r.syncLocked()
+}
+
+func (r *Region) syncLocked() error {
 	if r.file == nil {
 		return nil
 	}
-	r.mu.Lock()
 	img := make([]byte, len(r.shadow))
-	copy(img, r.shadow)
-	r.mu.Unlock()
+	r.ReadShadow(img, 0)
 	if _, err := r.file.WriteAt(img, int64(len(fileMagic))); err != nil {
 		return err
 	}
 	return r.file.Sync()
 }
 
-// Close syncs (when file-backed) and releases the backing file.
+// Close syncs (when file-backed) and releases the backing file. Only the
+// first of several (even concurrent) calls syncs; the rest return an error.
 func (r *Region) Close() error {
+	r.fileMu.Lock()
+	defer r.fileMu.Unlock()
 	if r.closed {
 		return errors.New("pmem: already closed")
 	}
@@ -692,7 +670,7 @@ func (r *Region) Close() error {
 	if r.file == nil {
 		return nil
 	}
-	err := r.Sync()
+	err := r.syncLocked()
 	if cerr := r.file.Close(); err == nil {
 		err = cerr
 	}
@@ -700,45 +678,66 @@ func (r *Region) Close() error {
 	return err
 }
 
-// Stats returns a snapshot of the operation counters.
+// Stats returns the operation counters summed over the domains (each
+// read under its own lock: concurrent operations may land in between).
 func (r *Region) Stats() Stats {
-	r.statsMu.Lock()
-	s := r.stats
-	r.statsMu.Unlock()
-	s.LocalLines = r.localLines.Load()
-	s.RemoteLines = r.remoteLines.Load()
-	s.RemoteExtra = time.Duration(r.remoteExtraNs.Load())
+	var s Stats
+	r.each(func(d *Domain) {
+		d.mu.Lock()
+		ds := d.stats
+		d.mu.Unlock()
+		ds.Reads, ds.LocalLines, ds.RemoteLines = d.reads.Load(), d.local.Load(), d.remote.Load()
+		ds.RemoteExtra, ds.Charged = time.Duration(d.remoteExtra.Load()), time.Duration(d.charged.Load())
+		s.add(&ds)
+	})
 	return s
+}
+
+// add sums every counter (TestStatsAddCoversEveryField keeps it whole).
+func (s *Stats) add(o *Stats) {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.BytesWritten += o.BytesWritten
+	s.LinesFlushed += o.LinesFlushed
+	s.Flushes += o.Flushes
+	s.Fences += o.Fences
+	s.BatchFlushes += o.BatchFlushes
+	s.LinesCoalesced += o.LinesCoalesced
+	s.WastedFlushes += o.WastedFlushes
+	s.ParityLines += o.ParityLines
+	s.ReconstructedLines += o.ReconstructedLines
+	s.LocalLines += o.LocalLines
+	s.RemoteLines += o.RemoteLines
+	s.RemoteExtra += o.RemoteExtra
+	s.Charged += o.Charged
 }
 
 // ResetStats zeroes the operation counters.
 func (r *Region) ResetStats() {
-	r.statsMu.Lock()
-	r.stats = Stats{}
-	r.statsMu.Unlock()
-	r.localLines.Store(0)
-	r.remoteLines.Store(0)
-	r.remoteExtraNs.Store(0)
+	r.each(func(d *Domain) {
+		d.mu.Lock()
+		d.stats = Stats{}
+		d.mu.Unlock()
+		d.reads.Store(0)
+		d.local.Store(0)
+		d.remote.Store(0)
+		d.remoteExtra.Store(0)
+		d.charged.Store(0)
+	})
 }
 
 // DirtyLines reports how many lines are dirty (unflushed); tests use it to
 // assert that persistence protocols leave nothing behind.
-func (r *Region) DirtyLines() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, w := range r.dirty {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
+func (r *Region) DirtyLines() int { return r.countLines(r.dirty) }
 
 // PendingLines reports how many lines are flushed but not fenced.
-func (r *Region) PendingLines() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *Region) PendingLines() int { return r.countLines(r.pending) }
+
+func (r *Region) countLines(set []uint64) int {
+	r.lockAll()
+	defer r.unlockAll()
 	n := 0
-	for _, w := range r.pending {
+	for _, w := range set {
 		n += bits.OnesCount64(w)
 	}
 	return n

@@ -2,7 +2,7 @@ package pmem
 
 import "time"
 
-// CopyOut copies [off, off+len(dst)) into dst under the region's write
+// CopyOut copies [off, off+len(dst)) into dst under the owning range's
 // lock, so the copy is atomic with respect to every locked mutator
 // (Write, XorDeltaBatch, XorReconstruct, EraseRange, CorruptByte). It
 // charges no latency: lock-free readers account their PM cost separately
@@ -10,48 +10,35 @@ import "time"
 // Slice, the returned bytes cannot be torn by a concurrent locked write —
 // the caller still must validate (checksum + sequence recheck) against
 // writers that bypass the lock, such as NIC DMA into recycled slots.
-func (r *Region) CopyOut(dst []byte, off int) {
-	r.check(off, len(dst))
-	r.mu.Lock()
-	copy(dst, r.buf[off:])
-	r.mu.Unlock()
+func (d *Domain) CopyOut(dst []byte, off int) {
+	o := d.own(off, len(dst))
+	o.mu.Lock()
+	copy(dst, d.r.buf[off:])
+	o.mu.Unlock()
 }
 
 // TouchLines charges the PM read latency for nl cache lines as a single
-// batch: one charge call, one stats update. Per-extent Touch calls pay
-// the scheduler hand-off per span; a read that knows its total footprint
+// batch: one charge, one stats update. Per-extent Touch calls pay the
+// scheduler hand-off per span; a read that knows its total footprint
 // batches it here (the read-path analogue of XorDeltaBatch's single
-// write charge).
-func (r *Region) TouchLines(nl int) {
+// write charge). The whole batch is attributed to the node that owns the
+// line containing off: the batched read path stays within one shard's
+// partition, which lives on a single node, so one owner lookup covers
+// every line of the batch.
+func (d *Domain) TouchLines(off, nl int) {
 	if nl <= 0 {
 		return
 	}
-	r.charge(time.Duration(nl) * r.readLine)
-	r.statsMu.Lock()
-	r.stats.Reads += uint64(nl)
-	r.statsMu.Unlock()
-}
-
-// TouchLinesFrom is TouchLines issued from the given NUMA node, with the
-// whole batch attributed to the node that owns the line containing off.
-// The batched read path stays within one shard's partition, which lives
-// on a single node, so one owner lookup covers every line of the batch.
-func (r *Region) TouchLinesFrom(node, off, nl int) {
-	if nl <= 0 {
-		return
-	}
+	r := d.r
+	r.check(off, 1)
 	cost := time.Duration(nl) * r.readLine
+	var acc nodeAcc
 	if r.numaNodes > 1 {
-		var acc nodeAcc
-		l := off / LineSize
 		for i := 0; i < nl; i++ {
-			r.accLine(&acc, node, l, r.readLine, r.remoteRead)
+			r.accLine(&acc, d.Node(), off/LineSize, r.readLine, r.remoteRead)
 		}
-		r.commitAcc(&acc)
 		cost = acc.cost
 	}
-	r.charge(cost)
-	r.statsMu.Lock()
-	r.stats.Reads += uint64(nl)
-	r.statsMu.Unlock()
+	d.reads.Add(uint64(nl))
+	d.bill(cost, &acc)
 }
