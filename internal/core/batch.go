@@ -6,7 +6,7 @@ import (
 )
 
 // prepared describes one staged put awaiting its group commit: the slot
-// image is written (seq=0), the record is linked into the volatile
+// image is written (seq=0), the record's descriptor is linked into the
 // index, and its dirty lines sit in the store's FlushSet.
 type prepared struct {
 	slot int    // metadata slot holding the uncommitted image
@@ -15,10 +15,6 @@ type prepared struct {
 	// commit word is cleared in phase C, after the group fence makes the
 	// replacement durable.
 	old int
-	// linkOff is the region offset of the level-0 pointer that targets
-	// this record (head tower or predecessor tower), flushed with the
-	// commit words in phase B.
-	linkOff int
 	// superseded marks a staged put overwritten by a later put of the
 	// same key inside the same batch: its slots were recycled at stage
 	// time and its commit word is never stamped.
@@ -100,11 +96,7 @@ func (s *Store) stagedIndexOf(idx int) int {
 //
 //	A: the staged images, data lines, key bytes and chain slots — all
 //	   accumulated in s.fs at stage time — deduplicated and flushed.
-//	B: commit words stamped with the stage-assigned sequences, plus the
-//	   level-0 links. They share a fence because recovery rebuilds the
-//	   index from committed slots alone: a link without its commit word
-//	   is swept away, and a commit word without its link is found by
-//	   the scan.
+//	B: commit words stamped with the stage-assigned sequences.
 //	C: replaced records' commit words cleared, then their slots and
 //	   data references recycled. Clearing strictly after the B fence
 //	   keeps the invariant that at every instant a committed version of
@@ -135,7 +127,6 @@ func (s *Store) commitStagedLocked() {
 		off := s.slotOff(p.slot)
 		s.pm.WriteUint64(off+oSeq, p.seq)
 		s.fs.Add(off+oSeq, 8)
-		s.fs.Add(p.linkOff, 4)
 	}
 	s.pm.FlushBatch(&s.fs)
 	s.pm.Fence()
@@ -186,10 +177,10 @@ func (s *Store) supersedeStagedLocked(j int) int {
 // recycleRecordLocked returns a record's metadata slots (itself plus
 // extent chains) to the free list and drops its data references,
 // without touching the commit word — the caller has already cleared it
-// (freeRecordLocked), batched the clear (phase C), or never stamped it
+// (retireLocked), batched the clear (phase C), or never stamped it
 // (superseded staged puts).
 func (s *Store) recycleRecordLocked(idx int) {
-	s.clearDescLocked(idx)
+	s.meta[idx].desc.Store(nil)
 	sl := s.slot(idx)
 	exts, err := s.readExtentsLocked(sl)
 	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))

@@ -232,7 +232,8 @@ func TestBatchedCrashEquivalence(t *testing.T) {
 }
 
 // TestGroupCommitFenceAmortization: N staged puts commit under 2 fences
-// (3 when the group replaces committed records) instead of N*2.
+// (3 when the group replaces committed records) instead of N*2, and
+// nothing but data and commit words is flushed: no index state persists.
 func TestGroupCommitFenceAmortization(t *testing.T) {
 	_, s := newStore(t, Config{MetaSlots: 512, DataSlots: 512})
 	r := s.Region()
@@ -254,6 +255,11 @@ func TestGroupCommitFenceAmortization(t *testing.T) {
 	if st.Flushes != 2 {
 		t.Fatalf("fresh-key group commit used %d flush calls, want 2", st.Flushes)
 	}
+	// Phase A: per put the two-line slot image plus the one data line
+	// holding key and value; phase B: the line holding each commit word.
+	if want := uint64(16*(2+1) + 16); st.LinesFlushed != want {
+		t.Fatalf("fresh-key group commit flushed %d lines, want %d", st.LinesFlushed, want)
+	}
 
 	// Overwrites add exactly one more flush+fence (phase C).
 	r.ResetStats()
@@ -270,6 +276,15 @@ func TestGroupCommitFenceAmortization(t *testing.T) {
 	cs := s.Stats()
 	if cs.GroupCommits != 2 || cs.GroupedPuts != 32 {
 		t.Fatalf("group stats = %d commits / %d puts, want 2/32", cs.GroupCommits, cs.GroupedPuts)
+	}
+
+	// A delete persists one thing: the cleared commit word.
+	r.ResetStats()
+	if found, err := s.Delete([]byte("key-07")); err != nil || !found {
+		t.Fatalf("Delete = %v, %v", found, err)
+	}
+	if st := r.Stats(); st.Fences != 1 || st.Flushes != 1 || st.LinesFlushed != 1 {
+		t.Fatalf("delete used %d fences / %d flushes / %d lines, want 1/1/1", st.Fences, st.Flushes, st.LinesFlushed)
 	}
 }
 

@@ -15,38 +15,34 @@
 //
 // The metadata slot is deliberately compact (two cache lines by default,
 // §5.1): magic, commit sequence, NIC hardware timestamp, value checksum,
-// key prefix for cache-efficient comparisons, a skip-list tower, and up
-// to two inline value extents with a chain for more. The slots form a
-// persistent skip list ordered by key; the level-0 links are flushed and
-// fenced, upper levels are best-effort, and recovery never depends on
-// either: it rescans the slot array and rebuilds the index from committed
-// slots alone.
+// key prefix, 32 reserved bytes, and up to two inline value extents with
+// a chain for more; one CRC32C covers all of it plus the key bytes. The
+// slots are the store's only persistent structure and its source of
+// truth. The index — a skip list of DRAM descriptors ordered by key
+// (index.go) — is volatile: nothing of it is written to PM, and
+// recovery rebuilds it by scanning the slot array for committed slots.
 //
 // Crash-consistency protocol: puts are staged, then committed as a
 // group (a per-op put is a group of one). Staging writes the data
 // lines, key bytes, chain slots and the uncommitted (seq=0) slot image,
-// links the record into the volatile index, and accumulates every
+// links the record's descriptor into the index, and accumulates every
 // dirty range in a pmem.FlushSet. Commit then runs three phases, each
 // one deduplicated flush batch plus one fence:
 //
 //	A: images + data + keys + chains      -> FlushBatch, Fence
-//	B: seq words (8-byte atomic commits)
-//	   + level-0 links (4-byte atomic)    -> FlushBatch, Fence
+//	B: seq words (8-byte atomic commits)  -> FlushBatch, Fence
 //	C: old versions' seq words cleared    -> FlushBatch, Fence (only on
 //	                                         overwrites)
 //
-// The commit word and the level-0 link share a fence because recovery
-// never follows links — it rescans the slot array — so a link that
-// persists without its record's commit word is rebuilt away. A crash
-// between any two phases either loses the whole group (never
+// A crash between any two phases either loses the whole group (never
 // acknowledged: acks are withheld until the B fence) or recovers a
 // committed subset by scan, and recovery's same-key dedup (keep highest
-// seq) makes any subset consistent. Deletes clear the commit word
-// first, then unlink, so a crash can never resurrect a deleted key.
+// seq) makes any subset consistent. A delete clears the commit word and
+// fences it, then unlinks the descriptor, so a crash can never resurrect
+// a deleted key.
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,28 +59,30 @@ import (
 // Geometry constants.
 const (
 	superblockSize = 4096
-	slotMagic      = 0x656d4b50         // "PKme"
-	chainMagic     = 0x74784b50         // "PKxt"
-	sbMagic        = 0x31524f54534b5250 // "PKSTOR1" + '1'
+	slotMagic      = 0x656d4b50 // "PKme"
+	chainMagic     = 0x74784b50 // "PKxt"
+	// sbMagic's last byte is the slot-format version: '2' put [48,80)
+	// under the slot CRC, so a '1' image is refused rather than opened
+	// with every record quarantined.
+	sbMagic = 0x32524f54534b5250 // "PKSTOR1" + '2'
 
 	maxHeight   = 8
 	minSlotSize = 128
 
 	// Slot field offsets.
-	oMagic   = 0
-	oFlags   = 4
-	oHeight  = 6
-	oExtCnt  = 7
-	oSeq     = 8
-	oHWTime  = 16
-	oVCsum   = 24
-	oKLen    = 28
-	oKPrefix = 32
-	oKOff    = 40
-	oVLen    = 44
-	oTower   = 48 // 8 * u32
-	oExt     = 80 // 2 * {off,len,sum u32}
-	oChain   = 104
+	oMagic    = 0
+	oFlags    = 4
+	oExtCnt   = 7
+	oSeq      = 8
+	oHWTime   = 16
+	oVCsum    = 24
+	oKLen     = 28
+	oKPrefix  = 32
+	oKOff     = 40
+	oVLen     = 44
+	oReserved = 48 // [48,80): zero
+	oExt      = 80 // 2 * {off,len,sum u32}
+	oChain    = 104
 
 	extSize       = 12
 	inlineExtents = 2
@@ -93,14 +91,13 @@ const (
 	oChainExt     = 8
 	oChainNext    = 116
 
-	// oSlotSum holds a CRC32C over the slot image's immutable fields —
+	// oSlotSum holds a CRC32C over the whole image prefix [0, oSlotSum) —
 	// including the commit sequence the slot will carry once committed —
-	// plus the key bytes (record slots), or over the whole image prefix
-	// (chain slots). Only the tower is excluded: it is retargeted at
-	// runtime without re-persisting. Recovery rejects — and quarantines —
-	// any committed slot whose stored sum does not match, so a flipped
-	// bit in the commit word itself, or a stale slot "resurrected" by a
-	// bit flip after its word was cleared, fails validation too.
+	// plus, for record slots, the key bytes. Recovery rejects — and
+	// quarantines — any committed slot whose stored sum does not match,
+	// so a flipped bit in the commit word itself, or a stale slot
+	// "resurrected" by a bit flip after its word was cleared, fails
+	// validation too.
 	oSlotSum = 120
 
 	// Superblock field offsets.
@@ -111,7 +108,6 @@ const (
 	sbODataBase  = 40
 	sbODataSlots = 48
 	sbOBufSize   = 56
-	sbOTower     = 128 // head tower, 8 * u32
 )
 
 // Errors.
@@ -130,25 +126,21 @@ var (
 // for metadata integrity (hardware CRC32C on amd64/arm64).
 var slotCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// slotSum computes a record slot's integrity checksum: CRC32C over the
-// immutable image regions — header, commit word, record fields, extents
-// and chain pointer — plus the key bytes, so a flipped bit in either the
-// metadata or the key itself is caught at recovery. Put computes it with
-// the record's future commit sequence stamped into the image (the
-// sequence is assigned before the image is built), so the sum stored
-// with the uncommitted image already matches the committed slot. Only
-// the tower [oTower,oExt) is excluded (see oSlotSum).
-func slotSum(img, key []byte) uint32 {
-	c := crc32.Update(0, slotCRCTable, img[oMagic:oTower])
-	c = crc32.Update(c, slotCRCTable, img[oExt:oSlotSum])
-	return crc32.Update(c, slotCRCTable, key)
-}
-
 // chainSum is the integrity checksum of an extent-chain slot: every chain
 // field lives in [0, oSlotSum), and chain slots are never mutated after
 // they persist, so the whole prefix is covered.
 func chainSum(img []byte) uint32 {
 	return crc32.Update(0, slotCRCTable, img[:oSlotSum])
+}
+
+// slotSum is a record slot's integrity checksum: the same prefix pass,
+// continued over the key bytes, so a flipped bit in the metadata or the
+// key itself is caught at recovery. Put computes it with the record's
+// future commit sequence stamped into the image (the sequence is
+// assigned before the image is built), so the sum stored with the
+// uncommitted image already matches the committed slot.
+func slotSum(img, key []byte) uint32 {
+	return crc32.Update(chainSum(img), slotCRCTable, key)
 }
 
 // Config tunes a Store.
@@ -265,6 +257,46 @@ type Breakdown struct {
 	Flush    time.Duration // cache-line write-backs and fences
 }
 
+// metaState is the volatile state of one metadata slot. All of it is
+// guarded by Store.mu except desc, which lock-free readers load.
+type metaState struct {
+	// desc is the slot's published descriptor — the record's index node —
+	// or nil when the slot holds no indexed record.
+	desc atomic.Pointer[nodeDesc]
+	// stamp is the scrub generation (Store.scrubPass) that last validated
+	// the slot's record; rebuilds skip re-validating fresh stamps.
+	stamp uint32
+	// fenced marks a slot quarantined for failed validation, so the
+	// scrubber doesn't re-report the same damage every pass.
+	fenced bool
+}
+
+// dataState is the volatile ownership state of one data slot.
+type dataState struct {
+	// refs is -1 while the NIC pool owns the slot, else the number of
+	// records referencing it (guarded by Store.mu).
+	refs int32
+	// pins counts external borrows of a store-owned slot — transmit pins
+	// (PinExtents), the server's key arena, and lock-free readers mid-copy
+	// — separately from record references. An online rebuild (Rehydrate)
+	// recomputes refs from the slot scan but preserves pins: the borrowers
+	// still hold offsets into those slots, and their releases decrement
+	// this counter unconditionally, so a slot re-admits to the pool the
+	// moment both counts drain instead of leaking forever. Atomic because
+	// the fast read path pins and unpins without the store mutex.
+	pins atomic.Int32
+	// recycleWanted marks a slot whose recycle a mutator deferred because
+	// a lock-free reader held a pin: the final unpinner re-enters the lock
+	// and completes it (unpinFast).
+	recycleWanted atomic.Bool
+	// held marks confirmed media damage (a value checksum failed over the
+	// slot's bytes): it is never returned to the NIC pool when its counts
+	// drain — the fault could recur and eat the next record too. The
+	// fence survives online rebuilds; only a process restart (which
+	// rebuilds volatile state from scratch) forgets it.
+	held bool
+}
+
 // Store is the packetstore. A Store occupies [base, base+RegionSize())
 // of its region; a ShardedStore lays several Stores side by side in one
 // region, each with its own allocators, index and commit sequence.
@@ -283,37 +315,14 @@ type Store struct {
 
 	pool     *pkt.Pool // data-area packet pool (shared with the NIC)
 	metaFree []int     // free metadata slot indices
-	dataRefs []int32   // per data slot: -1 pool-owned, >=0 record refs
-	// dataPins counts external borrows of a store-owned data slot —
-	// transmit pins (PinExtents), the server's key arena, and lock-free
-	// readers mid-copy — separately from record references. An online
-	// rebuild (Rehydrate) recomputes dataRefs from the slot scan but
-	// preserves dataPins: the borrowers still hold offsets into those
-	// slots, and their releases decrement this counter unconditionally,
-	// so a slot re-admits to the pool the moment both counts drain
-	// instead of leaking forever. Atomic because the fast read path pins
-	// and unpins without the store mutex (fastget.go).
-	dataPins []atomic.Int32
-	// recycleWanted marks slots whose recycle a mutator deferred because
-	// a lock-free reader held a pin: the final unpinner re-enters the
-	// lock and completes it (unpinFast).
-	recycleWanted []atomic.Bool
-	// dataHeld marks data slots with confirmed media damage (a value
-	// checksum failed over their bytes): they are never returned to the
-	// NIC pool when their counts drain — the fault could recur and eat
-	// the next record too. The fence survives online rebuilds; only a
-	// process restart (which rebuilds volatile state from scratch)
-	// forgets it.
-	dataHeld []bool
+	meta     []metaState
+	data     []dataState
 	seq      uint64
 	count    int
 	// quarantined counts committed slots that failed validation during
 	// recovery. They are fenced off: never served, never handed out for
 	// reuse (the corruption may be a media fault that would recur).
-	// metaFenced marks those slots so the scrubber doesn't re-report the
-	// same damage every pass.
 	quarantined int
-	metaFenced  []bool
 	// epoch increments on every Rehydrate. It is the acked-write gate:
 	// a rebuild drops staged-but-unacked puts, so a server that buffered
 	// acks against staged records compares the epoch it saw before
@@ -331,35 +340,27 @@ type Store struct {
 	// parityFold is applyParityLocked's reusable span batch (guarded by
 	// mu, like every commit-path scratch).
 	parityFold []pmem.XorSpan
-	// scrubStamp records, per metadata slot, the scrub generation that
-	// last validated the slot's record; scrubPass is the current
-	// generation (starts at 1 so stamp 0 always means "never"). Rebuilds
-	// skip re-validating records with a fresh stamp.
-	scrubStamp []uint32
-	scrubPass  uint32
-	// valueBad gates serving, per metadata slot, while a record's value
-	// bytes are known-damaged and awaiting a deferred parity repair:
-	// reads answer a typed ErrCorrupt instead of bytes that cannot be
-	// trusted. Volatile — reset by full rescans, re-derived by repair.
-	valueBad []bool
+	// scrubPass is the scrubber's current sweep generation (starts at 1
+	// so a metaState stamp of 0 always means "never validated").
+	scrubPass uint32
 
 	rng   *rand.Rand
 	stats Stats
 	bd    Breakdown
 
-	// Group-persist state: staged lists puts whose slot images and index
-	// links are written (and visible to readers) but whose commit words
-	// are not yet stamped; fs accumulates their dirty lines for the group
-	// flush. Both live under mu; every read/delete/sync entry point
-	// commits the pending group first, so staged state never escapes the
-	// batch that created it. stagedN shadows len(staged) atomically so
-	// the lock-free read path can honor the commit barrier without the
-	// lock.
+	// Group-persist state: staged lists puts whose slot images are written
+	// and whose descriptors are linked (visible to readers) but whose
+	// commit words are not yet stamped; fs accumulates their dirty lines
+	// for the group flush. Both live under mu; every read/delete/sync
+	// entry point commits the pending group first, so staged state never
+	// escapes the batch that created it. stagedN shadows len(staged)
+	// atomically so the lock-free read path can honor the commit barrier
+	// without the lock.
 	staged  []prepared
 	stagedN atomic.Int32
 	fs      pmem.FlushSet
 
-	// --- lock-free read fast path (fastget.go, DESIGN §5.13) ---
+	// --- the index and its seqlock (index.go, fastget.go, DESIGN §5.13) ---
 
 	// mutSeq is the store's seqlock word: even = stable, odd = a
 	// mutation bracket is open. mutDepth (under mu) nests brackets.
@@ -371,12 +372,10 @@ type Store struct {
 	// traffic, gauge near zero) or an immediate concession to the lock
 	// (sustained write pressure, gauge pinned high).
 	oddHot atomic.Int32
-	// recs publishes one immutable descriptor per committed record;
-	// fastHead mirrors the superblock's head tower (slot index + 1 per
-	// level, 0 = nil). Maintained under mu inside mutation brackets,
-	// read with plain atomic loads by lock-free GETs.
-	recs     []atomic.Pointer[nodeDesc]
-	fastHead [maxHeight]atomic.Uint32
+	// head holds the index's first node per level: slot index + 1, 0 = nil.
+	// Written under mu inside mutation brackets, read with plain atomic
+	// loads by lock-free GETs.
+	head [maxHeight]atomic.Uint32
 	// Read-side counters, atomic so the fast path can count without the
 	// lock; Stats() merges them into the snapshot.
 	gets             atomic.Uint64
@@ -414,18 +413,12 @@ func openAt(pm *pmem.Domain, cfg Config, base int) (*Store, error) {
 		rng:      rand.New(rand.NewSource(0x9e3779b9)),
 	}
 	s.dataBase = s.metaBase + cfg.MetaSlots*cfg.SlotSize
-	s.dataRefs = make([]int32, cfg.DataSlots)
-	for i := range s.dataRefs {
-		s.dataRefs[i] = -1
+	s.meta = make([]metaState, cfg.MetaSlots)
+	s.data = make([]dataState, cfg.DataSlots)
+	for i := range s.data {
+		s.data[i].refs = -1
 	}
-	s.dataPins = make([]atomic.Int32, cfg.DataSlots)
-	s.recycleWanted = make([]atomic.Bool, cfg.DataSlots)
-	s.dataHeld = make([]bool, cfg.DataSlots)
-	s.metaFenced = make([]bool, cfg.MetaSlots)
-	s.recs = make([]atomic.Pointer[nodeDesc], cfg.MetaSlots)
-	s.scrubStamp = make([]uint32, cfg.MetaSlots)
 	s.scrubPass = 1
-	s.valueBad = make([]bool, cfg.MetaSlots)
 	s.pool = pkt.NewPMPool(r, s.dataBase, cfg.DataBufSize, cfg.DataSlots)
 
 	switch magic := pm.ReadUint64(base + sbOMagic); magic {
@@ -474,8 +467,8 @@ func (s *Store) Stats() Stats {
 	st.FastGetFallbacks = s.fastGetFallbacks.Load()
 	st.Records = s.count
 	st.SlotsQuarantined = s.quarantined
-	for _, h := range s.dataHeld {
-		if h {
+	for i := range s.data {
+		if s.data[i].held {
 			st.SlotsHeld++
 		}
 	}
@@ -534,8 +527,7 @@ func (s *Store) format() {
 // writeSuperblock (re)writes the superblock from the configured geometry —
 // formatting a fresh store, or repairing a damaged superblock during an
 // online rebuild (the geometry is config-derived, so nothing in the
-// superblock is unrecoverable state; the head tower it also zeroes is
-// rebuilt by the slot rescan that follows every repair).
+// superblock is unrecoverable state).
 func (s *Store) writeSuperblock() {
 	r := s.pm
 	zero := make([]byte, superblockSize)
@@ -550,38 +542,33 @@ func (s *Store) writeSuperblock() {
 	r.Persist(s.base, superblockSize)
 }
 
+// validateSuperblock checks the magic and geometry words against the
+// configuration. The words are read in one range-locked copy, so a probe
+// running beside a media fault (CheckSuperblock vs injection) sees them
+// before or after it, never torn.
 func (s *Store) validateSuperblock() error {
-	r := s.pm
-	if int(r.ReadUint64(s.base+sbOMetaBase)) != s.metaBase ||
-		int(r.ReadUint64(s.base+sbOMetaSlots)) != s.cfg.MetaSlots ||
-		int(r.ReadUint64(s.base+sbOSlotSize)) != s.cfg.SlotSize ||
-		int(r.ReadUint64(s.base+sbODataBase)) != s.dataBase ||
-		int(r.ReadUint64(s.base+sbODataSlots)) != s.cfg.DataSlots ||
-		int(r.ReadUint64(s.base+sbOBufSize)) != s.cfg.DataBufSize {
+	var sb [sbOBufSize + 8]byte
+	s.pm.CopyOut(sb[:], s.base)
+	word := func(o int) int { return int(binary.LittleEndian.Uint64(sb[o:])) }
+	if m := uint64(word(sbOMagic)); m != sbMagic {
+		return fmt.Errorf("%w: superblock magic %#x", ErrCorrupt, m)
+	}
+	if word(sbOMetaBase) != s.metaBase ||
+		word(sbOMetaSlots) != s.cfg.MetaSlots ||
+		word(sbOSlotSize) != s.cfg.SlotSize ||
+		word(sbODataBase) != s.dataBase ||
+		word(sbODataSlots) != s.cfg.DataSlots ||
+		word(sbOBufSize) != s.cfg.DataBufSize {
 		return fmt.Errorf("%w: geometry mismatch with configuration", ErrCorrupt)
 	}
 	return nil
 }
 
-// --- slot accessors (idx is a slot index; links store idx+1) ---
+// --- slot accessors (idx is a slot index) ---
 
 func (s *Store) slotOff(idx int) int { return s.metaBase + idx*s.cfg.SlotSize }
 
 func (s *Store) slot(idx int) []byte { return s.pm.Slice(s.slotOff(idx), s.cfg.SlotSize) }
-
-func (s *Store) headNext(level int) int {
-	return int(s.pm.ReadUint32(s.base+sbOTower+4*level)) - 1
-}
-
-func (s *Store) setHeadNext(level, idx int) {
-	s.pm.WriteUint32(s.base+sbOTower+4*level, uint32(idx+1))
-	// Mirror the head link for lock-free readers (fastget.go).
-	s.fastHead[level].Store(uint32(idx + 1))
-}
-
-func slotNext(sl []byte, level int) int {
-	return int(binary.LittleEndian.Uint32(sl[oTower+4*level:])) - 1
-}
 
 // keyPrefix packs the first 8 bytes of key big-endian (zero padded) so
 // integer comparison matches bytes.Compare on the prefix.
@@ -596,71 +583,6 @@ func (s *Store) slotKey(sl []byte) []byte {
 	klen := int(binary.LittleEndian.Uint32(sl[oKLen:]))
 	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
 	return s.pm.Slice(koff, klen)
-}
-
-// compareKey orders key against the slot's key, using the inline prefix
-// to avoid touching the data area when possible. charge controls whether
-// a full key read bills PM latency (index walks bill only near the
-// bottom of the tower, where reads miss caches).
-func (s *Store) compareKey(key []byte, kp uint64, sl []byte, charge bool) int {
-	sp := binary.LittleEndian.Uint64(sl[oKPrefix:])
-	if kp != sp {
-		if kp < sp {
-			return -1
-		}
-		return 1
-	}
-	klen := int(binary.LittleEndian.Uint32(sl[oKLen:]))
-	if len(key) <= 8 && klen <= 8 {
-		// Prefix equal and both fit: compare lengths.
-		switch {
-		case len(key) == klen:
-			return 0
-		case len(key) < klen:
-			return -1
-		default:
-			return 1
-		}
-	}
-	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
-	if charge {
-		s.pm.Touch(koff, min(klen, 64))
-	}
-	return bytes.Compare(key, s.pm.Slice(koff, klen))
-}
-
-// findGE walks the persistent skip list to the first slot with key >=
-// key, charging PM read latency per visited slot.
-func (s *Store) findGE(key []byte, prev *[maxHeight]int) int {
-	kp := keyPrefix(key)
-	x := -1 // head
-	level := maxHeight - 1
-	for {
-		var nxt int
-		if x < 0 {
-			nxt = s.headNext(level)
-		} else {
-			nxt = slotNext(s.slot(x), level)
-		}
-		if nxt >= 0 {
-			// Model warm caches at the upper tower levels (few, hot
-			// nodes); PM read latency bills at the bottom two levels.
-			if level <= 1 {
-				s.pm.Touch(s.slotOff(nxt), 64)
-			}
-			if s.compareKey(key, kp, s.slot(nxt), level <= 1) > 0 {
-				x = nxt
-				continue
-			}
-		}
-		if prev != nil {
-			prev[level] = x
-		}
-		if level == 0 {
-			return nxt
-		}
-		level--
-	}
 }
 
 func min(a, b int) int {
@@ -688,7 +610,7 @@ func (s *Store) AdoptBuf(b *pkt.Buf) int {
 	base := s.pool.TakeOver(b)
 	s.mu.Lock()
 	idx := s.dataSlotIndex(base)
-	s.dataRefs[idx] = 0
+	s.data[idx].refs = 0
 	s.mu.Unlock()
 	return base
 }
@@ -699,9 +621,9 @@ func (s *Store) AdoptBuf(b *pkt.Buf) int {
 func (s *Store) ReleaseUnused(base int) {
 	s.mu.Lock()
 	idx := s.dataSlotIndex(base)
-	unused := s.dataRefs[idx] == 0 && s.dataPins[idx].Load() == 0 && !s.dataHeld[idx]
+	unused := s.data[idx].refs == 0 && s.data[idx].pins.Load() == 0 && !s.data[idx].held
 	if unused {
-		s.dataRefs[idx] = -1
+		s.data[idx].refs = -1
 	}
 	s.mu.Unlock()
 	if unused {
@@ -711,15 +633,15 @@ func (s *Store) ReleaseUnused(base int) {
 
 func (s *Store) refDataLocked(off int) {
 	idx := s.dataSlotIndex(off)
-	if s.dataRefs[idx] < 0 {
+	if s.data[idx].refs < 0 {
 		panic("pktstore: referencing data in an unadopted slot")
 	}
-	s.dataRefs[idx]++
+	s.data[idx].refs++
 }
 
 func (s *Store) unrefDataLocked(off int) {
 	idx := s.dataSlotIndex(off)
-	s.dataRefs[idx]--
+	s.data[idx].refs--
 	s.maybeRecycleLocked(idx)
 }
 
@@ -727,22 +649,22 @@ func (s *Store) unrefDataLocked(off int) {
 // once nothing refers to it: no record references, no external pins,
 // and no media-damage fence.
 func (s *Store) maybeRecycleLocked(idx int) {
-	if s.dataRefs[idx] != 0 || s.dataHeld[idx] {
+	if s.data[idx].refs != 0 || s.data[idx].held {
 		return
 	}
-	if s.dataPins[idx].Load() != 0 {
+	if s.data[idx].pins.Load() != 0 {
 		// A lock-free reader still borrows the slot. Publish the recycle
 		// intent and re-check: sequential consistency guarantees either
 		// this load sees the pin drain, or the final unpinner sees the
 		// intent and re-enters the lock to finish the recycle (unpinFast)
 		// — the slot cannot leak.
-		s.recycleWanted[idx].Store(true)
-		if s.dataPins[idx].Load() != 0 {
+		s.data[idx].recycleWanted.Store(true)
+		if s.data[idx].pins.Load() != 0 {
 			return
 		}
 	}
-	s.recycleWanted[idx].Store(false)
-	s.dataRefs[idx] = -1
+	s.data[idx].recycleWanted.Store(false)
+	s.data[idx].refs = -1
 	s.pool.ReturnSlot(s.dataBase + idx*s.cfg.DataBufSize)
 }
 
@@ -758,10 +680,10 @@ func (s *Store) PinExtents(exts []Extent) func() {
 	s.mu.Lock()
 	for _, e := range exts {
 		idx := s.dataSlotIndex(e.Off)
-		if s.dataRefs[idx] < 0 {
+		if s.data[idx].refs < 0 {
 			panic("pktstore: pinning data in an unadopted slot")
 		}
-		s.dataPins[idx].Add(1)
+		s.data[idx].pins.Add(1)
 	}
 	s.mu.Unlock()
 	var once sync.Once
@@ -770,7 +692,7 @@ func (s *Store) PinExtents(exts []Extent) func() {
 			s.mu.Lock()
 			for _, e := range exts {
 				idx := s.dataSlotIndex(e.Off)
-				s.dataPins[idx].Add(-1)
+				s.data[idx].pins.Add(-1)
 				s.maybeRecycleLocked(idx)
 			}
 			s.mu.Unlock()
@@ -803,7 +725,7 @@ func (s *Store) AllocDataSlot() int {
 	}
 	s.mu.Lock()
 	idx := s.dataSlotIndex(off)
-	s.dataRefs[idx] = 0
+	s.data[idx].refs = 0
 	s.mu.Unlock()
 	return off
 }

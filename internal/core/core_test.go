@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -468,6 +469,30 @@ func TestGeometryMismatchRejected(t *testing.T) {
 	s.Put([]byte("k"), []byte("v"))
 	if _, err := Open(r, Config{MetaSlots: 256, DataSlots: 128}); err == nil {
 		t.Fatal("geometry mismatch accepted")
+	}
+}
+
+// TestOldFormatRefused: a region written by the previous slot format
+// ("PKSTOR1"+'1': [48,80) outside the slot CRC) is refused whole — typed,
+// and without touching a byte — instead of opening with every record
+// quarantined.
+func TestOldFormatRefused(t *testing.T) {
+	cfg := Config{MetaSlots: 128, DataSlots: 128}
+	r := pmem.New(cfg.RegionSize(), calib.Off())
+	s, err := Open(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put([]byte("k"), []byte("v"))
+	const oldMagic = 0x31524f54534b5250
+	r.WriteUint64(sbOMagic, oldMagic)
+	r.Persist(sbOMagic, 8)
+	before := bytes.Clone(r.Slice(0, r.Size()))
+	if _, err := Open(r, cfg); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over the old format = %v, want ErrCorrupt", err)
+	}
+	if !bytes.Equal(before, r.Slice(0, r.Size())) {
+		t.Fatal("refusing the old format modified the region")
 	}
 }
 

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"packetstore/internal/checksum"
 	"packetstore/internal/pmem"
@@ -27,16 +23,15 @@ import (
 //     any change means a mutation overlapped and the result is thrown
 //     away.
 //
-//   - A volatile mirror of the persistent skip list: one immutable
-//     descriptor (nodeDesc) per committed record, published through
-//     recs[slot] with an atomic head tower (fastHead) and per-node
-//     atomic successor towers. Mutators maintain the mirror under s.mu
-//     inside their seqlock brackets; readers walk it with plain atomic
-//     loads. The mirror can be momentarily torn mid-bracket — a nil
-//     descriptor or an exhausted step budget — which readers treat as a
-//     retry signal, never an error.
+//   - The index (index.go): immutable descriptors published through
+//     meta[slot].desc, linked by atomic successor words per level.
+//     Mutators change it under s.mu inside their seqlock brackets;
+//     readers walk it with plain atomic loads — the same walker the
+//     locked paths use. Mid-bracket the index can be momentarily torn —
+//     a nil descriptor or an exhausted step budget — which readers
+//     treat as a retry signal, never an error.
 //
-//   - Per-data-slot pin counters (dataPins, now atomic). A validated
+//   - Per-data-slot pin counters (dataState.pins). A validated
 //     reader pins its record's data slots before re-checking the
 //     sequence; sequential consistency of the two atomics makes the pin
 //     visible to any mutator that could recycle or rewrite the slot
@@ -53,44 +48,20 @@ import (
 //
 //	odd sequence        — a mutation holds the store; queue behind it
 //	staged puts pending — reads are a commit barrier and must stay one
-//	gated record        — valueBad: the locked path answers typed
+//	gated record        — damaged value: the locked path answers typed
 //	retries exhausted   — sustained churn; the lock is cheaper
 //	checksum mismatch   — media damage (or a race the sequence cannot
 //	                      see): the locked path re-reads and decides
-//	LockedReads         — the A/B baseline knob for benchmarks
+//	LockedReads         — the lock-vs-no-lock A/B knob for benchmarks
 //
 // A shard rebuild (Rehydrate) brackets its whole body and is therefore
 // just another sequence change to readers — the epoch fence needs no
 // separate read-side check.
 
-// nodeDesc is the volatile mirror of one committed record: everything a
-// lock-free GET needs, snapshotted at publish time. All fields except
-// gated and next are immutable after publication; a record update
-// publishes a fresh descriptor rather than mutating the old one, so a
-// reader holding a stale pointer sees a consistent (merely outdated)
-// view and the sequence re-check rejects it.
-type nodeDesc struct {
-	key    []byte   // private copy of the key bytes
-	kp     uint64   // big-endian key prefix (compare order == bytes.Compare)
-	koff   int      // region offset of the key bytes (latency modeling)
-	exts   []Extent // immutable extent list
-	vlen   int
-	csum   uint32
-	hwtime int64
-	seq    uint64
-	// gated mirrors valueBad[slot]: the record's value bytes are damaged
-	// and awaiting parity repair, so reads must take the locked path for
-	// its typed error.
-	gated atomic.Bool
-	// next mirrors the slot's tower: successor slot index + 1 per level
-	// (0 = nil), updated by writeSlotNextLocked alongside the PM image.
-	next [maxHeight]atomic.Uint32
-}
-
 // beginMutLocked opens a mutation bracket: the first (outermost) level
 // flips the store's sequence odd, so lock-free readers fall back or
 // discard. Caller holds s.mu. Brackets nest (a delete commits the staged
-// group; a scrub triggers a rescan; a rescan triggers repairs).
+// group; a scrub or a rescan triggers repairs).
 func (s *Store) beginMutLocked() {
 	if s.mutDepth == 0 {
 		s.mutSeq.Add(1) // even -> odd
@@ -108,124 +79,6 @@ func (s *Store) endMutLocked() {
 	}
 }
 
-// publishDescLocked builds and publishes slot idx's descriptor from its
-// current slot image. seq is the record's commit sequence (at stage time
-// the image still carries seq=0, so the caller passes the assigned one);
-// key is a DRAM copy of the record's key, which the descriptor keeps.
-// Caller holds s.mu inside a mutation bracket.
-func (s *Store) publishDescLocked(idx int, seq uint64, key []byte) {
-	sl := s.slot(idx)
-	exts, err := s.readExtentsLocked(sl)
-	if err != nil {
-		// A record whose extents cannot be decoded is never served fast;
-		// the locked path owns its typed error.
-		s.recs[idx].Store(nil)
-		return
-	}
-	d := &nodeDesc{
-		key:    key,
-		kp:     binary.LittleEndian.Uint64(sl[oKPrefix:]),
-		koff:   int(binary.LittleEndian.Uint32(sl[oKOff:])),
-		exts:   exts,
-		vlen:   int(binary.LittleEndian.Uint32(sl[oVLen:])),
-		csum:   binary.LittleEndian.Uint32(sl[oVCsum:]),
-		hwtime: int64(binary.LittleEndian.Uint64(sl[oHWTime:])),
-		seq:    seq,
-	}
-	for l := 0; l < maxHeight; l++ {
-		d.next[l].Store(binary.LittleEndian.Uint32(sl[oTower+4*l:]))
-	}
-	d.gated.Store(s.valueBad[idx])
-	s.recs[idx].Store(d)
-}
-
-// clearDescLocked unpublishes slot idx's descriptor (record retired,
-// superseded, excised or about to be rebuilt).
-func (s *Store) clearDescLocked(idx int) {
-	s.recs[idx].Store(nil)
-}
-
-// setValueBadLocked flips a record's serving gate and mirrors it into
-// the published descriptor so lock-free readers fall back immediately.
-func (s *Store) setValueBadLocked(idx int, bad bool) {
-	s.valueBad[idx] = bad
-	if d := s.recs[idx].Load(); d != nil {
-		d.gated.Store(bad)
-	}
-}
-
-// cmpDesc orders key against a descriptor, mirroring compareKey: prefix
-// first, then lengths for short keys, then a full compare. The full
-// compare runs against the descriptor's DRAM key copy but still bills
-// the PM read the locked walk would pay, so the fast path's speedup is
-// lock removal, not an accounting artifact.
-func (s *Store) cmpDesc(key []byte, kp uint64, d *nodeDesc, charge bool) int {
-	if kp != d.kp {
-		if kp < d.kp {
-			return -1
-		}
-		return 1
-	}
-	if len(key) <= 8 && len(d.key) <= 8 {
-		switch {
-		case len(key) == len(d.key):
-			return 0
-		case len(key) < len(d.key):
-			return -1
-		default:
-			return 1
-		}
-	}
-	if charge {
-		s.pm.Touch(d.koff, min(len(d.key), 64))
-	}
-	return bytes.Compare(key, d.key)
-}
-
-// fastFindGE walks the descriptor mirror to the first record >= key,
-// charging the same modeled PM latency as the locked findGE (bottom two
-// levels touch the slot line and, on full compares, the key bytes).
-// ok=false reports a torn mirror — a nil descriptor or an exhausted
-// step budget mid-bracket — which the caller maps to retry/fallback.
-func (s *Store) fastFindGE(key []byte, kp uint64) (ge *nodeDesc, ok bool) {
-	budget := s.cfg.MetaSlots + maxHeight + 1
-	var cur *nodeDesc // nil = head
-	level := maxHeight - 1
-	for {
-		var nxt int
-		if cur == nil {
-			nxt = int(s.fastHead[level].Load()) - 1
-		} else {
-			nxt = int(cur.next[level].Load()) - 1
-		}
-		if nxt >= 0 {
-			if nxt >= len(s.recs) {
-				return nil, false
-			}
-			if budget--; budget < 0 {
-				return nil, false
-			}
-			d := s.recs[nxt].Load()
-			if d == nil {
-				return nil, false
-			}
-			if level <= 1 {
-				s.pm.Touch(s.slotOff(nxt), 64)
-			}
-			if s.cmpDesc(key, kp, d, level <= 1) > 0 {
-				cur = d
-				continue
-			}
-			if level == 0 {
-				return d, true
-			}
-		} else if level == 0 {
-			return nil, true
-		}
-		level--
-	}
-}
-
 // lineSpan counts the cache lines [off, off+n) covers — the unit the
 // batched read charge (pmem.TouchLines) is billed in.
 func lineSpan(off, n int) int {
@@ -238,7 +91,7 @@ func lineSpan(off, n int) int {
 // pinDescExtents pins the data slots a descriptor's extents occupy.
 func (s *Store) pinDescExtents(d *nodeDesc) {
 	for i := range d.exts {
-		s.dataPins[s.dataSlotIndex(d.exts[i].Off)].Add(1)
+		s.data[s.dataSlotIndex(d.exts[i].Off)].pins.Add(1)
 	}
 }
 
@@ -250,7 +103,7 @@ func (s *Store) unpinFast(exts []Extent) {
 	retry := false
 	for i := range exts {
 		idx := s.dataSlotIndex(exts[i].Off)
-		if s.dataPins[idx].Add(-1) == 0 && s.recycleWanted[idx].Load() {
+		if s.data[idx].pins.Add(-1) == 0 && s.data[idx].recycleWanted.Load() {
 			retry = true
 		}
 	}
@@ -260,8 +113,8 @@ func (s *Store) unpinFast(exts []Extent) {
 	s.mu.Lock()
 	for i := range exts {
 		idx := s.dataSlotIndex(exts[i].Off)
-		if s.recycleWanted[idx].Load() {
-			s.recycleWanted[idx].Store(false)
+		if s.data[idx].recycleWanted.Load() {
+			s.data[idx].recycleWanted.Store(false)
 			s.maybeRecycleLocked(idx)
 		}
 	}
@@ -283,7 +136,7 @@ const (
 	// saturated) it concedes straight to the lock.
 	fastRetryOdd
 	// fastFall: the locked path is required (staged puts, gated record,
-	// or a torn mirror the sequence cannot explain).
+	// or a torn index the sequence cannot explain).
 	fastFall
 )
 
@@ -338,16 +191,16 @@ func (s *Store) fastLookup(key []byte) (d *nodeDesc, seq0 uint64, out fastOutcom
 		return nil, 0, fastFall
 	}
 	kp := keyPrefix(key)
-	ge, ok := s.fastFindGE(key, kp)
+	ge, ok := s.findGE(key, kp, nil)
 	if !ok {
 		if s.mutSeq.Load() != seq0 {
 			return nil, 0, fastRetrySeq
 		}
-		// Torn mirror with no sequence change should not happen; be
+		// A torn index with no sequence change should not happen; be
 		// defensive and take the lock rather than loop.
 		return nil, 0, fastFall
 	}
-	if ge == nil || s.cmpDesc(key, kp, ge, false) != 0 {
+	if ge == nil || cmpDesc(key, kp, ge) != 0 {
 		if s.mutSeq.Load() != seq0 {
 			return nil, 0, fastRetrySeq
 		}
@@ -365,20 +218,9 @@ func (s *Store) fastLookup(key []byte) (d *nodeDesc, seq0 uint64, out fastOutcom
 	// in place until unpinned.
 	if ge.gated.Load() {
 		s.unpinFast(ge.exts)
-		return nil, 0, fastFall // valueBad: locked path answers typed
+		return nil, 0, fastFall // damaged value: locked path answers typed
 	}
 	return ge, seq0, fastOK
-}
-
-// refFromDesc materialises the public Ref from a descriptor.
-func refFromDesc(d *nodeDesc) Ref {
-	return Ref{
-		Extents: append([]Extent(nil), d.exts...),
-		VLen:    d.vlen,
-		Csum:    d.csum,
-		HWTime:  time.Unix(0, d.hwtime),
-		Seq:     d.seq,
-	}
 }
 
 // fastGet is the lock-free copying read. done=false means the caller
@@ -542,7 +384,7 @@ func (s *Store) GetRefPinned(key []byte) (Ref, func(), bool, error) {
 		return Ref{}, nil, ok, err
 	}
 	for _, e := range ref.Extents {
-		s.dataPins[s.dataSlotIndex(e.Off)].Add(1)
+		s.data[s.dataSlotIndex(e.Off)].pins.Add(1)
 	}
 	s.mu.Unlock()
 	exts := ref.Extents

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,4 +259,118 @@ func TestFastGetPropertyUnderChaos(t *testing.T) {
 	}
 	t.Logf("gets=%d fast=%d retries=%d fallbacks=%d",
 		st.Gets, st.FastGets, st.FastGetRetries, st.FastGetFallbacks)
+}
+
+// TestReadPathsAgreeWithModel drives one store through a random stream
+// of puts, overwrites, staged groups and deletes beside a map model,
+// and at every checkpoint — mid-stream, after a power cut and reopen,
+// after an online Rehydrate — requires the lock-free path, the locked
+// path (LockedReads) and Range to answer exactly the model: same hits,
+// same misses, same bytes, keys in order. The knob only picks lock vs no
+// lock; both sit on the one index walker.
+func TestReadPathsAgreeWithModel(t *testing.T) {
+	pmem.SetCrashLogger(func(int64) {})
+	defer pmem.SetCrashLogger(nil)
+	cfg := Config{MetaSlots: 256, DataSlots: 256, DataBufSize: 512, VerifyOnGet: true}
+	r := pmem.New(cfg.RegionSize(), calib.Off())
+	s, err := Open(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nKeys = 96
+	// Keys cover every comparator branch: distinct 8-byte prefixes, a
+	// shared prefix decided by the full compare, and two short keys whose
+	// zero-padded prefixes are equal so only length orders them.
+	key := func(i int) []byte {
+		switch {
+		case i == 0:
+			return []byte("ab")
+		case i == 1:
+			return []byte("ab\x00")
+		case i%2 == 0:
+			return []byte(fmt.Sprintf("k%03d", i))
+		}
+		return []byte(fmt.Sprintf("shared-prefix-%03d", i))
+	}
+	model := map[string][]byte{}
+	ver := uint64(0)
+
+	check := func(stage string) {
+		t.Helper()
+		for _, locked := range []bool{false, true} {
+			s.cfg.LockedReads = locked
+			fast0 := s.Stats().FastGets
+			for i := 0; i < nKeys; i++ {
+				k := key(i)
+				want, present := model[string(k)]
+				got, ok, err := s.Get(k)
+				if err != nil || ok != present || !bytes.Equal(got, want) {
+					t.Fatalf("%s locked=%v: Get(%q) = %d bytes, %v, %v; model present=%v", stage, locked, k, len(got), ok, err, present)
+				}
+				ref, ok, err := s.GetRef(k)
+				if err != nil || ok != present || (ok && ref.VLen != len(want)) {
+					t.Fatalf("%s locked=%v: GetRef(%q) = vlen %d, %v, %v; model present=%v", stage, locked, k, ref.VLen, ok, err, present)
+				}
+			}
+			if fast := s.Stats().FastGets - fast0; (fast == 0) != locked {
+				t.Fatalf("%s locked=%v: %d reads took the lock-free path", stage, locked, fast)
+			}
+			recs := dump(t, s)
+			if len(recs) != len(model) {
+				t.Fatalf("%s locked=%v: Range returned %d records, model has %d", stage, locked, len(recs), len(model))
+			}
+			for i, rec := range recs {
+				if i > 0 && bytes.Compare(recs[i-1].Key, rec.Key) >= 0 {
+					t.Fatalf("%s: Range out of order at %q", stage, rec.Key)
+				}
+				if !bytes.Equal(rec.Value, model[string(rec.Key)]) {
+					t.Fatalf("%s: Range value for %q differs from the model", stage, rec.Key)
+				}
+			}
+		}
+		s.cfg.LockedReads = false
+	}
+
+	rng := rand.New(rand.NewSource(15))
+	churn := func(n int) {
+		for op := 0; op < n; op++ {
+			k := key(rng.Intn(nKeys))
+			switch rng.Intn(5) {
+			case 0:
+				if _, err := s.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, string(k))
+			case 1: // staged group, committed by the next barrier
+				ver++
+				if err := s.PutStaged(k, propVal(k, ver)); err != nil {
+					t.Fatal(err)
+				}
+				model[string(k)] = propVal(k, ver)
+			default:
+				ver++
+				if err := s.Put(k, propVal(k, ver)); err != nil {
+					t.Fatal(err)
+				}
+				model[string(k)] = propVal(k, ver)
+			}
+		}
+		s.Commit()
+	}
+
+	churn(400)
+	check("steady")
+	r.Crash(15)
+	if s, err = Open(r, cfg); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	check("after crash+reopen")
+	churn(200)
+	check("after more churn")
+	if err := s.Rehydrate(); err != nil {
+		t.Fatalf("Rehydrate: %v", err)
+	}
+	check("after rehydrate")
+	churn(200)
+	check("final")
 }

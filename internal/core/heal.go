@@ -1,19 +1,15 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"packetstore/internal/checksum"
 )
 
 // This file is the self-healing layer: online rehydration of a
-// quarantined store, the background scrubber's budgeted slot walk, and
-// the index audit that catches tower damage the slot CRCs deliberately
-// exclude. Everything here runs against a live region — no reboot, no
-// repool — which is what distinguishes it from recover.go's boot path.
+// quarantined store and the background scrubber's budgeted slot walk.
+// Everything here runs against a live region — no reboot, no repool —
+// which is what distinguishes it from recover.go's boot path.
 
 // Rehydrate re-runs recovery on this store's PM area in place, while the
 // region (and the NIC wired to this store's receive pool) stays live.
@@ -29,7 +25,7 @@ import (
 // instead — the writes were never durable, so nothing acked is lost).
 //
 // Record reference counts are recomputed from the scan; external pins
-// (dataPins — transmit borrows, the server's key arena) are preserved,
+// (dataState.pins — transmit borrows, the server's key arena) are preserved,
 // because their holders still append into or read from those slots.
 // A slot re-admits to the NIC pool once both counts drain. Slots that
 // were store-owned but end the scan unreferenced and unpinned (e.g.
@@ -56,11 +52,11 @@ func (s *Store) Rehydrate() error {
 	s.staged = nil
 	s.stagedN.Store(0)
 	s.fs.Reset()
-	if s.pm.ReadUint64(s.base+sbOMagic) != sbMagic || s.validateSuperblock() != nil {
+	if s.validateSuperblock() != nil {
 		s.writeSuperblock()
 	}
 	s.epoch++
-	return s.rescan(rescanRehydrate)
+	return s.rescan(true)
 }
 
 // CheckSuperblock revalidates the superblock magic and geometry — the
@@ -70,9 +66,6 @@ func (s *Store) Rehydrate() error {
 func (s *Store) CheckSuperblock() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m := s.pm.ReadUint64(s.base + sbOMagic); m != sbMagic {
-		return fmt.Errorf("%w: superblock magic %#x", ErrCorrupt, m)
-	}
 	return s.validateSuperblock()
 }
 
@@ -84,8 +77,8 @@ type ScrubResult struct {
 	// Bad counts slots found damaged (slot CRC, structural, or value
 	// checksum failure).
 	Bad int
-	// Excised counts committed records the repair rebuild dropped from
-	// the index (quarantined slots plus value-corrupt records retired).
+	// Excised counts committed records this step dropped from the index
+	// (quarantined slots plus value-corrupt records retired).
 	Excised int
 	// Reconstructed counts damaged records repaired in place from parity
 	// this step (their fences lifted, their bytes re-validated).
@@ -109,12 +102,13 @@ type ScrubResult struct {
 // (which covers the commit word) is re-checked, and the record's value
 // bytes are re-read against the transport-derived checksum, so both
 // metadata bit flips and data-area media damage surface here instead of
-// at the next reboot. Damage triggers an in-place repair: value-corrupt
-// records are retired (commit word cleared — the meta slot is clean and
-// recycles; the damaged data slots are fenced via dataHeld so they never
-// rejoin the NIC pool), and the index, free list and counts are rebuilt
-// by rescan, which quarantines CRC-corrupt slots exactly as boot
-// recovery would.
+// at the next reboot. Without parity, a damaged record is excised in
+// place — unlinked from the index by its descriptor, which still holds
+// the key even when the slot's key bytes are damaged: a CRC-corrupt slot
+// is quarantined exactly as boot recovery would, a value-corrupt record
+// is retired (commit word cleared — the meta slot is clean and recycles;
+// the damaged data slots are fenced via dataState.held so they never
+// rejoin the NIC pool). With parity, it is repaired from the group.
 //
 // The caller paces calls to meet its lines/sec budget; each call holds
 // the store lock, so n bounds the per-step latency impact on serving
@@ -124,21 +118,18 @@ func (s *Store) ScrubSlots(cursor, n int) ScrubResult {
 	defer s.mu.Unlock()
 	s.commitStagedLocked()
 	// One bracket for the whole step: repairs rewrite media in place and
-	// retired records unlink, so lock-free readers sit out the step (its
+	// excised records unlink, so lock-free readers sit out the step (its
 	// length is already bounded by n to cap serving-latency impact).
 	s.beginMutLocked()
 	defer s.endMutLocked()
 	if cursor < 0 || cursor >= s.cfg.MetaSlots {
 		cursor = 0
 	}
-	end := cursor + n
-	if end > s.cfg.MetaSlots {
-		end = s.cfg.MetaSlots
-	}
+	end := min(cursor+n, s.cfg.MetaSlots)
 	var res ScrubResult
-	damaged := false
 	for i := cursor; i < end; i++ {
-		if s.metaFenced[i] {
+		m := &s.meta[i]
+		if m.fenced {
 			continue // already quarantined: damage reported once
 		}
 		sl := s.slot(i)
@@ -150,13 +141,17 @@ func (s *Store) ScrubSlots(cursor, n int) ScrubResult {
 		}
 		res.Checked++
 		s.pm.Touch(s.slotOff(i), s.cfg.SlotSize)
-		if err := s.validateSlot(sl); err != nil {
+		d := m.desc.Load()
+		exts, err := s.validateSlot(sl)
+		if err != nil {
 			res.Bad++
-			s.scrubStamp[i] = 0
+			m.stamp = 0
 			if s.parity == nil {
-				// The repair rescan below re-finds this slot, fences it and
-				// fires the quarantine hook — no need to report it twice.
-				damaged = true
+				s.quarantineSlotLocked(i, err)
+				if d != nil {
+					s.unlinkLocked(d)
+					res.Excised++
+				}
 				continue
 			}
 			// CRC damage with parity: the record cannot be served (its key
@@ -174,73 +169,42 @@ func (s *Store) ScrubSlots(cursor, n int) ScrubResult {
 			}
 			continue
 		}
-		exts, err := s.readExtentsLocked(sl)
-		if err != nil {
-			res.Bad++
-			s.scrubStamp[i] = 0
-			if s.parity == nil {
-				damaged = true
-			} else {
-				res.NeedsRebuild++
+		if s.valueChecksumOKLocked(sl) {
+			m.stamp = s.scrubPass
+			continue
+		}
+		res.Bad++
+		m.stamp = 0
+		if s.parity != nil {
+			// Data-area media damage under intact metadata: exactly what
+			// parity covers. Repair in place; if the group cannot help
+			// right now, gate the record (typed reads, skipped scans)
+			// and fence its data slots until a later pass repairs it.
+			switch rerr := s.repairRecordLocked(i, false); {
+			case rerr == nil:
+				res.Reconstructed++
+			case errors.Is(rerr, ErrUnrecoverable):
+				res.Unrecoverable++
+				s.setValueBadLocked(i, true)
+			default:
+				s.setValueBadLocked(i, true)
+				s.holdExtentsLocked(exts)
 			}
 			continue
 		}
-		var acc checksum.Accumulator
-		for _, e := range exts {
-			s.pm.Touch(e.Off, e.Len)
-			acc.Add(s.pm.Slice(e.Off, e.Len))
+		// The metadata is intact but the value bytes are not: media
+		// damage in the data area. Fence the data slots (the slot CRC
+		// passed, so the extents are trustworthy and point at exactly the
+		// damaged media — it must never be handed back to the NIC pool,
+		// even after a later rebuild recomputes the reference counts),
+		// then retire the record as a delete would.
+		if s.onQuarantine != nil {
+			s.onQuarantine(i, fmt.Errorf("%w: value checksum mismatch", ErrCorrupt))
 		}
-		want := binary.LittleEndian.Uint32(sl[oVCsum:])
-		if checksum.Norm16(checksum.Fold(acc.Sum())) != checksum.Norm16(checksum.Fold(want)) {
-			res.Bad++
-			s.scrubStamp[i] = 0
-			if s.parity != nil {
-				// Data-area media damage under intact metadata: exactly what
-				// parity covers. Repair in place; if the group cannot help
-				// right now, gate the record (typed reads, skipped scans)
-				// and fence its data slots until a later pass repairs it.
-				switch rerr := s.repairRecordLocked(i, false); {
-				case rerr == nil:
-					res.Reconstructed++
-				case errors.Is(rerr, ErrUnrecoverable):
-					res.Unrecoverable++
-					s.setValueBadLocked(i, true)
-				default:
-					s.setValueBadLocked(i, true)
-					for _, e := range exts {
-						s.dataHeld[s.dataSlotIndex(e.Off)] = true
-					}
-				}
-				continue
-			}
-			// The metadata is intact but the value bytes are not: media
-			// damage in the data area. Retire the record (clear the commit
-			// word; crash-safe — recovery simply never sees it again), and
-			// fence its data slots (dataHeld): the slot CRC passed, so the
-			// extents are trustworthy and point at exactly the damaged
-			// media — it must never be handed back to the NIC pool, even
-			// after a later rebuild recomputes the reference counts.
-			if s.onQuarantine != nil {
-				s.onQuarantine(i, fmt.Errorf("%w: value checksum mismatch", ErrCorrupt))
-			}
-			for _, e := range exts {
-				s.dataHeld[s.dataSlotIndex(e.Off)] = true
-			}
-			s.clearSeqLocked(i)
-			damaged = true
-			continue
-		}
-		s.scrubStamp[i] = s.scrubPass
-	}
-	if damaged {
-		before := s.count
-		// rescanIndex cannot fail: survivors passed validateSlot, so their
-		// chains are intact.
-		if err := s.rescan(rescanIndex); err != nil {
-			panic(fmt.Sprintf("pktstore: index rescan failed on validated slots: %v", err))
-		}
-		if d := before - s.count; d > 0 {
-			res.Excised = d
+		s.holdExtentsLocked(exts)
+		if d != nil {
+			s.retireLocked(d)
+			res.Excised++
 		}
 	}
 	if end >= s.cfg.MetaSlots {
@@ -255,79 +219,11 @@ func (s *Store) ScrubSlots(cursor, n int) ScrubResult {
 	return res
 }
 
-// AuditIndex verifies the skip list's structure — every level's chain
-// must visit committed slots with strictly ascending keys within a
-// bounded number of steps, and level 0 must visit exactly the live
-// count. The slot CRC deliberately excludes the tower (it is retargeted
-// at runtime without re-persisting), so a flipped tower pointer is
-// invisible to ScrubSlots; unrepaired, it could cycle an index walk
-// forever under the store lock. On damage the index is rebuilt from a
-// slot rescan. Returns whether a rebuild ran and how many records it
-// dropped.
-//
-// With parity attached the in-place rescan is refused: it would excise
-// any CRC-damaged slot it trips over instead of reconstructing it. The
-// returned error (typed ErrCorrupt) tells the caller to quarantine the
-// shard and route it through Rebuild, whose rescan owns the whole group
-// and repairs from parity.
-func (s *Store) AuditIndex() (rebuilt bool, excised int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.commitStagedLocked()
-	if s.auditLocked() {
-		return false, 0, nil
+// holdExtentsLocked fences the data slots under exts for media damage.
+func (s *Store) holdExtentsLocked(exts []Extent) {
+	for _, e := range exts {
+		s.data[s.dataSlotIndex(e.Off)].held = true
 	}
-	if s.parity != nil {
-		return false, 0, fmt.Errorf("%w: index structure damaged; rebuild required", ErrCorrupt)
-	}
-	before := s.count
-	if rerr := s.rescan(rescanIndex); rerr != nil {
-		panic(fmt.Sprintf("pktstore: index rescan failed on validated slots: %v", rerr))
-	}
-	if d := before - s.count; d > 0 {
-		excised = d
-	}
-	return true, excised, nil
-}
-
-// auditLocked walks every tower level with a step budget, checking that
-// each visited slot is committed, structurally sane, and in strictly
-// ascending key order. It never dereferences an unvalidated key offset.
-func (s *Store) auditLocked() bool {
-	var prevKey []byte
-	for level := 0; level < maxHeight; level++ {
-		idx := s.headNext(level)
-		prevKey = prevKey[:0]
-		first := true
-		steps := 0
-		for idx >= 0 {
-			if steps >= s.count || idx >= s.cfg.MetaSlots {
-				return false // cycle, or more nodes than live records
-			}
-			steps++
-			sl := s.slot(idx)
-			if binary.LittleEndian.Uint32(sl[oMagic:]) != slotMagic ||
-				binary.LittleEndian.Uint64(sl[oSeq:]) == 0 {
-				return false // link targets a non-record
-			}
-			klen := int(binary.LittleEndian.Uint32(sl[oKLen:]))
-			koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
-			if klen == 0 || klen > 0xffff || !s.inDataArea(koff, klen) {
-				return false
-			}
-			key := s.slotKey(sl)
-			if !first && bytes.Compare(prevKey, key) >= 0 {
-				return false // order violated (or a backward link)
-			}
-			prevKey = append(prevKey[:0], key...)
-			first = false
-			idx = slotNext(sl, level)
-		}
-		if level == 0 && steps != s.count {
-			return false // level 0 must index every live record
-		}
-	}
-	return true
 }
 
 // FlipTarget selects which byte class CorruptRecord damages.
@@ -335,8 +231,8 @@ type FlipTarget int
 
 const (
 	// FlipSlotField flips a CRC-covered metadata field (the hardware
-	// timestamp / value checksum words — bytes no index walk dereferences,
-	// so the damage is guaranteed latent until a scrub or reboot).
+	// timestamp / value checksum words — served from the descriptor, never
+	// re-read from PM, so the damage is latent until a scrub or reboot).
 	FlipSlotField FlipTarget = iota
 	// FlipKeyByte flips a key byte in the data area (covered by the slot
 	// CRC).
@@ -368,11 +264,11 @@ func (s *Store) CorruptRecord(key []byte, t FlipTarget, pick int, mask byte) int
 	// mid-copy — pins stop repairs and recycling, not injected damage).
 	s.beginMutLocked()
 	defer s.endMutLocked()
-	idx := s.findGE(key, nil)
-	if idx < 0 || s.compareKey(key, keyPrefix(key), s.slot(idx), false) != 0 {
+	d := s.lookupLocked(key, nil)
+	if d == nil {
 		return -1
 	}
-	sl := s.slot(idx)
+	sl := s.slot(d.slot)
 	var off int
 	switch t {
 	case FlipKeyByte:
@@ -398,10 +294,8 @@ func (s *Store) CorruptRecord(key []byte, t FlipTarget, pick int, mask byte) int
 		}
 	default:
 		// [oHWTime, oKLen): timestamp and value-checksum bytes. CRC-covered
-		// (detection guaranteed) but never used to route an index walk, so
-		// concurrent reads of *other* keys stay safe between injection and
-		// detection.
-		off = s.slotOff(idx) + oHWTime + pick%(oKLen-oHWTime)
+		// (detection guaranteed).
+		off = s.slotOff(d.slot) + oHWTime + pick%(oKLen-oHWTime)
 	}
 	s.pm.Region().CorruptByte(off, mask)
 	return off

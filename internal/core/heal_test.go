@@ -9,8 +9,8 @@ import (
 	"packetstore/internal/pmem"
 )
 
-// Self-healing tests: online rebuild of a quarantined shard, budgeted
-// scrubbing of latent bit flips, and index-audit repair of tower damage.
+// Self-healing tests: online rebuild of a quarantined shard and budgeted
+// scrubbing of latent bit flips.
 // The invariant throughout: a heal never loses an acked write that is
 // not itself the damaged record, and a damaged record is excised or
 // quarantined — never served with wrong bytes.
@@ -148,24 +148,98 @@ func TestScrubHookObservesDamage(t *testing.T) {
 	}
 }
 
-func TestAuditIndexRepairsTowerFlip(t *testing.T) {
-	r, s := healSetup(t)
-	idx := slotOf(t, s, "beta")
-	// Flip the slot's level-0 next pointer: invisible to the slot CRC
-	// (the tower is excluded by design), only the audit can see it.
-	r.CorruptByte(s.slotOff(idx)+oTower, 0x20)
-	if _, bad, _ := fullScrub(s); bad != 0 {
-		t.Fatalf("slot CRC unexpectedly covered the tower (bad=%d)", bad)
+// TestScrubCatchesReservedFlip: slot bytes [48,80) are reserved, written
+// zero and covered by the slot CRC, so a media flip in any of them is
+// ordinary metadata damage — the scrub reports it and excises that one
+// record. Nothing walks PM to find a key, so between injection and
+// detection every key (the victim included: its value bytes are intact)
+// still reads, on both read paths.
+func TestScrubCatchesReservedFlip(t *testing.T) {
+	keys := []string{"alpha", "beta", "gamma", "delta"}
+	for b := oReserved; b < oExt; b++ {
+		for _, locked := range []bool{false, true} {
+			r, s := healSetup(t)
+			s.cfg.LockedReads = locked
+			r.CorruptByte(s.slotOff(slotOf(t, s, "beta"))+b, 0x20)
+			for _, k := range keys {
+				wantKey(t, s, k)
+			}
+			if _, bad, excised := fullScrub(s); bad != 1 || excised != 1 {
+				t.Fatalf("byte %d: scrub bad=%d excised=%d, want 1/1", b, bad, excised)
+			}
+			wantGoneOrError(t, s, "beta")
+			for _, k := range []string{"alpha", "gamma", "delta"} {
+				wantKey(t, s, k)
+			}
+		}
 	}
-	rebuilt, _, _ := s.AuditIndex()
-	if !rebuilt {
-		t.Fatal("audit missed a flipped level-0 link")
+}
+
+// TestReservedFlipWithParityTakesRebuild: parity spans the data area
+// only, so with parity attached a reserved-byte flip is metadata damage
+// the in-place repair cannot fix: the scrub asks for a group rebuild,
+// and the rebuild excises the one record while every other record of
+// the group keeps its bytes and the parity invariant holds.
+func TestReservedFlipWithParityTakesRebuild(t *testing.T) {
+	_, ss := parityOpen(t, parityCfg(2), 2)
+	ref := parityFill(t, ss, 24)
+	const victim = "key005"
+	sh := ss.ShardFor([]byte(victim))
+	st := ss.Shard(sh)
+	ss.Region().CorruptByte(st.slotOff(slotOf(t, st, victim))+oReserved+9, 0x01)
+	wantAll(t, ss, ref) // not yet detected: served from intact bytes
+	if res := scrubAll(st); res.Bad != 1 || res.NeedsRebuild != 1 || res.Excised != 0 {
+		t.Fatalf("scrub = %+v, want Bad=1 NeedsRebuild=1", res)
 	}
-	for _, k := range []string{"alpha", "beta", "gamma", "delta"} {
-		wantKey(t, s, k)
+	ss.Quarantine(sh, fmt.Errorf("reserved flip"))
+	if err := ss.Rebuild(sh); err != nil {
+		t.Fatalf("Rebuild: %v", err)
 	}
-	if rebuilt, _, _ := s.AuditIndex(); rebuilt {
-		t.Fatal("audit of a repaired index rebuilt again")
+	if _, ok, err := ss.Get([]byte(victim)); ok || err != nil {
+		t.Fatalf("victim after rebuild: ok=%v err=%v, want excised", ok, err)
+	}
+	if q := st.Quarantined(); q != 1 {
+		t.Fatalf("%d slots quarantined, want 1", q)
+	}
+	delete(ref, victim)
+	wantAll(t, ss, ref)
+	if err := ss.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScrubExcisionKeepsIndex: excising one record unlinks that record
+// alone — the other N-1 keep the very descriptors they had (a rescan
+// would republish every one) and stay readable on both read paths, in
+// order.
+func TestScrubExcisionKeepsIndex(t *testing.T) {
+	for _, target := range []FlipTarget{FlipSlotField, FlipKeyByte, FlipValueByte} {
+		_, s := healSetup(t)
+		before := map[string]*nodeDesc{}
+		for _, k := range []string{"alpha", "beta", "gamma", "delta"} {
+			before[k] = s.meta[slotOf(t, s, k)].desc.Load()
+		}
+		s.CorruptRecord([]byte("gamma"), target, 5, 0x10)
+		if _, bad, excised := fullScrub(s); bad != 1 || excised != 1 {
+			t.Fatalf("target %d: scrub bad=%d excised=%d, want 1/1", target, bad, excised)
+		}
+		if n := s.Len(); n != 3 {
+			t.Fatalf("target %d: Len = %d after excision, want 3", target, n)
+		}
+		for _, locked := range []bool{false, true} {
+			s.cfg.LockedReads = locked
+			wantGoneOrError(t, s, "gamma")
+			for _, k := range []string{"alpha", "beta", "delta"} {
+				wantKey(t, s, k)
+				if d := s.meta[slotOf(t, s, k)].desc.Load(); d != before[k] {
+					t.Fatalf("target %d: %q was republished: excision rescanned", target, k)
+				}
+			}
+		}
+		recs := dump(t, s)
+		if len(recs) != 3 || string(recs[0].Key) != "alpha" || string(recs[1].Key) != "beta" || string(recs[2].Key) != "delta" {
+			t.Fatalf("target %d: Range after excision = %d records, want alpha beta delta", target, len(recs))
+		}
 	}
 }
 

@@ -371,13 +371,13 @@ func (s *Store) liftDamageLocked(idx int) {
 	sl := s.slot(idx)
 	if exts, err := s.readExtentsLocked(sl); err == nil {
 		for _, e := range exts {
-			s.dataHeld[s.dataSlotIndex(e.Off)] = false
+			s.data[s.dataSlotIndex(e.Off)].held = false
 		}
 	}
 	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
-	s.dataHeld[s.dataSlotIndex(koff)] = false
+	s.data[s.dataSlotIndex(koff)].held = false
 	s.setValueBadLocked(idx, false)
-	s.scrubStamp[idx] = s.scrubPass
+	s.meta[idx].stamp = s.scrubPass
 }
 
 // repairRecordLocked reconstructs the data-area bytes of the record in
@@ -420,7 +420,7 @@ func (s *Store) repairRecordLocked(idx int, groupHeld bool) error {
 		// path, which quarantines the shard and owns the whole group.
 		for _, rg := range ranges {
 			for di := s.dataSlotIndex(rg[0]); di <= s.dataSlotIndex(rg[1]-1); di++ {
-				if s.dataPins[di].Load() > 0 {
+				if s.data[di].pins.Load() > 0 {
 					return errRepairDeferred
 				}
 			}
@@ -465,7 +465,8 @@ func (s *Store) repairRecordLocked(idx int, groupHeld bool) error {
 		return errRepairDeferred
 	}
 	sl := s.slot(idx)
-	crcOK := s.validateSlot(sl) == nil
+	_, verr := s.validateSlot(sl)
+	crcOK := verr == nil
 	valOK := s.valueChecksumOKLocked(sl)
 	switch {
 	case crcOK && valOK:
@@ -578,8 +579,8 @@ func (s *Store) HeldDataSlots() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, h := range s.dataHeld {
-		if h {
+	for i := range s.data {
+		if s.data[i].held {
 			n++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"packetstore/internal/checksum"
@@ -99,14 +100,14 @@ func (s *Store) putCopy(key, value []byte, staged bool) error {
 
 	// Mark the slots store-owned (refcounts incremented by stagePutLocked).
 	for _, base := range slots {
-		s.dataRefs[s.dataSlotIndex(base)] = 0
+		s.data[s.dataSlotIndex(base)].refs = 0
 	}
 	err := s.stagePutLocked(key, len(value), PutOptions{
 		Extents: exts, KeyOff: slots[0], HasSum: false, HWTime: time.Now(),
 	})
 	if err != nil {
 		for _, base := range slots {
-			s.dataRefs[s.dataSlotIndex(base)] = -1
+			s.data[s.dataSlotIndex(base)].refs = -1
 			s.pool.Slab().Free(base)
 		}
 		return err
@@ -121,7 +122,7 @@ func (s *Store) putCopy(key, value []byte, staged bool) error {
 
 // stagePutLocked prepares a put for the next group commit: it writes
 // the data, key, chains and the uncommitted (seq=0) slot image, links
-// the record into the volatile index, and accumulates every dirty
+// the record's descriptor into the index, and accumulates every dirty
 // range into s.fs. Nothing is flushed or fenced here — a per-op put is
 // simply a stage followed immediately by commitStagedLocked.
 func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
@@ -140,12 +141,12 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	}
 	slotIdx := s.metaFree[len(s.metaFree)-1]
 	s.metaFree = s.metaFree[:len(s.metaFree)-1]
-	s.scrubStamp[slotIdx], s.valueBad[slotIdx] = 0, false
+	s.meta[slotIdx].stamp = 0
 	chains := make([]int, nChains)
 	for i := range chains {
 		chains[i] = s.metaFree[len(s.metaFree)-1]
 		s.metaFree = s.metaFree[:len(s.metaFree)-1]
-		s.scrubStamp[chains[i]], s.valueBad[chains[i]] = 0, false
+		s.meta[chains[i]].stamp = 0
 	}
 	s.bd.Alloc += s.since(tAlloc)
 
@@ -174,41 +175,20 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	s.bd.Checksum += s.since(tCsum)
 
 	tMeta := s.tnow()
-	var prev [maxHeight]int
-	ge := s.findGE(key, &prev)
-	var old int = -1
-	var oldHeight int
-	if ge >= 0 && s.compareKey(key, keyPrefix(key), s.slot(ge), false) == 0 {
-		old = ge
-		oldHeight = int(s.slot(ge)[oHeight])
-	}
+	var prev [maxHeight]*nodeDesc
+	old := s.lookupLocked(key, &prev)
+	kp := keyPrefix(key)
 
-	height := s.randomHeightLocked()
 	// Build the slot image with seq=0 (uncommitted).
 	img := make([]byte, s.cfg.SlotSize)
 	binary.LittleEndian.PutUint32(img[oMagic:], slotMagic)
-	img[oHeight] = byte(height)
 	img[oExtCnt] = byte(len(exts))
-	binary.LittleEndian.PutUint64(img[oSeq:], 0)
 	binary.LittleEndian.PutUint64(img[oHWTime:], uint64(opt.HWTime.UnixNano()))
 	binary.LittleEndian.PutUint32(img[oVCsum:], combined)
 	binary.LittleEndian.PutUint32(img[oKLen:], uint32(len(key)))
-	binary.LittleEndian.PutUint64(img[oKPrefix:], keyPrefix(key))
+	binary.LittleEndian.PutUint64(img[oKPrefix:], kp)
 	binary.LittleEndian.PutUint32(img[oKOff:], uint32(opt.KeyOff))
 	binary.LittleEndian.PutUint32(img[oVLen:], uint32(vlen))
-	for l := 0; l < height; l++ {
-		var succ int
-		switch {
-		case old >= 0 && l < oldHeight:
-			// Bypass the old version: link directly to its successor.
-			succ = slotNext(s.slot(old), l)
-		case prev[l] < 0:
-			succ = s.headNext(l)
-		default:
-			succ = slotNext(s.slot(prev[l]), l)
-		}
-		binary.LittleEndian.PutUint32(img[oTower+4*l:], uint32(succ+1))
-	}
 	// Inline extents + chain slots.
 	inline := exts
 	if len(inline) > inlineExtents {
@@ -249,79 +229,43 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	s.seq = seq
 	s.bd.Flush += s.since(tFlush)
 
-	// Link into the index; reference the data slots. Linking before the
-	// commit word persists is safe: recovery never follows links, and
-	// readers under this lock see the record exactly when its ack-gating
-	// group commit will make it durable.
+	// Link into the index; reference the data slots. Readers cannot
+	// serve the record before Commit — stagedN forces the lock-free path
+	// to fall back, and the locked read is the commit barrier — so they
+	// see it exactly when its ack-gating group commit has made it durable.
 	tLink := s.tnow()
-	maxH := height
-	if old >= 0 && oldHeight > maxH {
-		maxH = oldHeight
+	d := &nodeDesc{
+		slot: slotIdx, key: bytes.Clone(key), kp: kp,
+		exts: slices.Clone(exts), vlen: vlen, csum: combined,
+		hwtime: opt.HWTime.UnixNano(), seq: seq, height: s.randomHeightLocked(),
 	}
-	for l := 0; l < maxH; l++ {
-		switch {
-		case l < height:
-			if prev[l] < 0 {
-				s.setHeadNext(l, slotIdx)
-			} else {
-				s.writeSlotNextLocked(prev[l], l, slotIdx)
-			}
-		default: // l >= height, old linked at this level: bypass it.
-			var bypass int
-			bypass = slotNext(s.slot(old), l)
-			if prev[l] < 0 {
-				s.setHeadNext(l, bypass)
-			} else {
-				s.writeSlotNextLocked(prev[l], l, bypass)
-			}
-		}
-	}
+	s.insertLocked(d, old, &prev)
 	s.bd.Meta += s.since(tLink)
-	// The level-0 link that now targets this record persists with the
-	// commit word in the group's phase B.
-	linkOff := s.base + sbOTower
-	if prev[0] >= 0 {
-		linkOff = s.slotOff(prev[0]) + oTower
-	}
 
 	for _, e := range exts {
 		s.refDataLocked(e.Off)
 	}
 	s.refDataLocked(opt.KeyOff)
 
-	p := prepared{slot: slotIdx, seq: seq, old: -1, linkOff: linkOff}
+	p := prepared{slot: slotIdx, seq: seq, old: -1}
 	switch {
-	case old < 0:
+	case old == nil:
 		s.count++
 	default:
-		if j := s.stagedIndexOf(old); j >= 0 {
+		if j := s.stagedIndexOf(old.slot); j >= 0 {
 			// Overwriting an uncommitted put of the same batch: it is
 			// superseded in place and this put inherits whatever
 			// committed version it was replacing.
 			p.old = s.supersedeStagedLocked(j)
 		} else {
-			p.old = old
+			p.old = old.slot
 		}
 	}
 	s.staged = append(s.staged, p)
 	s.stagedN.Add(1)
-	// Publish the record's descriptor for lock-free readers. They still
-	// cannot serve it before Commit — stagedN forces the fallback, whose
-	// locked read is the commit barrier — but publishing here keeps the
-	// mirror in lockstep with the index links written above.
-	s.publishDescLocked(slotIdx, seq, bytes.Clone(s.slotKey(s.slot(slotIdx))))
 	s.stats.Puts++
 	s.stats.BytesStored += uint64(vlen)
 	return nil
-}
-
-func (s *Store) writeSlotNextLocked(idx, level, next int) {
-	s.pm.WriteUint32(s.slotOff(idx)+oTower+4*level, uint32(next+1))
-	// Mirror the link into the published descriptor, if any, so the
-	// lock-free walk (fastget.go) tracks every retarget.
-	if d := s.recs[idx].Load(); d != nil {
-		d.next[level].Store(uint32(next + 1))
-	}
 }
 
 // writeChainsLocked stages extent-continuation slots into the group's
@@ -396,15 +340,14 @@ func (s *Store) readExtentsLocked(sl []byte) ([]Extent, error) {
 	return exts, nil
 }
 
-// freeRecordLocked retires a committed record: clear the commit word
-// first (crash-safe: the record simply disappears from the scan), then
-// recycle slots and data references. The caller has already unlinked it
-// from (or replaced it in) the index.
-func (s *Store) freeRecordLocked(idx int) {
-	off := s.slotOff(idx)
-	s.pm.WriteUint64(off+oSeq, 0)
-	s.pm.Persist(off+oSeq, 8)
-	s.recycleRecordLocked(idx)
+// retireLocked deletes an indexed, committed record: clear the commit
+// word and fence it (crash-safe: the record simply disappears from the
+// scan), then unlink its descriptor and recycle its slots and data
+// references. Caller holds s.mu inside a mutation bracket.
+func (s *Store) retireLocked(d *nodeDesc) {
+	s.clearSeqLocked(d.slot)
+	s.unlinkLocked(d)
+	s.recycleRecordLocked(d.slot)
 }
 
 func (s *Store) randomHeightLocked() int {
@@ -445,28 +388,17 @@ func (s *Store) getRefLocked(key []byte) (Ref, bool, error) {
 	// or a crash could lose a value another client already read.
 	s.commitStagedLocked()
 	s.gets.Add(1)
-	idx := s.findGE(key, nil)
-	if idx < 0 || s.compareKey(key, keyPrefix(key), s.slot(idx), false) != 0 {
+	d := s.lookupLocked(key, nil)
+	if d == nil {
 		return Ref{}, false, nil
 	}
-	if s.valueBad[idx] {
+	if d.gated.Load() {
 		// Known media damage awaiting a deferred parity repair: a typed
 		// error, never bytes that cannot be trusted.
 		return Ref{}, false, fmt.Errorf("%w: value bytes pending parity repair for key %q", ErrCorrupt, key)
 	}
-	sl := s.slot(idx)
-	exts, err := s.readExtentsLocked(sl)
-	if err != nil {
-		return Ref{}, false, err
-	}
 	s.hits.Add(1)
-	return Ref{
-		Extents: exts,
-		VLen:    int(binary.LittleEndian.Uint32(sl[oVLen:])),
-		Csum:    binary.LittleEndian.Uint32(sl[oVCsum:]),
-		HWTime:  time.Unix(0, int64(binary.LittleEndian.Uint64(sl[oHWTime:]))),
-		Seq:     binary.LittleEndian.Uint64(sl[oSeq:]),
-	}, true, nil
+	return refFromDesc(d), true, nil
 }
 
 // Get returns a copy of the value stored under key, verifying its
@@ -520,30 +452,12 @@ func (s *Store) Delete(key []byte) (bool, error) {
 	// assume every indexed record is committed.
 	s.commitStagedLocked()
 	s.stats.Deletes++
-	var prev [maxHeight]int
-	idx := s.findGE(key, &prev)
-	if idx < 0 || s.compareKey(key, keyPrefix(key), s.slot(idx), false) != 0 {
+	d := s.lookupLocked(key, nil)
+	if d == nil {
 		return false, nil
 	}
-	sl := s.slot(idx)
-	height := int(sl[oHeight])
 	s.beginMutLocked()
 	defer s.endMutLocked()
-	// Unlink from every level it occupies.
-	for l := 0; l < height; l++ {
-		next := slotNext(sl, l)
-		if prev[l] < 0 {
-			s.setHeadNext(l, next)
-		} else {
-			s.writeSlotNextLocked(prev[l], l, next)
-		}
-	}
-	if prev[0] < 0 {
-		s.pm.Persist(s.base+sbOTower, 4)
-	} else {
-		s.pm.Persist(s.slotOff(prev[0])+oTower, 4)
-	}
-	s.freeRecordLocked(idx)
-	s.count--
+	s.retireLocked(d)
 	return true, nil
 }

@@ -10,83 +10,66 @@ import (
 	"packetstore/internal/checksum"
 )
 
-// rescanMode selects what a slot-array rescan reconstructs beyond the
-// index itself.
-type rescanMode int
-
-const (
-	// rescanRecover is boot-time recovery: the volatile state is fresh
-	// and every live data slot must transition pool -> store exactly once
-	// (a double adoption is corruption).
-	rescanRecover rescanMode = iota
-	// rescanRehydrate is the online rebuild of a quarantined store: the
-	// slab allocator is shared with a still-wired NIC and survives the
-	// rebuild, so adoption is tolerant of already-allocated slots, and
-	// store-owned reference counts are recomputed from scratch.
-	rescanRehydrate
-	// rescanIndex rebuilds only the index, free list and counts (after
-	// the scrubber excises records or finds a damaged tower). Data-slot
-	// ownership is untouched: an excised record's slots keep their
-	// references and are thereby fenced from reuse — the damage may be
-	// media.
-	rescanIndex
-)
-
 // recover rebuilds the store from the persistent metadata slots after a
 // reboot or crash: it scans every slot, keeps the committed records
-// (newest sequence per key), rebuilds the skip-list index, reconstructs
+// (newest sequence per key), builds the index over them, reconstructs
 // the volatile allocation state (metadata free list, data-slot reference
-// counts), and restores the sequence counter. Nothing in recovery trusts
-// the pre-crash index links — the scan is the ground truth, which is what
-// makes the at-runtime tower updates safe to leave unflushed.
-func (s *Store) recover() error { return s.rescan(rescanRecover) }
+// counts), and restores the sequence counter. The scan is the ground
+// truth: no index state is persisted.
+func (s *Store) recover() error { return s.rescan(false) }
 
-// rescan is the shared scan-and-rebuild pass behind boot recovery,
-// online rehydration and scrubber-triggered index repair.
-func (s *Store) rescan(mode rescanMode) error {
-	type rec struct {
-		idx int
-		key []byte
-		seq uint64
-	}
+// rescan is the scan-and-rebuild pass behind boot recovery and, with
+// online set, the rebuild of a quarantined store. At boot the volatile
+// state is fresh and every live data slot must transition pool -> store
+// exactly once (a double adoption is corruption). Online, the slab
+// allocator is shared with a still-wired NIC and survives the rebuild,
+// so adoption is tolerant of already-allocated slots, and store-owned
+// reference counts are recomputed from scratch.
+func (s *Store) rescan(online bool) error {
 	used := make([]bool, s.cfg.MetaSlots)
-	var survivors []rec
+	var survivors []*nodeDesc
 	byKey := make(map[string]int) // key -> survivors index
 	unrecoverable := 0
+	// fenceUnrecoverable fences a damaged slot the group cannot
+	// reconstruct right now without clearing its commit word: the media is
+	// preserved, so a retry after the peer rejoins can still reconstruct.
+	// The rescan as a whole then fails typed — the shard must not serve
+	// while acked records are missing.
+	fenceUnrecoverable := func(i int) {
+		unrecoverable++
+		s.quarantined++
+		s.meta[i].fenced, s.meta[i].stamp = true, 0
+		used[i] = true
+	}
 
 	// The whole rescan is one mutation bracket: lock-free readers fall
-	// back for its duration, and the descriptor mirror is rebuilt from
-	// scratch alongside the index (survivors republish below; everything
-	// else — excised, deduped, quarantined — stays unpublished).
+	// back for its duration, and the index is rebuilt from scratch
+	// (survivors republish below; everything else — excised, deduped,
+	// quarantined — stays unpublished). Serving gates go with the old
+	// descriptors: repaired records come back ungated, still-damaged ones
+	// re-earn the gate at the next scrub.
 	s.beginMutLocked()
 	defer s.endMutLocked()
-	for i := range s.recs {
-		s.recs[i].Store(nil)
+	for l := range s.head {
+		s.head[l].Store(0)
 	}
-
+	for i := range s.meta {
+		s.meta[i].desc.Store(nil)
+		s.meta[i].fenced = false
+	}
 	s.seq, s.count, s.quarantined = 0, 0, 0
-	for i := range s.metaFenced {
-		s.metaFenced[i] = false
-	}
-	if mode != rescanIndex {
-		// Serving gates are re-derived: repaired records drop them, still-
-		// damaged ones re-earn them through the repair paths below.
-		for i := range s.valueBad {
-			s.valueBad[i] = false
-		}
-	}
-	if mode == rescanRehydrate {
+	if online {
 		// Record reference counts are about to be recomputed from the
 		// scan; any surviving store-owned slot starts at zero. External
-		// pins (dataPins) are NOT reset — their holders survive the
-		// rebuild and release them later, which is what lets pinned slots
-		// re-admit to the pool afterwards. Slots whose records do not
-		// survive stay slab-allocated with zero references until an
-		// in-flight ReleaseUnused resolves them (or leak, bounded by the
-		// work in flight at the heal event — see Rehydrate).
-		for i := range s.dataRefs {
-			if s.dataRefs[i] > 0 {
-				s.dataRefs[i] = 0
+		// pins are NOT reset — their holders survive the rebuild and
+		// release them later, which is what lets pinned slots re-admit to
+		// the pool afterwards. Slots whose records do not survive stay
+		// slab-allocated with zero references until an in-flight
+		// ReleaseUnused resolves them (or leak, bounded by the work in
+		// flight at the heal event — see Rehydrate).
+		for i := range s.data {
+			if s.data[i].refs > 0 {
+				s.data[i].refs = 0
 			}
 		}
 	}
@@ -100,64 +83,58 @@ func (s *Store) rescan(mode rescanMode) error {
 		if seq == 0 {
 			continue // never committed, or deleted
 		}
-		if err := s.validateSlot(sl); err != nil {
-			if s.parity != nil && mode == rescanRehydrate {
-				// The rebuild owns the group's repairMu (Rehydrate takes it
-				// before the store lock), so reconstruction runs with the
-				// whole group quiesced.
-				switch rerr := s.repairRecordLocked(i, true); {
-				case rerr == nil:
-					goto survived // repaired and re-validated: a normal record
-				case errors.Is(rerr, errMetaDamage):
-					// Parity spans the data area only; metadata damage still
-					// takes the excise path below.
-				default:
-					// Deferred (a group peer is down) or unrecoverable. Fence
-					// the slot without clearing its commit word: the media is
-					// preserved, so a retry after the peer rejoins can still
-					// reconstruct. The rescan as a whole fails typed — the
-					// shard must not serve while acked records are missing.
-					unrecoverable++
-					s.quarantined++
-					s.metaFenced[i] = true
-					s.scrubStamp[i] = 0
-					used[i] = true
-					continue
-				}
+		exts, err := s.validateSlot(sl)
+		if err != nil && s.parity != nil && online {
+			// The rebuild owns the group's repairMu (Rehydrate takes it
+			// before the store lock), so reconstruction runs with the
+			// whole group quiesced.
+			switch rerr := s.repairRecordLocked(i, true); {
+			case rerr == nil:
+				exts, err = s.validateSlot(sl) // repaired: a normal record
+			case errors.Is(rerr, errMetaDamage):
+				// Parity spans the data area only; metadata damage still
+				// takes the excise path below.
+			default:
+				fenceUnrecoverable(i) // deferred (a group peer is down) or lost
+				continue
 			}
-			if s.onQuarantine != nil {
-				s.onQuarantine(i, err)
-			}
+		}
+		if err != nil {
 			// A committed slot that fails validation is corruption:
 			// quarantine it. It is never served (not indexed) and never
 			// reused (kept out of the free list — the fault may be media
 			// damage that would eat the next record too), and the store
 			// still opens: every other committed record keeps serving.
-			s.quarantined++
-			s.metaFenced[i] = true
+			s.quarantineSlotLocked(i, err)
 			used[i] = true
 			continue
 		}
-	survived:
-		key := append([]byte(nil), s.slotKey(sl)...)
-		if j, dup := byKey[string(key)]; dup {
+		d := &nodeDesc{
+			slot:   i,
+			key:    bytes.Clone(s.slotKey(sl)),
+			kp:     binary.LittleEndian.Uint64(sl[oKPrefix:]),
+			exts:   exts,
+			vlen:   int(binary.LittleEndian.Uint32(sl[oVLen:])),
+			csum:   binary.LittleEndian.Uint32(sl[oVCsum:]),
+			hwtime: int64(binary.LittleEndian.Uint64(sl[oHWTime:])),
+			seq:    seq,
+		}
+		if j, dup := byKey[string(d.key)]; dup {
 			// Keep the newer version; retire the loser.
 			if survivors[j].seq >= seq {
 				s.clearSeqLocked(i)
 				continue
 			}
-			s.clearSeqLocked(survivors[j].idx)
-			survivors[j] = rec{idx: i, key: key, seq: seq}
+			s.clearSeqLocked(survivors[j].slot)
+			survivors[j] = d
 		} else {
-			byKey[string(key)] = len(survivors)
-			survivors = append(survivors, rec{idx: i, key: key, seq: seq})
+			byKey[string(d.key)] = len(survivors)
+			survivors = append(survivors, d)
 		}
-		if seq > s.seq {
-			s.seq = seq
-		}
+		s.seq = max(s.seq, seq)
 	}
 
-	if s.parity != nil && mode == rescanRehydrate {
+	if s.parity != nil && online {
 		// Value sweep: slot CRCs cover metadata and keys, but only the
 		// value checksum notices damaged value bytes, and boot-style scans
 		// never read values. A rebuild with parity attached does — except
@@ -165,59 +142,36 @@ func (s *Store) rescan(mode rescanMode) error {
 		// whose stamps make the re-read redundant (the scrub-aware rebuild
 		// hand-off that shrinks time-to-rejoin).
 		kept := survivors[:0]
-		for _, rv := range survivors {
-			if st := s.scrubStamp[rv.idx]; st != 0 && s.scrubPass-st <= 1 {
-				kept = append(kept, rv)
+		for _, d := range survivors {
+			m := &s.meta[d.slot]
+			switch {
+			case m.stamp != 0 && s.scrubPass-m.stamp <= 1:
+			case s.valueChecksumOKLocked(s.slot(d.slot)):
+				m.stamp = s.scrubPass
+			case s.repairRecordLocked(d.slot, true) == nil:
+			default:
+				fenceUnrecoverable(d.slot)
 				continue
 			}
-			sl := s.slot(rv.idx)
-			if s.valueChecksumOKLocked(sl) {
-				s.scrubStamp[rv.idx] = s.scrubPass
-				kept = append(kept, rv)
-				continue
-			}
-			if rerr := s.repairRecordLocked(rv.idx, true); rerr == nil {
-				kept = append(kept, rv)
-				continue
-			}
-			// Damaged beyond what the group can reconstruct right now:
-			// fence, preserve the media, fail the rescan typed below.
-			unrecoverable++
-			s.quarantined++
-			s.metaFenced[rv.idx] = true
-			s.scrubStamp[rv.idx] = 0
-			used[rv.idx] = true
+			kept = append(kept, d)
 		}
 		survivors = kept
 	}
 
 	// Mark used slots (records + their chains) and data references.
-	for _, rv := range survivors {
-		used[rv.idx] = true
-		sl := s.slot(rv.idx)
-		exts, err := s.readExtentsLocked(sl)
-		if err != nil {
-			return err
-		}
+	for _, d := range survivors {
+		used[d.slot] = true
+		sl := s.slot(d.slot)
 		chain := int(binary.LittleEndian.Uint32(sl[oChain:])) - 1
-		for hops := 0; chain >= 0; hops++ {
-			if chain >= s.cfg.MetaSlots || hops >= s.cfg.MetaSlots {
-				return fmt.Errorf("%w: chain index out of range", ErrCorrupt)
-			}
-			used[chain] = true
-			cs := s.slot(chain)
-			chain = int(binary.LittleEndian.Uint32(cs[oChainNext:])) - 1
+		for ; chain >= 0; chain = int(binary.LittleEndian.Uint32(s.slot(chain)[oChainNext:])) - 1 {
+			used[chain] = true // validateSlot bounded the chain
 		}
-		if mode == rescanIndex {
-			continue // ownership state is already correct
-		}
-		tolerant := mode == rescanRehydrate
 		koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
-		s.adoptForRecovery(koff, tolerant)
-		s.dataRefs[s.dataSlotIndex(koff)]++
-		for _, e := range exts {
-			s.adoptForRecovery(e.Off, tolerant)
-			s.dataRefs[s.dataSlotIndex(e.Off)]++
+		s.adoptForRecovery(koff, online)
+		s.data[s.dataSlotIndex(koff)].refs++
+		for _, e := range d.exts {
+			s.adoptForRecovery(e.Off, online)
+			s.data[s.dataSlotIndex(e.Off)].refs++
 		}
 	}
 
@@ -229,41 +183,17 @@ func (s *Store) rescan(mode rescanMode) error {
 		}
 	}
 
-	// Rebuild the index in key order with each record's stored height.
-	slices.SortFunc(survivors, func(a, b rec) int { return bytes.Compare(a.key, b.key) })
-	var last [maxHeight]int
-	var noLinks [4 * maxHeight]byte
-	for l := range last {
-		last[l] = -1
-		s.setHeadNext(l, -1)
-	}
-	for _, rv := range survivors {
-		sl := s.slot(rv.idx)
-		h := int(sl[oHeight])
-		if h < 1 || h > maxHeight {
-			h = 1
-		}
-		// Clear the tower with one store (links are rewritten as successors
-		// arrive), then publish the descriptor from the cleared image — the
-		// writeSlotNextLocked calls below mirror into it — handing it the
-		// scan's copy of the key: no second read of the data area.
-		s.pm.Write(s.slotOff(rv.idx)+oTower, noLinks[:])
-		s.publishDescLocked(rv.idx, rv.seq, rv.key)
-		for l := 0; l < h; l++ {
-			if last[l] < 0 {
-				s.setHeadNext(l, rv.idx)
-			} else {
-				s.writeSlotNextLocked(last[l], l, rv.idx)
-			}
-			last[l] = rv.idx
+	// Build the index in key order; heights come from the store's seeded
+	// generator, so the same survivors always build the same index.
+	slices.SortFunc(survivors, func(a, b *nodeDesc) int { return bytes.Compare(a.key, b.key) })
+	var last [maxHeight]*nodeDesc
+	for _, d := range survivors {
+		d.height = s.randomHeightLocked()
+		s.insertLocked(d, nil, &last)
+		for l := 0; l < d.height; l++ {
+			last[l] = d
 		}
 	}
-	// Persist the rebuilt level-0 chain and head.
-	s.pm.Flush(s.base+sbOTower, 4*maxHeight)
-	for _, rv := range survivors {
-		s.pm.Flush(s.slotOff(rv.idx)+oTower, 4*maxHeight)
-	}
-	s.pm.Fence()
 
 	s.count = len(survivors)
 	if unrecoverable > 0 {
@@ -277,6 +207,16 @@ func (s *Store) rescan(mode rescanMode) error {
 	return nil
 }
 
+// quarantineSlotLocked fences a committed slot that failed validation
+// and reports it to the quarantine hook.
+func (s *Store) quarantineSlotLocked(i int, err error) {
+	if s.onQuarantine != nil {
+		s.onQuarantine(i, err)
+	}
+	s.quarantined++
+	s.meta[i].fenced = true
+}
+
 // adoptForRecovery transitions a data slot from pool-owned to store-owned
 // (once) during the scan. Boot recovery runs strict: two committed records
 // claiming one slab slot is corruption. An online rehydrate runs tolerant:
@@ -284,8 +224,8 @@ func (s *Store) rescan(mode rescanMode) error {
 // survives the rebuild.
 func (s *Store) adoptForRecovery(off int, tolerant bool) {
 	idx := s.dataSlotIndex(off)
-	if s.dataRefs[idx] < 0 {
-		s.dataRefs[idx] = 0
+	if s.data[idx].refs < 0 {
+		s.data[idx].refs = 0
 		if !s.pool.MarkSlotLive(s.dataBase+idx*s.cfg.DataBufSize) && !tolerant {
 			panic("pktstore: recovery double-adopted a data slot")
 		}
@@ -293,56 +233,58 @@ func (s *Store) adoptForRecovery(off int, tolerant bool) {
 }
 
 // validateSlot sanity-checks a committed slot's offsets, then verifies
-// the stored CRC32C (slot image fields + key bytes, and every chain
-// slot) before trusting any of it. Structural checks run first so the
-// key read the checksum needs is itself safe.
-func (s *Store) validateSlot(sl []byte) error {
+// the stored CRC32C (slot image + key bytes, and every chain slot)
+// before trusting any of it, and returns the record's extents.
+// Structural checks run first so the key read the checksum needs is
+// itself safe.
+func (s *Store) validateSlot(sl []byte) ([]Extent, error) {
 	klen := int(binary.LittleEndian.Uint32(sl[oKLen:]))
 	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
 	if klen == 0 || klen > 0xffff {
-		return fmt.Errorf("%w: key length %d", ErrCorrupt, klen)
+		return nil, fmt.Errorf("%w: key length %d", ErrCorrupt, klen)
 	}
 	if !s.inDataArea(koff, klen) {
-		return fmt.Errorf("%w: key outside data area", ErrCorrupt)
+		return nil, fmt.Errorf("%w: key outside data area", ErrCorrupt)
 	}
 	exts, err := s.readExtentsLocked(sl)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	vlen := int(binary.LittleEndian.Uint32(sl[oVLen:]))
 	total := 0
 	for _, e := range exts {
 		if e.Len <= 0 || !s.inDataArea(e.Off, e.Len) {
-			return fmt.Errorf("%w: extent outside data area", ErrCorrupt)
+			return nil, fmt.Errorf("%w: extent outside data area", ErrCorrupt)
 		}
 		total += e.Len
 	}
 	if total != vlen {
-		return fmt.Errorf("%w: extent lengths %d != value length %d", ErrCorrupt, total, vlen)
+		return nil, fmt.Errorf("%w: extent lengths %d != value length %d", ErrCorrupt, total, vlen)
 	}
 	if binary.LittleEndian.Uint32(sl[oSlotSum:]) != slotSum(sl, s.slotKey(sl)) {
-		return fmt.Errorf("%w: slot checksum mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: slot checksum mismatch", ErrCorrupt)
 	}
 	chain := int(binary.LittleEndian.Uint32(sl[oChain:])) - 1
 	for hops := 0; chain >= 0; hops++ {
 		if chain >= s.cfg.MetaSlots || hops >= s.cfg.MetaSlots {
-			return fmt.Errorf("%w: broken extent chain", ErrCorrupt)
+			return nil, fmt.Errorf("%w: broken extent chain", ErrCorrupt)
 		}
 		cs := s.slot(chain)
 		if binary.LittleEndian.Uint32(cs[oSlotSum:]) != chainSum(cs) {
-			return fmt.Errorf("%w: chain slot checksum mismatch", ErrCorrupt)
+			return nil, fmt.Errorf("%w: chain slot checksum mismatch", ErrCorrupt)
 		}
 		chain = int(binary.LittleEndian.Uint32(cs[oChainNext:])) - 1
 	}
-	return nil
+	return exts, nil
 }
 
 func (s *Store) inDataArea(off, n int) bool {
 	return off >= s.dataBase && off+n <= s.dataBase+s.cfg.DataSlots*s.cfg.DataBufSize
 }
 
+// clearSeqLocked clears slot idx's commit word and fences the clear: from
+// here on no scan sees the record.
 func (s *Store) clearSeqLocked(idx int) {
-	s.clearDescLocked(idx)
 	off := s.slotOff(idx)
 	s.pm.WriteUint64(off+oSeq, 0)
 	s.pm.Persist(off+oSeq, 8)
@@ -366,39 +308,18 @@ func (s *Store) Ascend(start []byte, fn func(rec Record) bool) error {
 	// durable before they are observable.
 	s.commitStagedLocked()
 	s.stats.Ranges++
-	var idx int
-	if len(start) == 0 {
-		idx = s.headNext(0)
-	} else {
-		idx = s.findGE(start, nil)
-	}
-	for idx >= 0 {
-		sl := s.slot(idx)
-		if s.valueBad[idx] {
-			// Damaged value awaiting deferred parity repair: omitted from
-			// iteration rather than handing out bytes that cannot be
-			// trusted (point reads answer the typed error instead).
-			idx = slotNext(sl, 0)
-			continue
-		}
-		s.pm.Touch(s.slotOff(idx), 64)
-		exts, err := s.readExtentsLocked(sl)
-		if err != nil {
-			return err
-		}
-		rec := Record{
-			Key: append([]byte(nil), s.slotKey(sl)...),
-			Ref: Ref{
-				Extents: exts,
-				VLen:    int(binary.LittleEndian.Uint32(sl[oVLen:])),
-				Csum:    binary.LittleEndian.Uint32(sl[oVCsum:]),
-				Seq:     binary.LittleEndian.Uint64(sl[oSeq:]),
-			},
-		}
-		if !fn(rec) {
+	d, _ := s.findGE(start, keyPrefix(start), nil) // cannot tear under s.mu
+	for d != nil {
+		// A damaged value awaiting deferred parity repair is omitted from
+		// iteration rather than handing out bytes that cannot be trusted
+		// (point reads answer the typed error instead).
+		if !d.gated.Load() && !fn(Record{Key: bytes.Clone(d.key), Ref: refFromDesc(d)}) {
 			return nil
 		}
-		idx = slotNext(sl, 0)
+		next := d.next[0].Load()
+		if d = nil; next != 0 {
+			d = s.meta[next-1].desc.Load()
+		}
 	}
 	return nil
 }

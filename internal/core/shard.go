@@ -48,10 +48,10 @@ func ShardedRegionSize(cfg Config, shards int) int {
 }
 
 // ShardedStore partitions a PM region into independent Stores — each
-// with its own slab allocators, persistent skip-list index, commit
-// sequence and mutex — and routes operations by key hash. With a single
-// shard it is a transparent wrapper: the layout and behaviour are
-// bit-for-bit those of a plain Store.
+// with its own slab allocators, index, commit sequence and mutex — and
+// routes operations by key hash. With a single shard it is a
+// transparent wrapper: the layout and behaviour are bit-for-bit those
+// of a plain Store.
 type ShardedStore struct {
 	r      *pmem.Region
 	cfg    Config

@@ -77,14 +77,6 @@ func RunErase(seed int64) (RunStats, error) {
 	}
 	lost := func(sh int) bool { return sh == victim || sh == victim2 }
 
-	h := kvserver.NewHealer(ss, kvserver.HealConfig{
-		ScrubInterval:  500 * time.Microsecond,
-		ScrubSlots:     64,
-		RebuildBackoff: time.Millisecond,
-	})
-	go h.Run()
-	defer h.Close()
-
 	// Concurrent traffic over keys on undamaged shards: those must serve
 	// exact bytes through the entire heal, no exceptions.
 	var safe []string
@@ -131,6 +123,23 @@ func RunErase(seed int64) (RunStats, error) {
 		return rep.err
 	}
 
+	h := kvserver.NewHealer(ss, kvserver.HealConfig{
+		ScrubInterval:  500 * time.Microsecond,
+		ScrubSlots:     64,
+		RebuildBackoff: time.Millisecond,
+	})
+	if twoLoss {
+		// Both members are gone before the supervisor can act. With the
+		// healer already running, its scrubber can repair the first victim
+		// in place in the gap between the two erasures (each waits for
+		// every range lock, which the traffic goroutine's reads contend
+		// for), and the run degenerates into two single losses.
+		ss.EraseDataArea(victim)
+		ss.EraseDataArea(victim2)
+	}
+	go h.Run()
+	defer h.Close()
+
 	const healDeadline = 15 * time.Second
 	waitHeal := func(what string, cond func() bool) error {
 		deadline := time.Now().Add(healDeadline)
@@ -145,8 +154,6 @@ func RunErase(seed int64) (RunStats, error) {
 
 	switch {
 	case twoLoss:
-		ss.EraseDataArea(victim)
-		ss.EraseDataArea(victim2)
 		ss.Quarantine(victim, fmt.Errorf("fault: data area lost"))
 		ss.Quarantine(victim2, fmt.Errorf("fault: data area lost"))
 		// The healer keeps attempting rebuilds; each must fail typed — two

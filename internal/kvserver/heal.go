@@ -101,11 +101,9 @@ type HealStats struct {
 	// ScrubPasses counts completed full sweeps of one shard's slot array.
 	ScrubPasses uint64
 	// ScrubErrorsFound counts damage discovered: bad slots (CRC, structure
-	// or value checksum), index damage found by the audit, and superblock
-	// failures.
+	// or value checksum) and superblock failures.
 	ScrubErrorsFound uint64
-	// ScrubRepaired counts in-place repairs: records excised by the scrub
-	// rebuild and index rebuilds triggered by the audit.
+	// ScrubRepaired counts in-place repairs: records the scrub excised.
 	ScrubRepaired uint64
 	// Rebuilds counts shards rebuilt and re-admitted online;
 	// RebuildFailures counts attempts that left the shard down.
@@ -292,8 +290,7 @@ func (h *Healer) tryRebuild(i int, now time.Time) {
 }
 
 // scrubStep spends one tick's budget on serving shard i: a superblock
-// probe at the start of each pass, a budgeted slot walk, and an index
-// audit when the pass wraps.
+// probe at the start of each pass and a budgeted slot walk.
 func (h *Healer) scrubStep(i int) {
 	st := h.ss.Shard(i)
 	if st == nil {
@@ -349,22 +346,7 @@ func (h *Healer) scrubStep(i int) {
 		return
 	}
 	if res.Next == 0 {
-		rebuilt, excised, err := st.AuditIndex()
-		if err != nil {
-			// Index damage with parity attached: the in-place rescan would
-			// excise instead of reconstruct, so route through Rebuild.
-			h.ss.Quarantine(i, err)
-			h.mu.Lock()
-			h.stats.ScrubErrorsFound++
-			h.stats.ScrubPasses++
-			h.mu.Unlock()
-			return
-		}
 		h.mu.Lock()
-		if rebuilt {
-			h.stats.ScrubErrorsFound++
-			h.stats.ScrubRepaired += uint64(1 + excised)
-		}
 		h.stats.ScrubPasses++
 		h.mu.Unlock()
 	}

@@ -1597,7 +1597,7 @@ func (x *executor) allocKey(key []byte) int {
 	if a != nil && (a.store != x.store || a.epoch != x.cycleEpoch) {
 		// The shard was rebuilt or replaced since the arena was cut: stop
 		// appending into the old slot. Its pin survives the rebuild
-		// (rescan preserves dataPins), so dropping it here re-admits the
+		// (a rescan preserves pins), so dropping it here re-admits the
 		// slot once surviving records stop referencing it.
 		a.unpin()
 		delete(x.lp.arenas, x.shard)

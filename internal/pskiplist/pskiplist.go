@@ -139,7 +139,7 @@ func Recover(r *pmem.Region, base, size int, cmp Comparator) (*List, error) {
 	l := &List{r: r, base: base, size: size, cmp: cmp,
 		rng: rand.New(rand.NewSource(0x5eed))}
 	l.alloc = pmem.NewBumpAlloc(r, base+headerSize, size-headerSize)
-	for off := l.headNext(0); off != 0; off = l.nodeNext(off, 0) {
+	for off := l.headLink(0); off != 0; off = l.nodeNext(off, 0) {
 		l.count++
 	}
 	return l, nil
@@ -156,11 +156,11 @@ func (l *List) Remaining() int { return l.alloc.Remaining() }
 
 // --- node accessors ---
 
-func (l *List) headNext(level int) int {
+func (l *List) headLink(level int) int {
 	return int(l.r.ReadUint32(l.base + 8 + 4*level))
 }
 
-func (l *List) setHeadNext(level, off int, persist bool) {
+func (l *List) setHeadLink(level, off int, persist bool) {
 	l.r.WriteUint32(l.base+8+4*level, uint32(off))
 	if persist {
 		l.r.Persist(l.base+8+4*level, 4)
@@ -220,7 +220,7 @@ func (l *List) findGE(key []byte, prev *[maxHeight]int) int {
 	for {
 		var nxt int
 		if x == 0 {
-			nxt = l.headNext(level)
+			nxt = l.headLink(level)
 		} else {
 			nxt = l.nodeNext(x, level)
 		}
@@ -275,7 +275,7 @@ func (l *List) Insert(key, val []byte) bool {
 	for lv := 0; lv < height; lv++ {
 		var succ int
 		if prev[lv] == 0 {
-			succ = l.headNext(lv)
+			succ = l.headLink(lv)
 		} else {
 			succ = l.nodeNext(prev[lv], lv)
 		}
@@ -292,14 +292,14 @@ func (l *List) Insert(key, val []byte) bool {
 
 	// Link level 0 durably: after its flush+fence the entry exists.
 	if prev[0] == 0 {
-		l.setHeadNext(0, off, false)
+		l.setHeadLink(0, off, false)
 	} else {
 		l.setNodeNext(prev[0], 0, off, false)
 	}
 	// Upper levels: best-effort (correctness never depends on them).
 	for lv := 1; lv < height; lv++ {
 		if prev[lv] == 0 {
-			l.setHeadNext(lv, off, false)
+			l.setHeadLink(lv, off, false)
 		} else {
 			l.setNodeNext(prev[lv], lv, off, false)
 		}
@@ -355,7 +355,7 @@ func (it *Iterator) Value() []byte { return it.l.nodeValue(it.off) }
 // entry.
 func (it *Iterator) Next() {
 	if it.off == 0 {
-		it.off = it.l.headNext(0)
+		it.off = it.l.headLink(0)
 	} else {
 		it.off = it.l.nodeNext(it.off, 0)
 	}
@@ -366,7 +366,7 @@ func (it *Iterator) Next() {
 
 // SeekToFirst positions at the smallest entry.
 func (it *Iterator) SeekToFirst() {
-	it.off = it.l.headNext(0)
+	it.off = it.l.headLink(0)
 }
 
 // Seek positions at the first entry with key >= key.
