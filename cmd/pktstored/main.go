@@ -1,9 +1,10 @@
 // Command pktstored serves a packetstore over real TCP sockets, backed
-// by a file-backed persistent-memory image. The simulated-NIC zero-copy
-// mechanisms do not apply on OS sockets (requests take the copy path);
-// the on-media format, crash consistency and recovery are identical to
-// the simulated deployment, so images are interchangeable with pmkv and
-// the examples.
+// by a file-backed persistent-memory image. It runs the same request
+// engine as the simulated deployment's event loops; a socket delivers
+// bytes in DRAM, so requests take that engine's copy path (the
+// simulated-NIC zero-copy mechanisms need a PM receive pool). The
+// on-media format, crash consistency and recovery are identical, so
+// images are interchangeable with pmkv and the examples.
 //
 // Usage:
 //
@@ -11,9 +12,9 @@
 //
 // By default a self-healing supervisor runs alongside the server: a
 // background scrubber re-validates record CRCs on a budget, quarantined
-// shards are rebuilt online while the rest keep serving, and
-// GET /healthz reports per-shard state (200 all-serving, 503 degraded).
-// Disable with -heal=false.
+// shards are rebuilt online while the rest keep serving. Disable with
+// -heal=false. Either way GET /healthz reports per-shard state (200
+// all-serving, 503 degraded) and the server's own counters.
 package main
 
 import (
@@ -50,8 +51,6 @@ func main() {
 		numaNodes = flag.Int("numa-nodes", 1, "model this many NUMA sockets: shard i's PM partition lands on node i mod N and /healthz reports local vs remote line traffic (1 = flat)")
 
 		overload   = flag.Bool("overload", false, "enable overload control: requests whose X-Budget-Us lapsed are answered 503 unexecuted")
-		ovTarget   = flag.Duration("overload-target", 0, "acceptable queue sojourn before shedding starts (0 = 2ms default)")
-		ovInterval = flag.Duration("overload-interval", 0, "sojourn must stay above target this long before shedding (0 = 50ms default)")
 		retryAfter = flag.Duration("overload-retry-after", 0, "Retry-After-Ms hint on overload 503s (0 = 25ms default)")
 	)
 	flag.Parse()
@@ -103,10 +102,7 @@ func main() {
 	}
 	srv := kvserver.NewNetServerWithConfig(lst, kvserver.ShardedPktStore{S: ss},
 		kvserver.Config{MaxConns: *maxConns, IdleTimeout: *idle,
-			Overload: kvserver.OverloadConfig{
-				Enabled: *overload, Target: *ovTarget,
-				Interval: *ovInterval, RetryAfter: *retryAfter,
-			}})
+			Overload: kvserver.OverloadConfig{Enabled: *overload, RetryAfter: *retryAfter}})
 	if *overload {
 		fmt.Println("pktstored: overload control on (expired X-Budget-Us requests answered 503 unexecuted)")
 	}
@@ -115,6 +111,7 @@ func main() {
 	if *heal {
 		healer = kvserver.NewHealer(ss, kvserver.HealConfig{ScrubInterval: *scrubIval})
 		go healer.Run()
+		healer.SetLoopSource(srv.LoopStats)
 		srv.SetHealthSource(healer.Health)
 		fmt.Printf("pktstored: healer running (scrub interval %v); GET /healthz reports shard state\n", *scrubIval)
 	}
@@ -134,20 +131,7 @@ func main() {
 			fatal(err)
 		}
 		http.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			var rep kvserver.HealthReport
-			if healer != nil {
-				rep = healer.Health()
-			} else {
-				rep.Ready = true
-				for i, h := range ss.Health() {
-					sh := kvserver.ShardHealth{Shard: i, State: "serving"}
-					if h != nil {
-						sh.State, sh.Reason = "down", h.Error()
-						rep.Ready = false
-					}
-					rep.Shards = append(rep.Shards, sh)
-				}
-			}
+			rep := srv.Health()
 			w.Header().Set("Content-Type", "application/json")
 			if !rep.Ready {
 				w.WriteHeader(http.StatusServiceUnavailable)

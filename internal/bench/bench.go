@@ -160,38 +160,28 @@ func deploy(opt deployOptions) (*deployment, error) {
 		if cfg.DataSlots == 0 {
 			cfg.DataSlots = 1 << 16
 		}
-		if opt.shards > 1 {
-			d.pm = pmem.New(core.ShardedRegionSize(cfg, opt.shards), pmProf)
-			ss, err := core.OpenSharded(d.pm, cfg, opt.shards)
-			if err != nil {
-				return nil, err
-			}
-			if opt.numaNodes > 1 {
-				// Placement must precede server construction: the server
-				// caches the deployment's socket count when wiring loops.
-				if err := ss.SetNUMAPlacement(prof.NUMA, opt.numaNodes, opt.numaShardNode); err != nil {
-					return nil, err
-				}
-				hostOpt.ServerQueueNodes = opt.numaQueueNodes
-				opt.srvCfg.LoopNodes = opt.numaLoopNodes
-			}
-			d.ss = ss
-			d.store = ss.Shard(0)
-			backend = kvserver.ShardedPktStore{S: ss}
-			if opt.zeroCopy {
-				hostOpt.ServerRxPools = ss.Pools()
-			}
-			break
-		}
-		d.pm = pmem.New(cfg.RegionSize(), pmProf)
-		store, err := core.Open(d.pm, cfg)
+		// One shard (the default) is the single-core deployment: a
+		// one-shard OpenSharded is core.Open bit for bit.
+		shards := max(opt.shards, 1)
+		d.pm = pmem.New(core.ShardedRegionSize(cfg, shards), pmProf)
+		ss, err := core.OpenSharded(d.pm, cfg, shards)
 		if err != nil {
 			return nil, err
 		}
-		d.store = store
-		backend = kvserver.PktStore{S: store}
+		if opt.numaNodes > 1 {
+			// Placement must precede server construction: the server
+			// caches the deployment's socket count when wiring loops.
+			if err := ss.SetNUMAPlacement(prof.NUMA, opt.numaNodes, opt.numaShardNode); err != nil {
+				return nil, err
+			}
+			hostOpt.ServerQueueNodes = opt.numaQueueNodes
+			opt.srvCfg.LoopNodes = opt.numaLoopNodes
+		}
+		d.ss = ss
+		d.store = ss.Shard(0)
+		backend = kvserver.ShardedPktStore{S: ss}
 		if opt.zeroCopy {
-			hostOpt.ServerRxPool = store.Pool()
+			hostOpt.ServerRxPools = ss.Pools()
 		}
 	}
 

@@ -22,6 +22,10 @@ type Table1Result struct {
 	NetworkingRTT time.Duration // discard server
 	TotalRTT      time.Duration // full NoveLSM-sim
 	NoPersistRTT  time.Duration // flushes free
+	// LinesFlushed is the full-stack rung's PM write-back count: storage
+	// work the discard rung (no region at all) cannot do, stated without
+	// a clock.
+	LinesFlushed uint64
 
 	// Data-management breakdown (per request).
 	RequestPrep time.Duration
@@ -64,6 +68,7 @@ func RunTable1(profile calib.Profile, requests int) (Table1Result, error) {
 	d.db.ResetBreakdown()
 	out.TotalRTT, err = measureRTT(d, requests, 1024)
 	bd := d.db.Breakdown()
+	out.LinesFlushed = d.pm.Stats().LinesFlushed
 	d.close()
 	if err != nil {
 		return out, err

@@ -1,7 +1,11 @@
-// Package kvserver implements the storage server application: a
-// single-goroutine event loop (the paper's one-core busy-polling server)
-// that parses KV-over-HTTP requests from the TCP stack's packet buffers
-// and dispatches them to a storage backend.
+// Package kvserver implements the storage server application: one
+// request engine (executor: handleBuf -> beginRequest -> dispatch ->
+// finishConn) that parses KV-over-HTTP requests out of packet buffers
+// and dispatches them to a storage backend, behind two transports that
+// produce those buffers. Server runs it from busy-polling event loops
+// over the simulated TCP stack (the paper's one-core server, one loop
+// per NIC queue); NetServer runs it from one goroutine per OS socket
+// (cmd/pktstored). DESIGN.md §5.17 says what the two share.
 //
 // Backends:
 //
@@ -11,11 +15,11 @@
 //     "Net. + persist." series.
 //   - LSM: the NoveLSM/LevelDB baseline — Figure 2's
 //     "Net. + data mgmt. + persist." series.
-//   - PktStore: the paper's proposal. With a PM-backed NIC receive pool
-//     the server runs the zero-copy ingest path: request values are
-//     committed where the NIC wrote them, with NIC-derived checksums and
-//     hardware timestamps, and GET responses are transmitted straight
-//     out of the store via packet fragments.
+//   - PktStore / ShardedPktStore: the paper's proposal. With a PM-backed
+//     NIC receive pool the engine runs the zero-copy ingest path:
+//     request values are committed where the NIC wrote them, with
+//     NIC-derived checksums and hardware timestamps, and GET responses
+//     are transmitted straight out of the store via packet fragments.
 package kvserver
 
 import (
@@ -106,61 +110,47 @@ func (b LSM) Range(start, end []byte, limit int) ([]kvproto.KV, error) {
 	return out, nil
 }
 
-// PktStore adapts the packetstore; the server detects it and switches to
-// the zero-copy ingest and egress paths.
-type PktStore struct {
-	S *core.Store
+// recordStore is the copy-path surface core.Store and core.ShardedStore
+// share; pktStore turns either into a Backend.
+type recordStore interface {
+	Put(key, value []byte) error
+	Get(key []byte) ([]byte, bool, error)
+	Delete(key []byte) (bool, error)
+	Range(start, end []byte, limit int) ([]core.Record, error)
 }
 
-// Name implements Backend.
-func (PktStore) Name() string { return "pktstore" }
+// pktStore adapts a packetstore front-end — one Store, or a
+// ShardedStore routing by key hash and merging RANGE across shards.
+// These methods are the copy path: what a request takes when its bytes
+// did not arrive in the owning shard's PM pool (every OS-socket request;
+// DELETE and RANGE always).
+type pktStore[T recordStore] struct {
+	S T
+}
 
-// Put implements Backend (copy path, used when the receive pool is not
-// the store's PM pool).
-func (b PktStore) Put(key, value []byte) error { return b.S.Put(key, value) }
+// PktStore and ShardedPktStore are the paper's proposal as a Backend.
+// Both servers detect them: an event loop whose NIC receive pool is a
+// shard's PM partition switches to the zero-copy ingest and egress
+// paths, and /healthz and the PUT body bound read the store's geometry.
+type (
+	PktStore        = pktStore[*core.Store]
+	ShardedPktStore = pktStore[*core.ShardedStore]
+)
+
+// Name implements Backend.
+func (pktStore[T]) Name() string { return "pktstore" }
+
+// Put implements Backend.
+func (b pktStore[T]) Put(key, value []byte) error { return b.S.Put(key, value) }
 
 // Get implements Backend.
-func (b PktStore) Get(key []byte) ([]byte, bool, error) { return b.S.Get(key) }
+func (b pktStore[T]) Get(key []byte) ([]byte, bool, error) { return b.S.Get(key) }
 
 // Delete implements Backend.
-func (b PktStore) Delete(key []byte) (bool, error) { return b.S.Delete(key) }
+func (b pktStore[T]) Delete(key []byte) (bool, error) { return b.S.Delete(key) }
 
 // Range implements Backend.
-func (b PktStore) Range(start, end []byte, limit int) ([]kvproto.KV, error) {
-	recs, err := b.S.Range(start, end, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]kvproto.KV, len(recs))
-	for i, rec := range recs {
-		out[i] = kvproto.KV{Key: rec.Key, Value: rec.Value}
-	}
-	return out, nil
-}
-
-// ShardedPktStore adapts a multi-shard packetstore: point operations
-// route to the owning shard by key hash and RANGE merges the per-shard
-// ordered runs. The server detects it (like PktStore) and activates the
-// per-queue zero-copy paths on every loop whose receive pool is a
-// shard's PM partition.
-type ShardedPktStore struct {
-	S *core.ShardedStore
-}
-
-// Name implements Backend.
-func (ShardedPktStore) Name() string { return "pktstore-sharded" }
-
-// Put implements Backend (copy path; routes by key hash).
-func (b ShardedPktStore) Put(key, value []byte) error { return b.S.Put(key, value) }
-
-// Get implements Backend.
-func (b ShardedPktStore) Get(key []byte) ([]byte, bool, error) { return b.S.Get(key) }
-
-// Delete implements Backend.
-func (b ShardedPktStore) Delete(key []byte) (bool, error) { return b.S.Delete(key) }
-
-// Range implements Backend (cross-shard merge).
-func (b ShardedPktStore) Range(start, end []byte, limit int) ([]kvproto.KV, error) {
+func (b pktStore[T]) Range(start, end []byte, limit int) ([]kvproto.KV, error) {
 	recs, err := b.S.Range(start, end, limit)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,13 @@
 package kvserver
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
 	"packetstore/internal/core"
+	"packetstore/internal/httpmsg"
 )
 
 // Healer is the self-healing supervisor: a ticker goroutine that (1)
@@ -391,31 +393,7 @@ func (h *Healer) Health() HealthReport {
 	h.mu.Unlock()
 	var crossSteals uint64
 	if src != nil {
-		var ov OverloadHealth
-		for q, ls := range src() {
-			rep.Loops = append(rep.Loops, LoopHealth{
-				Queue:       q,
-				QueueDepth:  ls.QueueDepth,
-				Node:        ls.Node,
-				Requests:    ls.Requests,
-				Steals:      ls.Steals,
-				StolenOps:   ls.StolenOps,
-				StealAborts: ls.StealAborts,
-				CrossSteals: ls.CrossSteals,
-				Brownout:    ls.BrownoutLoops > 0,
-				Expired:     ls.Expired,
-				CoDelSheds:  ls.CoDelSheds,
-			})
-			crossSteals += ls.CrossSteals
-			ov.Sheds += ls.Sheds
-			ov.IdleClosed += ls.IdleClosed
-			ov.Expired += ls.Expired
-			ov.CoDelSheds += ls.CoDelSheds
-			ov.Brownouts += ls.Brownouts
-			ov.BrownoutLoops += ls.BrownoutLoops
-			ov.QueueDelayMs += float64(ls.QueueDelay) / float64(time.Millisecond)
-		}
-		rep.Overload = &ov
+		crossSteals = rep.addLoops(src())
 	}
 	if brkSrc != nil {
 		if rep.Overload == nil {
@@ -533,6 +511,55 @@ type HealthReport struct {
 	Reads    *ReadPathHealth `json:"reads,omitempty"`
 	Overload *OverloadHealth `json:"overload,omitempty"`
 	NUMA     *NUMAHealth     `json:"numa,omitempty"`
+}
+
+// addLoops fills the report's scheduler and overload sections from a
+// server's per-loop snapshots (Server.LoopStats, NetServer.LoopStats),
+// returning the cross-socket steal total the NUMA section repeats.
+func (rep *HealthReport) addLoops(loops []Stats) (crossSteals uint64) {
+	var ov OverloadHealth
+	for q, ls := range loops {
+		rep.Loops = append(rep.Loops, LoopHealth{
+			Queue:       q,
+			QueueDepth:  ls.QueueDepth,
+			Node:        ls.Node,
+			Requests:    ls.Requests,
+			Steals:      ls.Steals,
+			StolenOps:   ls.StolenOps,
+			StealAborts: ls.StealAborts,
+			CrossSteals: ls.CrossSteals,
+			Brownout:    ls.BrownoutLoops > 0,
+			Expired:     ls.Expired,
+			CoDelSheds:  ls.CoDelSheds,
+		})
+		crossSteals += ls.CrossSteals
+		ov.Sheds += ls.Sheds
+		ov.IdleClosed += ls.IdleClosed
+		ov.Expired += ls.Expired
+		ov.CoDelSheds += ls.CoDelSheds
+		ov.Brownouts += ls.Brownouts
+		ov.BrownoutLoops += ls.BrownoutLoops
+		ov.QueueDelayMs += float64(ls.QueueDelay) / float64(time.Millisecond)
+	}
+	rep.Overload = &ov
+	return crossSteals
+}
+
+// appendHealth serialises a report as the GET /healthz response: 200
+// when every shard serves and 503 while any is down or rebuilding — the
+// JSON body is present either way so a poller can see per-shard
+// progress.
+func appendHealth(resp []byte, rep HealthReport) []byte {
+	b, err := json.Marshal(rep)
+	if err != nil {
+		return httpmsg.AppendResponse(resp, 500, 0)
+	}
+	code := 200
+	if !rep.Ready {
+		code = 503
+	}
+	resp = httpmsg.AppendResponse(resp, code, len(b))
+	return append(resp, b...)
 }
 
 func healthFromStates(states []core.ShardStatus, st *HealStats) HealthReport {

@@ -266,7 +266,7 @@ func TestNetServerShedsAtMaxConns(t *testing.T) {
 	if !bytes.Contains(buf[:n], []byte("503")) {
 		t.Fatalf("over-cap conn: want 503 shed, got %q", buf[:n])
 	}
-	if srv.Sheds() == 0 {
+	if srv.Stats().Sheds == 0 {
 		t.Fatal("shed not counted")
 	}
 	c2.Close()
@@ -304,7 +304,7 @@ func TestNetServerIdleTimeout(t *testing.T) {
 	if _, err := c.Read(buf); err == nil {
 		t.Fatal("expected the server to close the idle connection")
 	}
-	waitFor(t, "idle close counted", func() bool { return srv.IdleClosed() > 0 })
+	waitFor(t, "idle close counted", func() bool { return srv.Stats().IdleClosed > 0 })
 	c.Close()
 	srv.Close()
 	if err := <-done; err != nil {
@@ -317,7 +317,7 @@ func TestNetServerIdleTimeout(t *testing.T) {
 // group, so the commit gate must poison the cycle and refuse the acks.
 func TestCommitGroupDetectsMidCycleRebuild(t *testing.T) {
 	_, ss, _ := healShardedSetup(t)
-	lp := &loop{srv: &Server{sharded: ss}, store: ss.Shard(1), shard: 1}
+	lp := &loop{srv: &Server{engine: engine{sharded: ss}}, store: ss.Shard(1), shard: 1}
 	x := lp.executorFor(lp)
 
 	x.beginCycle()
@@ -372,13 +372,13 @@ func TestCommitGroupDetectsMidCycleRebuild(t *testing.T) {
 // cycle.
 func TestCommitGroupGateHoldsUnderSteal(t *testing.T) {
 	_, ss, _ := healShardedSetup(t)
-	srv := &Server{sharded: ss}
+	srv := &Server{engine: engine{sharded: ss}}
 	victim := &loop{srv: srv, store: ss.Shard(1), shard: 1}
 	thief := &loop{srv: srv, q: 3, shard: -1}
 
 	x := thief.executorFor(victim)
-	if !x.stealing {
-		t.Fatal("executor for a peer loop not marked stealing")
+	if x.lp != thief || x.tgt != victim || x.store != victim.store {
+		t.Fatal("executor for a peer loop not aimed at the victim's shard")
 	}
 	if !ss.TryAcquire(victim.shard) {
 		t.Fatal("uncontended token not acquired")

@@ -1,33 +1,36 @@
 package kvserver
 
 import (
-	"encoding/json"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"packetstore/internal/httpmsg"
-	"packetstore/internal/kvproto"
+	"packetstore/internal/pkt"
 )
 
 // NetServer serves the KV protocol over operating-system TCP sockets —
-// the deployment path for running the store on a real network (the
-// simulated stack's zero-copy mechanisms do not apply; requests take the
-// copy path). One goroutine per connection.
+// the deployment path for running the store on a real network. It is a
+// transport only: accept, the MaxConns shed, the read deadline, one
+// goroutine per connection. Each goroutine wraps what it reads in a
+// DRAM packet buffer and hands it to the same executor the event loops
+// run (handleBuf -> beginRequest -> dispatch -> finishConn), so requests
+// parse, expire, count and answer exactly as on the simulated stack's
+// copy path. The Go netpoller and scheduler are this transport's event
+// loop; the hand-written sched (CoDel, bursts, stealing) stays with the
+// simulated stack (DESIGN.md §5.17).
 type NetServer struct {
-	backend Backend
-	lst     net.Listener
-	cfg     Config
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
-	closed  bool
-	health  func() HealthReport
-	wg      sync.WaitGroup
-
-	sheds      atomic.Uint64
-	idleClosed atomic.Uint64
-	expired    atomic.Uint64
+	engine
+	lst net.Listener
+	mu  sync.Mutex
+	// conns maps each live connection to the counters its goroutine
+	// counts into — one set per connection, so two cores never bump the
+	// same cache line per request; gone holds closed connections' totals
+	// and the accept layer's sheds.
+	conns  map[net.Conn]*statsCounters
+	gone   Stats
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewNetServer wraps an OS listener.
@@ -36,28 +39,26 @@ func NewNetServer(lst net.Listener, backend Backend) *NetServer {
 }
 
 // NewNetServerWithConfig wraps an OS listener with overload tuning:
-// Config.MaxConns sheds connections beyond the cap with a 503, and
+// Config.MaxConns sheds connections beyond the cap with a 503,
 // Config.IdleTimeout bounds every read so a stalled client cannot hold a
-// serving goroutine forever.
+// serving goroutine forever, and Config.Overload.Enabled refuses
+// requests whose X-Budget-Us lapsed.
 func NewNetServerWithConfig(lst net.Listener, backend Backend, cfg Config) *NetServer {
-	cfg.fill()
-	return &NetServer{backend: backend, lst: lst, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	s := &NetServer{lst: lst, conns: make(map[net.Conn]*statsCounters)}
+	s.init(backend, cfg, s.LoopStats)
+	return s
 }
 
-// Sheds counts connections rejected at the MaxConns cap; IdleClosed
-// counts connections closed by the read deadline; Expired counts
-// requests dropped unexecuted because their client budget lapsed
-// (Config.Overload.Enabled).
-func (s *NetServer) Sheds() uint64      { return s.sheds.Load() }
-func (s *NetServer) IdleClosed() uint64 { return s.idleClosed.Load() }
-func (s *NetServer) Expired() uint64    { return s.expired.Load() }
-
-// SetHealthSource installs the GET /healthz report producer — normally
-// (*Healer).Health. Without one, /healthz reports ready unconditionally.
-func (s *NetServer) SetHealthSource(fn func() HealthReport) {
+// LoopStats is the counters in the per-loop shape Healer.SetLoopSource
+// takes: connections come and go, so they report as one loop.
+func (s *NetServer) LoopStats() []Stats {
 	s.mu.Lock()
-	s.health = fn
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	out := s.gone
+	for _, cs := range s.conns {
+		out.merge(cs.Snapshot())
+	}
+	return []Stats{out}
 }
 
 // Serve accepts and services connections until Close.
@@ -74,20 +75,22 @@ func (s *NetServer) Serve() error {
 			}
 			return err
 		}
+		cs := new(statsCounters)
 		s.mu.Lock()
 		full := s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns
-		if !full {
-			s.conns[c] = struct{}{}
+		if full {
+			s.gone.Sheds++
+		} else {
+			s.conns[c] = cs
 		}
 		s.mu.Unlock()
 		if full {
-			s.sheds.Add(1)
 			c.Write(httpmsg.AppendResponseRetryAfter(nil, 503, 0, s.cfg.Overload.RetryAfter.Milliseconds()))
 			c.Close()
 			continue
 		}
 		s.wg.Add(1)
-		go s.serveConn(c)
+		go s.serveConn(c, cs)
 	}
 }
 
@@ -103,154 +106,39 @@ func (s *NetServer) Close() {
 	s.wg.Wait()
 }
 
-func (s *NetServer) serveConn(c net.Conn) {
+// serveConn is one connection's producer of packet buffers for the
+// engine. The buffer's Time is the chunk's arrival stamp: pipelined
+// requests deeper in the chunk age against it while earlier ones
+// execute, so a backlog on this connection shows up as lapsed budgets.
+func (s *NetServer) serveConn(c net.Conn, cs *statsCounters) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
+		s.gone.merge(cs.Snapshot())
 		s.mu.Unlock()
 		c.Close()
 	}()
 
-	parser := httpmsg.NewRequestParser(0)
+	st := newConnState(c, nil)
+	x := executor{eng: &s.engine, stats: cs, shard: -1}
 	rbuf := make([]byte, 64<<10)
-	var body, resp []byte
-	var cur kvproto.Request
-	var curErr error
-	var curHealth bool
-	var deadline time.Time
-
-	for {
+	for !st.dead {
 		if s.cfg.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
 		n, err := c.Read(rbuf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				s.idleClosed.Add(1)
+				cs.idleClosed.Add(1)
 			}
 			return
 		}
-		// Arrival stamp for the whole chunk: pipelined requests deeper in
-		// the buffer age against it while earlier ones execute, so a
-		// backlog on this connection shows up as lapsed budgets.
-		chunkAt := time.Now()
-		chunk := rbuf[:n]
-		resp = resp[:0]
-		for len(chunk) > 0 {
-			res := parser.Feed(chunk)
-			if res.Err != nil {
-				resp = httpmsg.AppendResponse(resp, 400, 0)
-				c.Write(resp)
-				return
-			}
-			if res.HeaderDone {
-				hreq := parser.Request()
-				curHealth = hreq.Method == "GET" && hreq.Path == "/healthz"
-				if !curHealth {
-					cur, curErr = kvproto.Parse(hreq.Method, hreq.Path)
-				}
-				deadline = time.Time{}
-				if s.cfg.Overload.Enabled && hreq.BudgetUs > 0 {
-					deadline = chunkAt.Add(time.Duration(hreq.BudgetUs) * time.Microsecond)
-				}
-				body = body[:0]
-			}
-			body = append(body, chunk[res.Body.Off:res.Body.Off+res.Body.Len]...)
-			chunk = chunk[res.Consumed:]
-			if res.Done {
-				switch {
-				case curHealth:
-					resp = s.appendHealth(resp)
-				case !deadline.IsZero() && time.Now().After(deadline) && curErr == nil:
-					// Doomed-work elimination: the client's budget lapsed
-					// before execution; answer 503 instead of executing.
-					s.expired.Add(1)
-					resp = httpmsg.AppendResponseRetryAfter(resp, 503, 0, s.cfg.Overload.RetryAfter.Milliseconds())
-				default:
-					resp = s.respond(resp, cur, curErr, body)
-				}
-				parser.Reset()
-			}
-		}
-		if len(resp) > 0 {
-			if _, err := c.Write(resp); err != nil {
-				return
-			}
-		}
+		at := time.Now()
+		b := pkt.NewBuf(rbuf[:n])
+		b.Time = at
+		x.handleBuf(st, b, false)
+		x.finishConn(st)
+		cs.busyNanos.Add(int64(time.Since(at)))
 	}
-}
-
-// appendHealth serves GET /healthz: the JSON HealthReport, 200 when
-// every shard serves and 503 while any is down or rebuilding — the body
-// is present either way so a poller can see per-shard progress. The
-// accept layer's own overload counters (connections shed at the
-// MaxConns cap, idle closes, expired-budget drops) are merged into the
-// report's overload section, so they are visible to operators even
-// without a healer wired.
-func (s *NetServer) appendHealth(resp []byte) []byte {
-	s.mu.Lock()
-	fn := s.health
-	s.mu.Unlock()
-	rep := HealthReport{Ready: true}
-	if fn != nil {
-		rep = fn()
-	}
-	if rep.Overload == nil {
-		rep.Overload = &OverloadHealth{}
-	}
-	rep.Overload.Sheds += s.sheds.Load()
-	rep.Overload.IdleClosed += s.idleClosed.Load()
-	rep.Overload.Expired += s.expired.Load()
-	b, err := json.Marshal(rep)
-	if err != nil {
-		return httpmsg.AppendResponse(resp, 500, 0)
-	}
-	code := 200
-	if !rep.Ready {
-		code = 503
-	}
-	resp = httpmsg.AppendResponse(resp, code, len(b))
-	return append(resp, b...)
-}
-
-func (s *NetServer) respond(resp []byte, req kvproto.Request, parseErr error, body []byte) []byte {
-	if parseErr != nil {
-		return httpmsg.AppendResponse(resp, 400, 0)
-	}
-	switch req.Op {
-	case kvproto.OpPut:
-		if err := s.backend.Put(req.Key, body); err != nil {
-			return httpmsg.AppendResponse(resp, statusForErr(err), 0)
-		}
-		return httpmsg.AppendResponse(resp, 200, 0)
-	case kvproto.OpGet:
-		val, ok, err := s.backend.Get(req.Key)
-		switch {
-		case err != nil:
-			return httpmsg.AppendResponse(resp, statusForErr(err), 0)
-		case !ok:
-			return httpmsg.AppendResponse(resp, 404, 0)
-		}
-		resp = httpmsg.AppendResponse(resp, 200, len(val))
-		return append(resp, val...)
-	case kvproto.OpDelete:
-		found, err := s.backend.Delete(req.Key)
-		switch {
-		case err != nil:
-			return httpmsg.AppendResponse(resp, statusForErr(err), 0)
-		case !found:
-			return httpmsg.AppendResponse(resp, 404, 0)
-		}
-		return httpmsg.AppendResponse(resp, 204, 0)
-	case kvproto.OpRange:
-		kvs, err := s.backend.Range(req.Start, req.End, req.Limit)
-		if err != nil {
-			return httpmsg.AppendResponse(resp, statusForErr(err), 0)
-		}
-		b := kvproto.AppendRangeBody(nil, kvs)
-		resp = httpmsg.AppendResponse(resp, 200, len(b))
-		return append(resp, b...)
-	}
-	return httpmsg.AppendResponse(resp, 400, 0)
 }

@@ -152,7 +152,7 @@ func TestNetServerAcceptStorm(t *testing.T) {
 		}
 		c.Close()
 	}
-	if got := srv.Sheds(); got != storm {
+	if got := srv.Stats().Sheds; got != storm {
 		t.Fatalf("Sheds() = %d, want %d", got, storm)
 	}
 
@@ -192,7 +192,7 @@ func TestNetServerExpiredBudget(t *testing.T) {
 	if r.Status != 503 || r.RetryAfterMs <= 0 {
 		t.Fatalf("expired budget: status %d retry-after %d", r.Status, r.RetryAfterMs)
 	}
-	if got := srv.Expired(); got != 1 {
+	if got := srv.Stats().Expired; got != 1 {
 		t.Fatalf("Expired() = %d, want 1", got)
 	}
 	// A generous budget executes normally on the same connection.

@@ -133,6 +133,10 @@ func TestNUMAStealCrossNodeAccounting(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	// Stop the loops before reading anything: the workers' closing
+	// connections still produce events a thief can steal, and the
+	// reconciliations below compare separately taken snapshots.
+	srv.Close()
 
 	// The steady backlog lives on loop 0 (node 0): a thief's steal off
 	// it is cross-node exactly when the thief runs on node 1. Dial

@@ -2,8 +2,7 @@ package kvserver
 
 import (
 	"errors"
-	"fmt"
-	"net/url"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -96,19 +95,103 @@ func (c *Config) fill() {
 // and serve its queue (DESIGN.md §5.11). With one queue and one shard
 // this degenerates to the original single-core loop.
 type Server struct {
-	stk     *tcp.Stack
-	lst     *tcp.Listener
-	backend Backend
-	sharded *core.ShardedStore // non-nil for packetstore backends
-
-	cfg   Config
+	engine
+	stk   *tcp.Stack
+	lst   *tcp.Listener
 	loops []*loop
 	done  chan struct{}
 	ret   chan struct{}
+}
+
+// engine is what the request executor reads off its server. Server (event
+// loops over the simulated stack) and NetServer (one goroutine per OS
+// socket) each embed one, so a request parses, dispatches, expires and
+// counts the same way whichever transport carried it.
+type engine struct {
+	backend Backend
+	sharded *core.ShardedStore // non-nil for packetstore backends
+	cfg     Config
 	// numaOn caches whether a multi-node placement is installed on the
 	// backing store: the per-cycle node stamp is skipped entirely when
 	// single-node, keeping Nodes=1 a strict no-op on the hot path.
 	numaOn bool
+	// maxBody is the most value bytes one shard's data area can ever hold
+	// (DataSlots x DataBufSize); a PUT declaring more is refused before
+	// its body is buffered. 0 (no packetstore behind the server) = no bound.
+	maxBody int
+	// loopStats is the embedding server's per-loop counter view, the
+	// source of the default health report's loops and overload sections.
+	loopStats func() []Stats
+
+	hmu    sync.Mutex
+	health func() HealthReport // SetHealthSource; nil = the default report
+}
+
+func (e *engine) init(backend Backend, cfg Config, loopStats func() []Stats) {
+	cfg.fill()
+	e.backend, e.cfg, e.loopStats = backend, cfg, loopStats
+	switch b := backend.(type) {
+	case PktStore:
+		e.sharded = core.WrapSharded(b.S)
+	case ShardedPktStore:
+		e.sharded = b.S
+	}
+	if e.sharded != nil {
+		e.numaOn = e.sharded.NUMANodes() > 1
+		_, e.maxBody = e.sharded.DataAreaBounds(0)
+	}
+}
+
+// SetHealthSource installs the GET /healthz report producer — normally
+// (*Healer).Health, which adds scrub and rebuild progress to what the
+// default report already carries.
+func (e *engine) SetHealthSource(fn func() HealthReport) {
+	e.hmu.Lock()
+	e.health = fn
+	e.hmu.Unlock()
+}
+
+// Health is the report GET /healthz serves. Without an installed source
+// it is built from the store's own shard states, so a quarantined shard
+// reads down (and the endpoint 503) exactly when its keys answer 503,
+// healer or not, plus this server's loop and overload counters.
+func (e *engine) Health() HealthReport {
+	e.hmu.Lock()
+	fn := e.health
+	e.hmu.Unlock()
+	if fn != nil {
+		return fn()
+	}
+	var states []core.ShardStatus
+	if e.sharded != nil {
+		states = e.sharded.States()
+	}
+	rep := healthFromStates(states, nil)
+	rep.addLoops(e.loopStats())
+	return rep
+}
+
+// Stats aggregates every loop's counters (Server.LoopStats, or all of a
+// NetServer's connections as one) into one snapshot, plus the store's
+// shard-health and redundancy gauges.
+func (e *engine) Stats() Stats {
+	var out Stats
+	for _, ls := range e.loopStats() {
+		out.merge(ls)
+	}
+	if e.sharded == nil {
+		return out
+	}
+	out.ShardsDown = e.sharded.DownShards()
+	st := e.sharded.Stats()
+	out.ParityWrites = st.ParityWrites
+	out.Reconstructions = st.Reconstructions
+	out.UnrecoverableSlots = st.UnrecoverableSlots
+	out.SlotsHeld = st.SlotsHeld
+	out.FastGets = st.FastGets
+	out.FastGetRetries = st.FastGetRetries
+	out.FastGetFallbacks = st.FastGetFallbacks
+	return out
 }
 
 // sched is one loop's scheduling core: the table of connections homed on
@@ -208,21 +291,8 @@ func NewWithConfig(stk *tcp.Stack, port uint16, backend Backend, cfg Config) (*S
 	if err != nil {
 		return nil, err
 	}
-	cfg.fill()
-	s := &Server{
-		stk:     stk,
-		lst:     lst,
-		backend: backend,
-		cfg:     cfg,
-		done:    make(chan struct{}),
-		ret:     make(chan struct{}),
-	}
-	switch b := backend.(type) {
-	case PktStore:
-		s.sharded = core.WrapSharded(b.S)
-	case ShardedPktStore:
-		s.sharded = b.S
-	}
+	s := &Server{stk: stk, lst: lst, done: make(chan struct{}), ret: make(chan struct{})}
+	s.init(backend, cfg, s.LoopStats)
 	nq := stk.Queues()
 	s.loops = make([]*loop, nq)
 	for q := 0; q < nq; q++ {
@@ -234,11 +304,11 @@ func NewWithConfig(stk *tcp.Stack, port uint16, backend Backend, cfg Config) (*S
 			wake:   make(chan struct{}, 1),
 			arenas: make(map[int]*keyArena),
 		}
-		if q < len(cfg.LoopNodes) {
-			lp.node = cfg.LoopNodes[q]
+		if q < len(s.cfg.LoopNodes) {
+			lp.node = s.cfg.LoopNodes[q]
 		}
 		lp.sched.conns = make(map[*tcp.Conn]*connState)
-		lp.sched.cd = codel{target: cfg.Overload.Target, interval: cfg.Overload.Interval}
+		lp.sched.cd = codel{target: s.cfg.Overload.Target, interval: s.cfg.Overload.Interval}
 		if s.sharded != nil {
 			pool := stk.NIC().RxPoolQ(q)
 			for i := 0; i < s.sharded.Shards(); i++ {
@@ -252,29 +322,7 @@ func NewWithConfig(stk *tcp.Stack, port uint16, backend Backend, cfg Config) (*S
 		}
 		s.loops[q] = lp
 	}
-	s.numaOn = s.sharded != nil && s.sharded.NUMANodes() > 1
 	return s, nil
-}
-
-// Stats aggregates all loops' counters into one snapshot, plus the
-// store's shard-health gauge.
-func (s *Server) Stats() Stats {
-	var out Stats
-	for _, lp := range s.loops {
-		out.merge(lp.stats.Snapshot())
-	}
-	if s.sharded != nil {
-		out.ShardsDown = s.sharded.DownShards()
-		st := s.sharded.Stats()
-		out.ParityWrites = st.ParityWrites
-		out.Reconstructions = st.Reconstructions
-		out.UnrecoverableSlots = st.UnrecoverableSlots
-		out.SlotsHeld = st.SlotsHeld
-		out.FastGets = st.FastGets
-		out.FastGetRetries = st.FastGetRetries
-		out.FastGetFallbacks = st.FastGetFallbacks
-	}
-	return out
 }
 
 // LoopStats returns each event loop's own snapshot, indexed by RSS
@@ -419,7 +467,7 @@ func (lp *loop) register(c *tcp.Conn) {
 		lp.shed(c)
 		return
 	}
-	lp.sched.conns[c] = newConnState(c)
+	lp.sched.conns[c] = newConnState(c, c)
 	lp.sched.mu.Unlock()
 }
 
@@ -447,7 +495,7 @@ func (lp *loop) noteReady(c *tcp.Conn) {
 			lp.shed(c)
 			return
 		}
-		st = newConnState(c)
+		st = newConnState(c, c)
 		lp.sched.conns[c] = st
 	}
 	if st.claimed {
@@ -853,12 +901,22 @@ func (lp *loop) reap(st *connState) {
 	st.c.Close()
 	lp.sched.mu.Lock()
 	st.dead = true
-	delete(lp.sched.conns, st.c)
+	delete(lp.sched.conns, st.tc)
 	lp.sched.mu.Unlock()
 }
 
+// connState is one connection as the request engine sees it: where its
+// responses go, its parser, and the request still assembling. The
+// engine never reads from a connection — its transport hands it packet
+// buffers (executor.handleBuf) — so an OS socket needs nothing more.
 type connState struct {
-	c      *tcp.Conn
+	c io.WriteCloser
+	// tc is the simulated stack's connection, nil on an OS socket: the
+	// receive queue the event loops drain, the sched-table key, the
+	// asynchronous EOF/error state, and the fragment transmit behind
+	// zeroCopyGet (reached only with a PM receive pool, so never with a
+	// socket).
+	tc     *tcp.Conn
 	parser *httpmsg.RequestParser
 	cur    *pendingReq
 	resp   []byte
@@ -888,8 +946,20 @@ type connState struct {
 
 // pendingReq is a request whose body may still be arriving.
 type pendingReq struct {
-	req      kvproto.Request
-	parseErr error
+	req kvproto.Request
+	// health marks GET /healthz, the one request the engine answers
+	// itself instead of parsing as a KV operation.
+	health bool
+	// refuse, when nonzero, is the status this request gets instead of
+	// executing, known once its header completed: 400 for an unparsable
+	// method or path, 507 for a PUT whose key the shard's arena has no
+	// room for or whose declared length exceeds what the shard's data
+	// area can ever hold (engine.maxBody). It is answered as soon as the
+	// requests ahead of it in the pipeline are — answered records that —
+	// and its body is parsed past but never buffered, so a client cannot
+	// make the server hold bytes it will not store.
+	refuse   int
+	answered bool
 	// deadline is when the client's latency budget lapses (readyAt +
 	// X-Budget-Us); zero when the client sent no budget or overload
 	// control is off. A request past it at dispatch is answered 503
@@ -908,24 +978,28 @@ type pendingReq struct {
 	adopted []int
 }
 
-func newConnState(c *tcp.Conn) *connState {
-	return &connState{c: c, parser: httpmsg.NewRequestParser(0), lastActive: time.Now()}
+func newConnState(c io.WriteCloser, tc *tcp.Conn) *connState {
+	return &connState{c: c, tc: tc, parser: httpmsg.NewRequestParser(0), lastActive: time.Now()}
 }
 
-// executor runs service cycles against one target loop's connections and
-// shard. lp is the executing loop — stats and key arenas attribute to
-// it; tgt is the loop whose claimed connections and shard are served. In
-// the common case lp == tgt (a loop serving its own queue); in a steal
-// they differ, and the executor enters holding tgt's shard ownership
-// token. Either way the mutation-path invariants are carried by the
-// token and the epoch snapshot, not by which goroutine is driving.
+// executor is the request engine: handleBuf -> beginRequest -> dispatch
+// -> finishConn is the only path a request takes through this package.
+// An event loop runs service cycles with it against one target loop's
+// connections and shard: lp is the executing loop — stats, node and key
+// arenas attribute to it; tgt is the loop whose claimed connections and
+// shard are served. In the common case lp == tgt (a loop serving its
+// own queue); in a steal they differ, and the executor enters holding
+// tgt's shard ownership token. Either way the mutation-path invariants
+// are carried by the token and the epoch snapshot, not by which
+// goroutine is driving. A NetServer connection goroutine owns one with
+// no loops and no store — the copy-path executor a DRAM-pool loop is.
 type executor struct {
-	srv      *Server
-	lp       *loop // executing loop: stats, arenas
-	tgt      *loop // target loop: connections, shard
-	store    *core.Store
-	shard    int
-	stealing bool
+	eng   *engine
+	stats *statsCounters // the executing loop's, or the socket connection's
+	lp    *loop          // executing loop: node, arenas; nil on a socket
+	tgt   *loop          // target loop: connections, shard; nil on a socket
+	store *core.Store
+	shard int
 
 	// token records whether this executor holds the target shard's
 	// ownership token (ShardedStore.Acquire) — the exclusive right to
@@ -959,12 +1033,12 @@ type executor struct {
 func (lp *loop) executorFor(tgt *loop) *executor {
 	x := &lp.exec
 	*x = executor{
-		srv:      lp.srv,
-		lp:       lp,
-		tgt:      tgt,
-		store:    tgt.store,
-		shard:    tgt.shard,
-		stealing: lp != tgt,
+		eng:   &lp.srv.engine,
+		stats: &lp.stats,
+		lp:    lp,
+		tgt:   tgt,
+		store: tgt.store,
+		shard: tgt.shard,
 	}
 	return x
 }
@@ -973,10 +1047,10 @@ func (lp *loop) executorFor(tgt *loop) *executor {
 // executor does not already hold it. Blocking here is fine: the holder
 // is mid-cycle and cycles are bounded by MaxBatch.
 func (x *executor) ensureToken() {
-	if x.token || x.srv.sharded == nil || x.shard < 0 {
+	if x.token || x.eng.sharded == nil || x.shard < 0 {
 		return
 	}
-	x.srv.sharded.Acquire(x.shard)
+	x.eng.sharded.Acquire(x.shard)
 	x.token = true
 }
 
@@ -984,7 +1058,7 @@ func (x *executor) ensureToken() {
 // mid-cycle and the cycle end releases again as a safety net.
 func (x *executor) releaseToken() {
 	if x.token {
-		x.srv.sharded.Release(x.shard)
+		x.eng.sharded.Release(x.shard)
 		x.token = false
 	}
 }
@@ -995,7 +1069,7 @@ func (x *executor) releaseToken() {
 // Larger batches run the group-commit protocol: stage every zero-copy
 // PUT, one flush+fence for the whole group, then flush all the acks.
 func (x *executor) runCycle(batch []*connState) {
-	if len(batch) == 1 || x.srv.cfg.MaxBatch <= 1 {
+	if len(batch) == 1 || x.eng.cfg.MaxBatch <= 1 {
 		for _, st := range batch {
 			x.service(st)
 		}
@@ -1006,8 +1080,8 @@ func (x *executor) runCycle(batch []*connState) {
 		x.serviceConn(st, true)
 	}
 	x.commitGroup()
-	x.lp.stats.groupCommits.Add(1)
-	x.lp.stats.groupedConns.Add(uint64(len(batch)))
+	x.stats.groupCommits.Add(1)
+	x.stats.groupedConns.Add(uint64(len(batch)))
 	for _, st := range batch {
 		x.finishConn(st)
 	}
@@ -1031,7 +1105,7 @@ func (x *executor) beginCycle() {
 	x.cycleBad = false
 	if x.store != nil {
 		x.cycleEpoch = x.store.Epoch()
-		if x.srv.numaOn {
+		if x.eng.numaOn {
 			// Declare which socket drives this cycle: the home loop's own
 			// node, or the thief's on a stolen cycle — every PM charge the
 			// cycle issues bills cross-socket lines at the remote rate.
@@ -1048,7 +1122,7 @@ func (x *executor) beginCycle() {
 // it, so a quarantined or mid-rebuild shard is never read or written
 // through the stale store pointer.
 func (x *executor) servingSelf() bool {
-	st, err := x.srv.sharded.ServingStore(x.shard)
+	st, err := x.eng.sharded.ServingStore(x.shard)
 	return err == nil && st == x.store
 }
 
@@ -1097,14 +1171,13 @@ func (x *executor) serviceConn(st *connState, staged bool) {
 	}
 	t0 := time.Now()
 	st.lastActive = t0
-	defer func() { x.lp.stats.busyNanos.Add(int64(time.Since(t0))) }()
+	defer func() { x.stats.busyNanos.Add(int64(time.Since(t0))) }()
 	for {
-		bufs := st.c.TryReadBufs()
+		bufs := st.tc.TryReadBufs()
 		if bufs == nil {
 			break
 		}
 		for _, b := range bufs {
-			x.lp.stats.bytesIn.Add(uint64(b.Len()))
 			x.handleBuf(st, b, staged)
 		}
 	}
@@ -1120,9 +1193,21 @@ func (x *executor) finishConn(st *connState) {
 		return
 	}
 	x.flushResp(st)
-	if st.c.EOF() || st.c.Err() != nil {
-		x.tgt.reap(st)
+	if tc := st.tc; tc != nil && (tc.EOF() || tc.Err() != nil) {
+		x.reap(st)
 	}
+}
+
+// reap tears a connection down. An event loop's connection also leaves
+// its sched table and releases what its half-assembled request adopted;
+// a socket has neither, and marking it dead ends its serving goroutine.
+func (x *executor) reap(st *connState) {
+	if x.tgt != nil {
+		x.tgt.reap(st)
+		return
+	}
+	st.c.Close()
+	st.dead = true
 }
 
 // abortConn fails a connection whose buffered responses can no longer
@@ -1131,8 +1216,8 @@ func (x *executor) finishConn(st *connState) {
 // instead of an ack for a write that may not exist.
 func (x *executor) abortConn(st *connState) {
 	st.resp = st.resp[:0]
-	x.lp.stats.ackAborts.Add(1)
-	x.tgt.reap(st)
+	x.stats.ackAborts.Add(1)
+	x.reap(st)
 }
 
 // bodySpan is a byte range of one packet payload belonging to a request
@@ -1146,18 +1231,22 @@ type bodySpan struct {
 func (x *executor) handleBuf(st *connState, b *pkt.Buf, staged bool) {
 	p := b.Bytes()
 	zc := x.store != nil && b.PMOff() >= 0
-	if zc && x.srv.sharded != nil && x.srv.sharded.ShardByOff(b.PMOff()) != x.shard {
+	if zc && x.eng.sharded != nil && x.eng.sharded.ShardByOff(b.PMOff()) != x.shard {
 		// The packet landed in a PM partition other than the target
 		// shard's — the executing path's rx pool is not the shard's pool.
 		// Adopting it would hand one shard's data slot to another shard's
 		// allocator, so fall back to the copy path and count it.
 		zc = false
-		x.lp.stats.zcFallbacks.Add(1)
+		x.stats.zcFallbacks.Add(1)
 	}
+	x.stats.bytesIn.Add(uint64(len(p)))
 	t0 := time.Now()
 
-	var spans []bodySpan
-	var completed []*pendingReq
+	// Stack room for the usual one or two requests per packet buffer;
+	// a deeper pipeline spills to the heap.
+	var spanBuf [4]bodySpan
+	var doneBuf [4]*pendingReq
+	spans, completed := spanBuf[:0], doneBuf[:0]
 	pos := 0
 	for pos < len(p) {
 		if st.cur == nil {
@@ -1165,8 +1254,10 @@ func (x *executor) handleBuf(st *connState, b *pkt.Buf, staged bool) {
 			st.cur = &pendingReq{keyOff: -1}
 		}
 		res := st.parser.Feed(p[pos:])
-		if res.Err != nil {
-			x.protocolError(st, res.Err)
+		if res.Err != nil || (res.Consumed == 0 && !res.Done) {
+			// Malformed — or stalled: the parser always progresses, but
+			// never spin.
+			x.protocolError(st)
 			b.Release()
 			return
 		}
@@ -1181,14 +1272,8 @@ func (x *executor) handleBuf(st *connState, b *pkt.Buf, staged bool) {
 			completed = append(completed, st.cur)
 			st.cur = nil
 		}
-		if res.Consumed == 0 && !res.Done {
-			// Defensive: the parser always progresses, but never spin.
-			x.protocolError(st, fmt.Errorf("kvserver: parser stalled"))
-			b.Release()
-			return
-		}
 	}
-	x.lp.stats.parseNanos.Add(int64(time.Since(t0)))
+	x.stats.parseNanos.Add(int64(time.Since(t0)))
 
 	adoptedBase := -1
 	if len(spans) > 0 {
@@ -1197,7 +1282,7 @@ func (x *executor) handleBuf(st *connState, b *pkt.Buf, staged bool) {
 		// copy path so correctness never depends on client alignment.
 		anyZC := false
 		for _, sp := range spans {
-			if sp.pr.req.Op != kvproto.OpPut {
+			if sp.pr.req.Op != kvproto.OpPut || sp.pr.refuse != 0 {
 				continue
 			}
 			if sp.pr.keyOff >= 0 {
@@ -1215,6 +1300,9 @@ func (x *executor) handleBuf(st *connState, b *pkt.Buf, staged bool) {
 	for _, pr := range completed {
 		x.dispatch(st, pr, staged)
 	}
+	if st.cur != nil && st.cur.refuse != 0 {
+		x.refuse(st, st.cur)
+	}
 	b.Release()
 	if adoptedBase >= 0 {
 		if st.cur != nil {
@@ -1231,16 +1319,24 @@ func (x *executor) handleBuf(st *connState, b *pkt.Buf, staged bool) {
 // beginRequest parses the request line once headers complete.
 func (x *executor) beginRequest(st *connState, b *pkt.Buf, zc bool) {
 	hreq := st.parser.Request()
-	req, err := kvproto.Parse(hreq.Method, hreq.Path)
 	pr := st.cur
+	if hreq.Method == "GET" && hreq.Path == "/healthz" {
+		pr.health = true
+		return
+	}
+	req, err := kvproto.Parse(hreq.Method, hreq.Path)
 	pr.vlen = hreq.ContentLength
 	pr.hwtime = b.HWTime
 	if err != nil {
-		pr.parseErr = err
+		pr.refuse = 400
 		return
 	}
 	pr.req = req
-	if hreq.BudgetUs > 0 && x.srv.cfg.Overload.Enabled {
+	if req.Op == kvproto.OpPut && x.eng.maxBody > 0 && pr.vlen > x.eng.maxBody {
+		pr.refuse = 507
+		return
+	}
+	if hreq.BudgetUs > 0 && x.eng.cfg.Overload.Enabled {
 		pr.req.Budget = time.Duration(hreq.BudgetUs) * time.Microsecond
 		// Anchor at the arrival stamp persisted in the packet buffer that
 		// carried this request's header (NIC hardware stamp when
@@ -1260,7 +1356,7 @@ func (x *executor) beginRequest(st *connState, b *pkt.Buf, zc bool) {
 		}
 		pr.deadline = anchor.Add(pr.req.Budget)
 	}
-	if req.Op == kvproto.OpPut && zc && !st.shed503 && x.srv.sharded.ShardFor(req.Key) == x.shard {
+	if req.Op == kvproto.OpPut && zc && !st.shed503 && x.eng.sharded.ShardFor(req.Key) == x.shard {
 		// The zero-copy path writes through the executor's direct store
 		// pointer, so it must not ingest into a shard the sharded router
 		// has quarantined — the copy path routes through the router, which
@@ -1272,7 +1368,7 @@ func (x *executor) beginRequest(st *connState, b *pkt.Buf, zc bool) {
 		// reference it; values stay in place.
 		off := x.allocKey(req.Key)
 		if off < 0 {
-			pr.parseErr = core.ErrFull
+			pr.refuse = 507
 			return
 		}
 		pr.keyOff = off
@@ -1328,17 +1424,13 @@ func (x *executor) attachSpansZeroCopy(b *pkt.Buf, p []byte, spans []bodySpan) {
 				contrib = checksum.Swap16(contrib)
 			}
 			sum = uint32(contrib)
-			x.lp.stats.derivedSums.Add(1)
+			x.stats.derivedSums.Add(1)
 		} else {
 			sum = checksum.Partial(0, p[sp.off:sp.off+sp.n])
-			x.lp.stats.softwareSums.Add(1)
+			x.stats.softwareSums.Add(1)
 		}
 		if sp.pr.req.Op != kvproto.OpPut || sp.pr.keyOff < 0 {
 			continue // body on a non-PUT or a copy-path PUT: no extents
-		}
-		if !useNIC {
-			// Sum computed in software either way; still valid.
-			sp.pr.sumsOK = sp.pr.sumsOK && true
 		}
 		sp.pr.exts = append(sp.pr.exts, core.Extent{
 			Off: pmBase + sp.off, Len: sp.n, Sum: sum,
@@ -1370,36 +1462,35 @@ func statusForErr(err error) int {
 // because ops like zeroCopyGet flush buffered responses — no staged
 // PUT's ack may escape before its fence.
 func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
-	s := x.srv
-	x.lp.stats.requests.Add(1)
+	x.stats.requests.Add(1)
 	x.ops++
 	defer func() {
 		for _, base := range pr.adopted {
 			x.store.ReleaseUnused(base)
 		}
 	}()
-	if pr.parseErr != nil {
-		x.lp.stats.errors.Add(1)
-		st.resp = httpmsg.AppendResponse(st.resp, 400, 0)
+	switch {
+	case pr.health:
+		st.resp = appendHealth(st.resp, x.eng.Health())
+		return
+	case pr.refuse != 0:
+		x.refuse(st, pr)
 		return
 	}
-	if st.shed503 {
-		// CoDel shed: the queue controller decided this connection's
-		// pending requests push the standing queue past target. Parsing
-		// kept the pipeline synchronized; the answer is a 503 with the
-		// pacing hint, and none of the expensive work (staging, fences,
-		// store reads) happens.
-		st.resp = httpmsg.AppendResponseRetryAfter(st.resp, 503, 0,
-			x.srv.cfg.Overload.RetryAfter.Milliseconds())
-		return
+	// Two ways to a 503 with the pacing hint and none of the expensive
+	// work (staging, fences, store reads). CoDel shed: the queue
+	// controller decided this connection's pending requests push the
+	// standing queue past target; parsing kept the pipeline
+	// synchronized. Doomed-work elimination: the client's budget lapsed
+	// while the request waited — it has already timed out or retried, so
+	// executing now would burn capacity on an answer nobody reads.
+	expired := !st.shed503 && !pr.deadline.IsZero() && time.Now().After(pr.deadline)
+	if expired {
+		x.stats.expired.Add(1)
 	}
-	if !pr.deadline.IsZero() && time.Now().After(pr.deadline) {
-		// Doomed-work elimination: the client's budget lapsed while the
-		// request waited — it has already timed out or retried, so
-		// executing now would burn capacity on an answer nobody reads.
-		x.lp.stats.expired.Add(1)
+	if st.shed503 || expired {
 		st.resp = httpmsg.AppendResponseRetryAfter(st.resp, 503, 0,
-			x.srv.cfg.Overload.RetryAfter.Milliseconds())
+			x.eng.cfg.Overload.RetryAfter.Milliseconds())
 		return
 	}
 	if staged && pr.req.Op != kvproto.OpPut && !x.commitGroup() {
@@ -1410,10 +1501,10 @@ func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
 	}
 	switch pr.req.Op {
 	case kvproto.OpPut:
-		x.lp.stats.puts.Add(1)
+		x.stats.puts.Add(1)
 		var err error
 		if pr.keyOff >= 0 {
-			x.lp.stats.zcPuts.Add(1)
+			x.stats.zcPuts.Add(1)
 			// Staging is the mutation the ownership token serialises:
 			// take it before touching the shard's staged group. The
 			// unbatched op commits internally, so its token window closes
@@ -1436,16 +1527,15 @@ func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
 			// Copy-path PUTs may route to a shard this executor does not
 			// commit — they stay per-op so their ack never precedes their
 			// fence.
-			err = s.backend.Put(pr.req.Key, pr.body)
+			err = x.eng.backend.Put(pr.req.Key, pr.body)
 		}
 		if err != nil {
-			x.lp.stats.errors.Add(1)
-			st.resp = httpmsg.AppendResponse(st.resp, statusForErr(err), 0)
+			x.fail(st, statusForErr(err))
 			return
 		}
 		st.resp = httpmsg.AppendResponse(st.resp, 200, 0)
 	case kvproto.OpGet:
-		x.lp.stats.gets.Add(1)
+		x.stats.gets.Add(1)
 		if x.store != nil && x.servingSelf() {
 			x.zeroCopyGet(st, pr.req.Key)
 			return
@@ -1454,11 +1544,10 @@ func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
 		// backend router, which answers ErrShardDown (503) for a
 		// quarantined keyspace instead of reading through the stale
 		// store pointer.
-		val, ok, err := s.backend.Get(pr.req.Key)
+		val, ok, err := x.eng.backend.Get(pr.req.Key)
 		switch {
 		case err != nil:
-			x.lp.stats.errors.Add(1)
-			st.resp = httpmsg.AppendResponse(st.resp, statusForErr(err), 0)
+			x.fail(st, statusForErr(err))
 		case !ok:
 			st.resp = httpmsg.AppendResponse(st.resp, 404, 0)
 		default:
@@ -1466,32 +1555,45 @@ func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
 			st.resp = append(st.resp, val...)
 		}
 	case kvproto.OpDelete:
-		x.lp.stats.deletes.Add(1)
-		found, err := s.backend.Delete(pr.req.Key)
+		x.stats.deletes.Add(1)
+		found, err := x.eng.backend.Delete(pr.req.Key)
 		switch {
 		case err != nil:
-			x.lp.stats.errors.Add(1)
-			st.resp = httpmsg.AppendResponse(st.resp, statusForErr(err), 0)
+			x.fail(st, statusForErr(err))
 		case !found:
 			st.resp = httpmsg.AppendResponse(st.resp, 404, 0)
 		default:
 			st.resp = httpmsg.AppendResponse(st.resp, 204, 0)
 		}
 	case kvproto.OpRange:
-		x.lp.stats.ranges.Add(1)
-		kvs, err := s.backend.Range(pr.req.Start, pr.req.End, pr.req.Limit)
+		x.stats.ranges.Add(1)
+		kvs, err := x.eng.backend.Range(pr.req.Start, pr.req.End, pr.req.Limit)
 		if err != nil {
-			x.lp.stats.errors.Add(1)
-			st.resp = httpmsg.AppendResponse(st.resp, statusForErr(err), 0)
+			x.fail(st, statusForErr(err))
 			return
 		}
 		body := kvproto.AppendRangeBody(nil, kvs)
 		st.resp = httpmsg.AppendResponse(st.resp, 200, len(body))
 		st.resp = append(st.resp, body...)
 	default:
-		x.lp.stats.errors.Add(1)
-		st.resp = httpmsg.AppendResponse(st.resp, 400, 0)
+		x.fail(st, 400)
 	}
+}
+
+// refuse answers a request with its refusal status, once: from handleBuf
+// when its header has completed and everything ahead of it is answered,
+// or from dispatch if the whole request arrived in the same buffer.
+func (x *executor) refuse(st *connState, pr *pendingReq) {
+	if !pr.answered {
+		pr.answered = true
+		x.fail(st, pr.refuse)
+	}
+}
+
+// fail counts an error and queues its bodiless response.
+func (x *executor) fail(st *connState, status int) {
+	x.stats.errors.Add(1)
+	st.resp = httpmsg.AppendResponse(st.resp, status, 0)
 }
 
 // zeroCopyGet transmits a stored value directly from PM as packet
@@ -1499,12 +1601,11 @@ func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
 // (post-ACK). The value may live in any shard — extents are absolute
 // region offsets, so cross-shard GETs stay zero-copy.
 func (x *executor) zeroCopyGet(st *connState, key []byte) {
-	tgt := x.srv.sharded.StoreFor(key)
+	tgt := x.eng.sharded.StoreFor(key)
 	if tgt == nil {
 		// Owning shard is quarantined: its keyspace is down, the rest of
 		// the store keeps serving.
-		x.lp.stats.errors.Add(1)
-		st.resp = httpmsg.AppendResponse(st.resp, 503, 0)
+		x.fail(st, 503)
 		return
 	}
 	// Lookup and pin are one atomic step: the old GetRef-then-PinExtents
@@ -1512,8 +1613,7 @@ func (x *executor) zeroCopyGet(st *connState, key []byte) {
 	// before the pin landed. The common case also completes lock-free.
 	ref, release, ok, err := tgt.GetRefPinned(key)
 	if err != nil {
-		x.lp.stats.errors.Add(1)
-		st.resp = httpmsg.AppendResponse(st.resp, statusForErr(err), 0)
+		x.fail(st, statusForErr(err))
 		return
 	}
 	if !ok {
@@ -1524,7 +1624,7 @@ func (x *executor) zeroCopyGet(st *connState, key []byte) {
 	// copy path rather than fail. The pins hold the bytes stable for the
 	// copy, then release before buffering.
 	hdr := httpmsg.AppendResponse(nil, 200, ref.VLen)
-	if len(hdr)+ref.VLen > st.c.MaxSegment() {
+	if len(hdr)+ref.VLen > st.tc.MaxSegment() {
 		val := make([]byte, 0, ref.VLen)
 		for _, e := range ref.Extents {
 			val = append(val, tgt.Slice(e.Off, e.Len)...)
@@ -1535,7 +1635,7 @@ func (x *executor) zeroCopyGet(st *connState, key []byte) {
 		return
 	}
 	x.flushResp(st) // preserve pipelined response order
-	x.lp.stats.zcGets.Add(1)
+	x.stats.zcGets.Add(1)
 	head := pkt.NewBuf(make([]byte, tcp.HeaderRoom()+len(hdr)))
 	head.Pull(tcp.HeaderRoom())
 	copy(head.Bytes(), hdr)
@@ -1549,8 +1649,8 @@ func (x *executor) zeroCopyGet(st *connState, key []byte) {
 		}
 		head.AddFrag(fr)
 	}
-	x.lp.stats.bytesOut.Add(uint64(len(hdr) + ref.VLen))
-	if err := st.c.WriteBufs(head); err != nil {
+	x.stats.bytesOut.Add(uint64(len(hdr) + ref.VLen))
+	if err := st.tc.WriteBufs(head); err != nil {
 		release()
 		st.dead = true
 	}
@@ -1561,15 +1661,15 @@ func (x *executor) flushResp(st *connState) {
 	if len(st.resp) == 0 || st.dead {
 		return
 	}
-	x.lp.stats.bytesOut.Add(uint64(len(st.resp)))
+	x.stats.bytesOut.Add(uint64(len(st.resp)))
 	if _, err := st.c.Write(st.resp); err != nil {
 		st.dead = true
 	}
 	st.resp = st.resp[:0]
 }
 
-func (x *executor) protocolError(st *connState, err error) {
-	x.lp.stats.errors.Add(1)
+func (x *executor) protocolError(st *connState) {
+	x.stats.errors.Add(1)
 	// The error response flushes everything buffered on this connection,
 	// which may include acks for PUTs staged earlier in a burst: commit
 	// them first so no ack precedes its fence. If the post-commit check
@@ -1581,7 +1681,7 @@ func (x *executor) protocolError(st *connState, err error) {
 	} else {
 		st.resp = st.resp[:0]
 	}
-	x.tgt.reap(st)
+	x.reap(st)
 }
 
 // allocKey copies key bytes into the executing goroutine's key arena for
@@ -1623,12 +1723,4 @@ func (x *executor) allocKey(key []byte) int {
 	x.store.WriteData(off, key)
 	a.used += len(key)
 	return off
-}
-
-// unescapeInPlaceSafe reports whether the key's path escaping is identity
-// (kept for future in-packet key referencing; the arena copy path does
-// not require it).
-func unescapeInPlaceSafe(raw string) bool {
-	un, err := url.PathUnescape(raw)
-	return err == nil && un == raw
 }

@@ -224,95 +224,79 @@ func TestPktStoreOverwriteAndChurn(t *testing.T) {
 }
 
 func TestPktStoreCrashRecoveryEndToEnd(t *testing.T) {
-	cfg := core.Config{ChecksumReuse: true, VerifyOnGet: true}
-	r := pmem.New(cfg.RegionSize(), calib.Off())
-	store, err := core.Open(r, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := host.NewTestbed(host.Options{ServerRxPool: store.Pool()})
-	srv, err := New(tb.Server.Stack, 80, PktStore{S: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Run()
-	c, err := tb.Dial(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := kvclient.New(c)
-	val := make([]byte, 1024)
-	rand.New(rand.NewSource(3)).Read(val)
-	for i := 0; i < 200; i++ {
-		if err := cl.Put([]byte(fmt.Sprintf("key%04d", i)), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.Close()
-	tb.Close()
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			cfg := core.Config{ChecksumReuse: true, VerifyOnGet: true}
+			r := pmem.New(cfg.RegionSize(), calib.Off())
+			store, err := core.Open(r, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			val := make([]byte, 1024)
+			rand.New(rand.NewSource(3)).Read(val)
+			// Serve in a subtest so its cleanup stops the first server
+			// before the power cut.
+			t.Run("load", func(t *testing.T) {
+				cl := kvclient.New(mustDial(t, tr.serve(t, PktStore{S: store}, Config{}, store.Pool())))
+				for i := 0; i < 200; i++ {
+					if err := cl.Put([]byte(fmt.Sprintf("key%04d", i)), val); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
 
-	// Power failure.
-	r.Crash(4)
+			// Power failure.
+			r.Crash(4)
 
-	// Reboot: recover and serve again.
-	store2, err := core.Open(r, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store2.Len() != 200 {
-		t.Fatalf("recovered %d records, want 200", store2.Len())
-	}
-	if bad, _ := store2.Verify(); len(bad) != 0 {
-		t.Fatalf("post-crash verify failed: %q", bad)
-	}
-	tb2 := host.NewTestbed(host.Options{ServerRxPool: store2.Pool()})
-	defer tb2.Close()
-	srv2, err := New(tb2.Server.Stack, 80, PktStore{S: store2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv2.Run()
-	defer srv2.Close()
-	c2, err := tb2.Dial(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl2 := kvclient.New(c2)
-	got, ok, err := cl2.Get([]byte("key0111"))
-	if err != nil || !ok || !bytes.Equal(got, val) {
-		t.Fatalf("post-crash get: %v %v", ok, err)
-	}
-	// And writable.
-	if err := cl2.Put([]byte("post-crash"), val); err != nil {
-		t.Fatal(err)
+			// Reboot: recover and serve again.
+			store2, err := core.Open(r, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if store2.Len() != 200 {
+				t.Fatalf("recovered %d records, want 200", store2.Len())
+			}
+			if bad, _ := store2.Verify(); len(bad) != 0 {
+				t.Fatalf("post-crash verify failed: %q", bad)
+			}
+			cl2 := kvclient.New(mustDial(t, tr.serve(t, PktStore{S: store2}, Config{}, store2.Pool())))
+			got, ok, err := cl2.Get([]byte("key0111"))
+			if err != nil || !ok || !bytes.Equal(got, val) {
+				t.Fatalf("post-crash get: %v %v", ok, err)
+			}
+			// And writable.
+			if err := cl2.Put([]byte("post-crash"), val); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 func TestPipelinedRequests(t *testing.T) {
-	e, _ := pktStoreEnv(t, core.Config{})
-	c, err := e.tb.Dial(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two PUTs and a GET written back-to-back in one burst.
-	var burst []byte
-	v1, v2 := []byte("value-one"), []byte("value-two")
-	burst = appendPut(burst, "pipe1", v1)
-	burst = appendPut(burst, "pipe2", v2)
-	burst = append(burst, "GET /k/pipe1 HTTP/1.1\r\n\r\n"...)
-	if _, err := c.Write(burst); err != nil {
-		t.Fatal(err)
-	}
-	// Read three responses.
-	resp := readAll(t, c, []byte("value-one"))
-	if !bytes.Contains(resp, []byte("value-one")) {
-		t.Fatalf("pipelined GET missing value: %q", resp)
-	}
-	if n := bytes.Count(resp, []byte("HTTP/1.1 200")); n != 3 {
-		t.Fatalf("%d 200-responses, want 3: %q", n, resp)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			store := openStore(t, core.Config{ChecksumReuse: true})
+			c := mustDial(t, tr.serve(t, PktStore{S: store}, Config{}, store.Pool()))
+			// Two PUTs and a GET written back-to-back in one burst.
+			var burst []byte
+			v1, v2 := []byte("value-one"), []byte("value-two")
+			burst = appendPut(burst, "pipe1", v1)
+			burst = appendPut(burst, "pipe2", v2)
+			burst = append(burst, "GET /k/pipe1 HTTP/1.1\r\n\r\n"...)
+			if _, err := c.Write(burst); err != nil {
+				t.Fatal(err)
+			}
+			// Read three responses.
+			resp := readAll(t, c, []byte("value-one"))
+			if !bytes.Contains(resp, []byte("value-one")) {
+				t.Fatalf("pipelined GET missing value: %q", resp)
+			}
+			if n := bytes.Count(resp, []byte("HTTP/1.1 200")); n != 3 {
+				t.Fatalf("%d 200-responses, want 3: %q", n, resp)
+			}
+		})
 	}
 }
-
 func appendPut(dst []byte, key string, val []byte) []byte {
 	dst = append(dst, fmt.Sprintf("PUT /k/%s HTTP/1.1\r\nContent-Length: %d\r\n\r\n", key, len(val))...)
 	return append(dst, val...)
@@ -355,48 +339,54 @@ func readAll(t *testing.T, c interface{ Read([]byte) (int, error) }, until []byt
 }
 
 func TestMalformedRequestGets400(t *testing.T) {
-	e := newEnv(t, func(*host.Testbed) Backend { return Discard{} }, host.Options{})
-	c, err := e.tb.Dial(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Write([]byte("NONSENSE GARBAGE\r\n\r\n"))
-	resp := readAll(t, c, []byte("400"))
-	if !bytes.Contains(resp, []byte("400")) {
-		t.Fatalf("no 400: %q", resp)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			c := mustDial(t, tr.serve(t, Discard{}, Config{}, nil))
+			c.Write([]byte("NONSENSE GARBAGE\r\n\r\n"))
+			resp := readAll(t, c, []byte("400"))
+			if !bytes.Contains(resp, []byte("400")) {
+				t.Fatalf("no 400: %q", resp)
+			}
+		})
 	}
 }
 
 func TestUnknownPathGets400(t *testing.T) {
-	e := newEnv(t, func(*host.Testbed) Backend { return Discard{} }, host.Options{})
-	c, _ := e.tb.Dial(80)
-	c.Write([]byte("GET /unknown/path HTTP/1.1\r\n\r\n"))
-	resp := readAll(t, c, []byte("HTTP/1.1"))
-	if !bytes.Contains(resp, []byte("400")) {
-		t.Fatalf("want 400, got %q", resp)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			c := mustDial(t, tr.serve(t, Discard{}, Config{}, nil))
+			c.Write([]byte("GET /unknown/path HTTP/1.1\r\n\r\n"))
+			resp := readAll(t, c, []byte("HTTP/1.1"))
+			if !bytes.Contains(resp, []byte("400")) {
+				t.Fatalf("want 400, got %q", resp)
+			}
+		})
 	}
 }
 
 func TestConcurrentConnectionsMixedWorkload(t *testing.T) {
-	e, store := pktStoreEnv(t, core.Config{
-		MetaSlots: 1 << 14, DataSlots: 1 << 14,
-	})
-	res, err := wrkgen.Run(wrkgen.Config{
-		Conns: 8, Requests: 800, ValueSize: 512,
-		KeySpace: 200, KeyDist: wrkgen.DistUniform,
-		PutPct: 60, DeletePct: 10, Seed: 42,
-	}, func() (kvclient.Conn, error) { return e.tb.Dial(80) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors", res.Errors)
-	}
-	if res.Requests < 800 {
-		t.Fatalf("only %d requests", res.Requests)
-	}
-	if bad, _ := store.Verify(); len(bad) != 0 {
-		t.Fatalf("verify after churn: %q", bad)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			store := openStore(t, core.Config{MetaSlots: 1 << 14, DataSlots: 1 << 14, ChecksumReuse: true})
+			sv := tr.serve(t, PktStore{S: store}, Config{}, store.Pool())
+			res, err := wrkgen.Run(wrkgen.Config{
+				Conns: 8, Requests: 800, ValueSize: 512,
+				KeySpace: 200, KeyDist: wrkgen.DistUniform,
+				PutPct: 60, DeletePct: 10, Seed: 42,
+			}, sv.dial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Errors != 0 {
+				t.Fatalf("%d errors", res.Errors)
+			}
+			if res.Requests < 800 {
+				t.Fatalf("only %d requests", res.Requests)
+			}
+			if bad, _ := store.Verify(); len(bad) != 0 {
+				t.Fatalf("verify after churn: %q", bad)
+			}
+		})
 	}
 }
 

@@ -153,6 +153,11 @@ type statsCounters struct {
 	zcFallbacks                           atomic.Uint64
 	parseNanos                            atomic.Int64
 	busyNanos                             atomic.Int64
+	// A cache line of padding: NetServer allocates one set per connection,
+	// back to back, and without it the last fields of one connection's
+	// set share a line with the first fields of the next one's — all of
+	// them bumped per request, from different cores.
+	_ [64]byte
 }
 
 // Snapshot reads the counters into a Stats value.

@@ -154,28 +154,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if r == nil {
 		r = pmem.New(core.ShardedRegionSize(sc, n), cfg.Profile)
 	}
-	if n == 1 {
-		// Single shard: the original deployment, unchanged layout and
-		// single-queue server path.
-		store, err := core.Open(r, sc)
-		if err != nil {
-			return nil, err
-		}
-		tb := host.NewTestbed(host.Options{
-			Profile:      cfg.Profile,
-			ServerRxPool: store.Pool(),
-		})
-		srv, err := kvserver.New(tb.Server.Stack, 80, kvserver.PktStore{S: store})
-		if err != nil {
-			tb.Close()
-			return nil, err
-		}
-		go srv.Run()
-		return &Cluster{
-			Store: store, Region: r, Sharded: core.WrapSharded(store),
-			tb: tb, srv: srv,
-		}, nil
-	}
+	// One shard is the original deployment: OpenSharded(r, sc, 1) lays
+	// the region out and opens it exactly as core.Open does, and one
+	// receive pool gives the NIC one queue and the server one loop.
 	ss, err := core.OpenSharded(r, sc, n)
 	if err != nil {
 		return nil, err
