@@ -16,8 +16,8 @@ type prepared struct {
 	// replacement durable.
 	old int
 	// superseded marks a staged put overwritten by a later put of the
-	// same key inside the same batch: its slots were recycled at stage
-	// time and its commit word is never stamped.
+	// same key inside the same batch: its commit word is never stamped,
+	// and its slots are recycled after the group's phase A fence.
 	superseded bool
 }
 
@@ -115,6 +115,14 @@ func (s *Store) commitStagedLocked() {
 	s.applyParityLocked()
 	s.pm.FlushBatch(&s.fs)
 	s.pm.Fence()
+	// Superseded puts' lines were in that batch: only now that its fence
+	// has retired may their slots go back to the NIC pool, whose next DMA
+	// would otherwise race the flush.
+	for i := range s.staged {
+		if p := &s.staged[i]; p.superseded {
+			s.recycleRecordLocked(p.slot)
+		}
+	}
 
 	// Phase B.
 	live := 0
@@ -161,16 +169,16 @@ func (s *Store) commitStagedLocked() {
 
 // supersedeStagedLocked handles a same-key overwrite landing on a
 // staged (uncommitted) record of the current batch: the earlier put's
-// commit word is never stamped, its slots and data references are
-// recycled immediately (nothing on media refers to them: seq stays 0),
-// and responsibility for the committed old version it was replacing —
-// if any — transfers to the new put. Returns that inherited old slot.
+// commit word is never stamped, and responsibility for the committed old
+// version it was replacing — if any — transfers to the new put. Returns
+// that inherited old slot. Its slots and data references are recycled
+// by the group commit after phase A's fence (nothing on media refers to
+// them — seq stays 0 — but their lines are still in s.fs).
 func (s *Store) supersedeStagedLocked(j int) int {
 	p := &s.staged[j]
 	inherited := p.old
 	p.old = -1
 	p.superseded = true
-	s.recycleRecordLocked(p.slot)
 	return inherited
 }
 
@@ -182,7 +190,7 @@ func (s *Store) supersedeStagedLocked(j int) int {
 func (s *Store) recycleRecordLocked(idx int) {
 	s.meta[idx].desc.Store(nil)
 	sl := s.slot(idx)
-	exts, err := s.readExtentsLocked(sl)
+	exts, err := s.readExtentsLocked(sl, nil)
 	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
 	chain := int(binary.LittleEndian.Uint32(sl[oChain:])) - 1
 	for chain >= 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -379,3 +380,58 @@ func benchPut(b *testing.B, staged bool) {
 
 func BenchmarkPut1KUnbatched(b *testing.B) { benchPut(b, false) }
 func BenchmarkPut1KBatched16(b *testing.B) { benchPut(b, true) }
+
+// TestSupersededSlotsHeldUntilCommit stages two puts of one key: the
+// first is superseded inside the batch, yet its data and metadata slots
+// must stay out of every free pool until Commit returns — its lines are
+// still in the group's flush set, so a NIC DMA into a recycled buffer
+// would race the phase A flush.
+func TestSupersededSlotsHeldUntilCommit(t *testing.T) {
+	cfg := Config{MetaSlots: 64, DataSlots: 64, DataBufSize: 512}
+	s, err := Open(pmem.New(cfg.RegionSize(), calib.Off()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutStaged([]byte("k"), bytes.Repeat([]byte{1}, 700)); err != nil {
+		t.Fatal(err)
+	}
+	first := s.staged[0].slot
+	var firstData []int // the first put's data slots (key slot + extents)
+	for _, e := range s.meta[first].desc.Load().exts {
+		firstData = append(firstData, s.dataBase+s.dataSlotIndex(e.Off)*cfg.DataBufSize)
+	}
+	if err := s.PutStaged([]byte("k"), bytes.Repeat([]byte{2}, 700)); err != nil {
+		t.Fatal(err)
+	}
+	// allocatable drains the slab (and gives every slot back), reporting
+	// which of the first put's data slots it could hand out.
+	allocatable := func() (got []int) {
+		var taken []int
+		for off := s.pool.Slab().Alloc(); off >= 0; off = s.pool.Slab().Alloc() {
+			taken = append(taken, off)
+		}
+		for _, off := range taken {
+			if slices.Contains(firstData, off) {
+				got = append(got, off)
+			}
+			s.pool.Slab().Free(off)
+		}
+		return got
+	}
+	if got := allocatable(); len(got) != 0 {
+		t.Fatalf("superseded put's data slots %v allocatable before Commit", got)
+	}
+	if slices.Contains(s.metaFree, first) {
+		t.Fatalf("superseded put's metadata slot %d free before Commit", first)
+	}
+	s.Commit()
+	if got := allocatable(); len(got) != len(firstData) {
+		t.Fatalf("after Commit %d of the superseded put's %d data slots are allocatable", len(got), len(firstData))
+	}
+	if !slices.Contains(s.metaFree, first) {
+		t.Fatalf("superseded put's metadata slot %d not free after Commit", first)
+	}
+	if v, ok, err := s.Get([]byte("k")); err != nil || !ok || !bytes.Equal(v, bytes.Repeat([]byte{2}, 700)) {
+		t.Fatalf("Get after Commit: ok=%v err=%v", ok, err)
+	}
+}

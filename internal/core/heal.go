@@ -142,7 +142,7 @@ func (s *Store) ScrubSlots(cursor, n int) ScrubResult {
 		res.Checked++
 		s.pm.Touch(s.slotOff(i), s.cfg.SlotSize)
 		d := m.desc.Load()
-		exts, err := s.validateSlot(sl)
+		exts, err := s.validateSlot(sl, nil)
 		if err != nil {
 			res.Bad++
 			m.stamp = 0
@@ -276,7 +276,7 @@ func (s *Store) CorruptRecord(key []byte, t FlipTarget, pick int, mask byte) int
 		koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
 		off = koff + pick%klen
 	case FlipValueByte:
-		exts, err := s.readExtentsLocked(sl)
+		exts, err := s.readExtentsLocked(sl, nil)
 		if err != nil || len(exts) == 0 {
 			return -1
 		}

@@ -313,7 +313,7 @@ func (s *Store) recordRangesLocked(sl []byte) ([][2]int, error) {
 	if klen == 0 || klen > 0xffff || !s.inDataArea(koff, klen) {
 		return nil, errMetaDamage
 	}
-	exts, err := s.readExtentsLocked(sl)
+	exts, err := s.readExtentsLocked(sl, nil)
 	if err != nil {
 		return nil, errMetaDamage
 	}
@@ -346,7 +346,7 @@ func (s *Store) recordRangesLocked(sl []byte) ([][2]int, error) {
 // valueChecksumOKLocked re-reads the record's value bytes against its
 // stored transport-derived checksum.
 func (s *Store) valueChecksumOKLocked(sl []byte) bool {
-	exts, err := s.readExtentsLocked(sl)
+	exts, err := s.readExtentsLocked(sl, nil)
 	if err != nil {
 		return false
 	}
@@ -369,7 +369,7 @@ func (s *Store) valueChecksumOKLocked(sl []byte) bool {
 // dropped and the slot is stamped as freshly validated.
 func (s *Store) liftDamageLocked(idx int) {
 	sl := s.slot(idx)
-	if exts, err := s.readExtentsLocked(sl); err == nil {
+	if exts, err := s.readExtentsLocked(sl, nil); err == nil {
 		for _, e := range exts {
 			s.data[s.dataSlotIndex(e.Off)].held = false
 		}
@@ -465,7 +465,7 @@ func (s *Store) repairRecordLocked(idx int, groupHeld bool) error {
 		return errRepairDeferred
 	}
 	sl := s.slot(idx)
-	_, verr := s.validateSlot(sl)
+	_, verr := s.validateSlot(sl, nil)
 	crcOK := verr == nil
 	valOK := s.valueChecksumOKLocked(sl)
 	switch {

@@ -297,10 +297,17 @@ func (s *Store) writeChainsLocked(chains []int, exts []Extent) {
 	}
 }
 
-// readExtentsLocked collects a record's extents (inline + chains).
-func (s *Store) readExtentsLocked(sl []byte) ([]Extent, error) {
+// readExtentsLocked collects a record's extents (inline + chains) into
+// buf's storage when it has room for the slot's extent count, else into
+// a fresh slice (callers outside the rescan pass nil). It only reads PM
+// and the store's fixed geometry, so the rescan's workers call it
+// without s.mu.
+func (s *Store) readExtentsLocked(sl []byte, buf []Extent) ([]Extent, error) {
 	n := int(sl[oExtCnt])
-	exts := make([]Extent, 0, n)
+	exts := buf[:0]
+	if cap(exts) < n {
+		exts = make([]Extent, 0, n)
+	}
 	for i := 0; i < min(n, inlineExtents); i++ {
 		base := oExt + i*extSize
 		exts = append(exts, Extent{
