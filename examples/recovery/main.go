@@ -83,7 +83,7 @@ func main() {
 	// 3. Silent media corruption: flip one bit inside a stored value and
 	// scrub again — the transport-derived checksum catches it.
 	ref, _, _ := cluster2.Store.GetRef([]byte("key000200"))
-	cluster2.Store.Slice(ref.Extents[0].Off, 1)[0] ^= 0x01
+	region.CorruptByte(ref.Extents[0].Off, 0x01)
 	bad, _ = cluster2.Store.Verify()
 	fmt.Printf("after injecting a bit flip: scrub reports %d corrupt record(s): %q\n",
 		len(bad), bad)

@@ -196,6 +196,12 @@ func parityThroughput(profile calib.Profile, pg int, window time.Duration) (pari
 	}
 	pm := d.pm.Stats()
 	st := d.srv.Stats()
+	// This is the one harness where zero-copy PUTs — NIC DMA into PM —
+	// fold parity: with the server stopped, every stripe must hold.
+	d.srv.Close()
+	if err := d.ss.VerifyParity(); err != nil {
+		return parityPoint{}, fmt.Errorf("bench: parity after %d zero-copy PUTs: %w", res.Requests, err)
+	}
 	p := parityPoint{throughput: res.Throughput()}
 	if res.Requests > 0 {
 		n := float64(res.Requests)

@@ -197,10 +197,10 @@ func (s *Store) recycleRecordLocked(idx int) {
 		cs := s.slot(chain)
 		next := int(binary.LittleEndian.Uint32(cs[oChainNext:])) - 1
 		s.pm.WriteUint32(s.slotOff(chain)+oMagic, 0)
-		s.metaFree = append(s.metaFree, chain)
+		s.metaFree = append(s.metaFree, int32(chain))
 		chain = next
 	}
-	s.metaFree = append(s.metaFree, idx)
+	s.metaFree = append(s.metaFree, int32(idx))
 	if err == nil {
 		for _, e := range exts {
 			s.unrefDataLocked(e.Off)

@@ -421,14 +421,14 @@ func TestSupersededSlotsHeldUntilCommit(t *testing.T) {
 	if got := allocatable(); len(got) != 0 {
 		t.Fatalf("superseded put's data slots %v allocatable before Commit", got)
 	}
-	if slices.Contains(s.metaFree, first) {
+	if slices.Contains(s.metaFree, int32(first)) {
 		t.Fatalf("superseded put's metadata slot %d free before Commit", first)
 	}
 	s.Commit()
 	if got := allocatable(); len(got) != len(firstData) {
 		t.Fatalf("after Commit %d of the superseded put's %d data slots are allocatable", len(got), len(firstData))
 	}
-	if !slices.Contains(s.metaFree, first) {
+	if !slices.Contains(s.metaFree, int32(first)) {
 		t.Fatalf("superseded put's metadata slot %d not free after Commit", first)
 	}
 	if v, ok, err := s.Get([]byte("k")); err != nil || !ok || !bytes.Equal(v, bytes.Repeat([]byte{2}, 700)) {

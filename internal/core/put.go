@@ -139,12 +139,12 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	if len(s.metaFree) < 1+nChains {
 		return ErrFull
 	}
-	slotIdx := s.metaFree[len(s.metaFree)-1]
+	slotIdx := int(s.metaFree[len(s.metaFree)-1])
 	s.metaFree = s.metaFree[:len(s.metaFree)-1]
 	s.meta[slotIdx].stamp = 0
 	chains := make([]int, nChains)
 	for i := range chains {
-		chains[i] = s.metaFree[len(s.metaFree)-1]
+		chains[i] = int(s.metaFree[len(s.metaFree)-1])
 		s.metaFree = s.metaFree[:len(s.metaFree)-1]
 		s.meta[chains[i]].stamp = 0
 	}

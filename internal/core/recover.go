@@ -231,11 +231,12 @@ func (s *Store) rescan(online bool) error {
 		}
 	}
 
-	// Free list: all unused slots.
-	s.metaFree = s.metaFree[:0]
+	// Free list: all unused slots, in one allocation sized as format()
+	// sizes it (growing it by append costs a boot four times the list).
+	s.metaFree = slices.Grow(s.metaFree[:0], s.cfg.MetaSlots)
 	for i := s.cfg.MetaSlots - 1; i >= 0; i-- {
 		if !used[i] {
-			s.metaFree = append(s.metaFree, i)
+			s.metaFree = append(s.metaFree, int32(i))
 		}
 	}
 

@@ -79,7 +79,7 @@ func buildRecoverImage(t *testing.T) recoverImage {
 	// Puts took slots in ascending order, one each: id's slot is id.
 	slot := func(id int) int { return slotOf(t, s, keyOfClass(id)) }
 	freeSlot := func(id int) int { // the slot a deleted id left behind
-		if id%100 != 0 || !slices.Contains(s.metaFree, id) {
+		if id%100 != 0 || !slices.Contains(s.metaFree, int32(id)) {
 			t.Fatalf("slot %d is not a deleted record's", id)
 		}
 		return id
@@ -128,7 +128,7 @@ func (ri recoverImage) open(t *testing.T) *Store {
 // scanOutcome is everything a rescan decides that a reader can observe.
 type scanOutcome struct {
 	Index       []string // key/slot/height in index order
-	MetaFree    []int
+	MetaFree    []int32
 	Seq         uint64
 	Count       int
 	Quarantined int
@@ -199,7 +199,7 @@ func TestRecoverDuplicatesAcrossBlocks(t *testing.T) {
 		if s.meta[lose].desc.Load() != nil || binary.LittleEndian.Uint64(s.slot(lose)[oSeq:]) != 0 {
 			t.Errorf("loser slot %d still indexed or committed", lose)
 		}
-		if !slices.Contains(s.metaFree, lose) {
+		if !slices.Contains(s.metaFree, int32(lose)) {
 			t.Errorf("loser slot %d not free", lose)
 		}
 	}
@@ -219,7 +219,7 @@ func TestRecoverCorruptAcrossBlocks(t *testing.T) {
 		t.Fatalf("quarantined %d, want %d", got, len(ri.corrupt))
 	}
 	for _, i := range ri.corrupt {
-		if s.meta[i].desc.Load() != nil || slices.Contains(s.metaFree, i) {
+		if s.meta[i].desc.Load() != nil || slices.Contains(s.metaFree, int32(i)) {
 			t.Fatalf("damaged slot %d indexed or reusable", i)
 		}
 	}

@@ -245,6 +245,13 @@ func TestBodyBoundRefusesOversizedPut(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			store := openStore(t, core.Config{MetaSlots: 256, DataSlots: 256}) // 256 x 2048 B = 512 KiB of data area
+			// Measure the server, not the simulator: on the simulated stack
+			// a body lands in PM receive buffers, and pmem keeps a saved
+			// durable copy of every line DMA'd and not yet fenced. Take
+			// those copies for the whole (still empty) receive area before
+			// the first frame arrives.
+			slab := store.Pool().Slab()
+			store.Region().DMA(slab.Base(), make([]byte, slab.Slots()*slab.SlotSize()))
 			sv := tr.serve(t, PktStore{S: store}, Config{}, store.Pool())
 
 			// 1 GiB declared, 1 MiB sent: the answer does not wait for the

@@ -356,10 +356,13 @@ func (n *NIC) receive(frame []byte) {
 		return
 	}
 	// DMA: the frame lands in the pool buffer; if the pool is PM-backed,
-	// the lines are dirty (DDIO leaves them unflushed).
-	copy(b.Append(len(frame)), frame)
+	// the region takes the write and the lines are dirty (DDIO leaves
+	// them unflushed).
+	dst := b.Append(len(frame))
 	if r := pool.Region(); r != nil {
-		r.MarkDirty(b.PMOff(), len(frame))
+		r.DMA(b.PMOff(), frame)
+	} else {
+		copy(dst, frame)
 	}
 	if n.cfg.Offloads.HWTimestamp {
 		b.HWTime = time.Now()

@@ -20,8 +20,9 @@ type SlabPool struct {
 	// free is a LIFO of candidate slot indices with lazy deletion:
 	// MarkAllocated (recovery) flips inUse without scanning the list, and
 	// Alloc discards stale entries as it meets them. nfree tracks the
-	// true free count.
-	free  []int
+	// true free count. Indices are int32: every store open builds the
+	// list afresh, and half the bytes are half the fresh pages it touches.
+	free  []int32
 	inUse []bool
 	nfree int
 }
@@ -37,9 +38,9 @@ func NewSlabPool(r *Region, base, slotSize, nslots int) *SlabPool {
 		panic("pmem: slab range outside region")
 	}
 	p := &SlabPool{r: r, base: base, slotSize: slotSize, nslots: nslots,
-		free: make([]int, 0, nslots), inUse: make([]bool, nslots), nfree: nslots}
+		free: make([]int32, 0, nslots), inUse: make([]bool, nslots), nfree: nslots}
 	for i := nslots - 1; i >= 0; i-- {
-		p.free = append(p.free, i)
+		p.free = append(p.free, int32(i))
 	}
 	return p
 }
@@ -59,7 +60,7 @@ func (p *SlabPool) Alloc() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.free) > 0 {
-		i := p.free[len(p.free)-1]
+		i := int(p.free[len(p.free)-1])
 		p.free = p.free[:len(p.free)-1]
 		if p.inUse[i] {
 			continue // stale entry left by MarkAllocated
@@ -81,7 +82,7 @@ func (p *SlabPool) Free(off int) {
 	}
 	p.inUse[i] = false
 	p.nfree++
-	p.free = append(p.free, i)
+	p.free = append(p.free, int32(i))
 }
 
 // MarkAllocated records (during recovery) that the slot at off is live.

@@ -19,10 +19,12 @@ const domainAlign = 64 * LineSize
 //
 //   - Lock scope is the address range. An access takes the lock of the
 //     range that owns the address, whoever issues it: a store in its own
-//     partition takes only its own lock; parity folds, NIC DMA
-//     (MarkDirty) and CopyOut landing in another range take that
-//     range's. One access must lie inside one range. More than one range
-//     lock is only ever held in ascending address order, default first.
+//     partition takes only its own lock; parity folds, NIC DMA and
+//     CopyOut landing in another range take that range's. One access
+//     must lie inside one range. More than one range lock is only ever
+//     held in ascending address order, default first. The saved durable
+//     copies of a range's lines in flight live in that range's pool,
+//     under the same lock.
 //   - Fence scope is the issuer, as sfence orders only the issuing
 //     core's own clwbs: the handle lists the lines it flushed, wherever
 //     they live, and Fence retires exactly those. A line another handle
@@ -45,6 +47,12 @@ type Domain struct {
 	reads, local, remote atomic.Uint64
 	charged, remoteExtra atomic.Int64
 
+	// saves is the pool of saved durable copies of the owned lines in
+	// flight (Region.saved indexes it), grown saveChunk entries at a time
+	// so entries never move; free stacks the unused slots. Guarded by mu.
+	saves []*[saveChunk][LineSize]byte
+	free  []int32
+
 	// fmu guards flushed: the lines this handle wrote back and has not
 	// fenced. A leaf lock: taken inside a range lock or alone, never the
 	// other way round.
@@ -61,6 +69,80 @@ type Domain struct {
 type flushedLine struct {
 	l   int
 	gen uint16
+}
+
+// saveChunk is how many saved lines a domain's pool grows by (32 KiB).
+const saveChunk = 512
+
+// markDirtyLocked marks the lines of [off, off+n) dirty, first saving the
+// durable bytes of each one not yet in flight; call it before changing
+// them. o owns the range and its lock is held.
+func (o *Domain) markDirtyLocked(off, n int) {
+	if n == 0 {
+		return
+	}
+	r := o.r
+	first, last := off/LineSize, (off+n-1)/LineSize
+	for l := first; l <= last; l++ {
+		if r.saved[l] == 0 {
+			o.save(l)
+		}
+		r.dirty[l/64] |= 1 << (l % 64)
+	}
+}
+
+// save copies line l, which has no saved copy, into a pool entry. o owns
+// l and its lock is held.
+func (o *Domain) save(l int) {
+	if len(o.free) == 0 {
+		o.growSaves()
+	}
+	s := o.free[len(o.free)-1]
+	o.free = o.free[:len(o.free)-1]
+	*o.entry(s) = [LineSize]byte(o.r.buf[l*LineSize:])
+	o.r.saved[l] = s + 1
+}
+
+func (o *Domain) growSaves() {
+	base := int32(len(o.saves) * saveChunk)
+	o.saves = append(o.saves, new([saveChunk][LineSize]byte))
+	for s := base + saveChunk - 1; s >= base; s-- {
+		o.free = append(o.free, s)
+	}
+}
+
+func (o *Domain) entry(s int32) *[LineSize]byte {
+	return &o.saves[uint32(s)/saveChunk][uint32(s)%saveChunk]
+}
+
+// durable returns line l's durable bytes: its saved copy, or the volatile
+// image when it has none. o owns l and its lock is held.
+func (o *Domain) durable(l int) []byte {
+	if s := o.r.saved[l]; s != 0 {
+		return o.entry(s - 1)[:]
+	}
+	return o.r.buf[l*LineSize : (l+1)*LineSize]
+}
+
+// drop forgets line l's saved copy, if any: its volatile bytes are
+// durable. o owns l and its lock is held.
+func (o *Domain) drop(l int) {
+	if s := o.r.saved[l]; s != 0 {
+		o.free = append(o.free, s-1)
+		o.r.saved[l] = 0
+	}
+}
+
+// settle records that line l, just retired from the pending set, is
+// durable as it stands: its copy is dropped — or, when the line was
+// written again after its flush and is still dirty, refreshed to the
+// current bytes.
+func (o *Domain) settle(l int) {
+	if o.r.isDirty(l) {
+		*o.entry(o.r.saved[l] - 1) = [LineSize]byte(o.r.buf[l*LineSize:])
+		return
+	}
+	o.drop(l)
 }
 
 // Carve gives [off, off+n) its own persist domain and returns the
@@ -118,6 +200,16 @@ func (d *Domain) extent(l int) (*Domain, int) {
 	}
 	return &r.Domain, len(r.buf) / LineSize
 }
+
+// owner returns the domain whose lock guards line l.
+func (r *Region) owner(l int) *Domain {
+	o, _ := r.Domain.extent(l)
+	return o
+}
+
+// durableLine returns line l's durable bytes, wherever l lives; the
+// caller holds l's range lock.
+func (r *Region) durableLine(l int) []byte { return r.owner(l).durable(l) }
 
 // own bounds-checks [off, off+n) and returns the domain whose lock
 // guards it.

@@ -128,14 +128,14 @@ func TestCarve(t *testing.T) {
 	if o, end := a.extent(2 * domainAlign / LineSize); o != &r.Domain || end != 3*domainAlign/LineSize {
 		t.Error("gap between carved ranges not owned by the default domain")
 	}
-	mustPanic(t, func() { r.Carve(domainAlign, 2*domainAlign) })             // overlap
-	mustPanic(t, func() { r.Carve(0, LineSize) })                            // unaligned
-	mustPanic(t, func() { r.Write(domainAlign-8, make([]byte, 16)) })        // straddles
-	mustPanic(t, func() { a.MarkDirty(2*domainAlign-LineSize, 2*LineSize) }) // straddles
+	mustPanic(t, func() { r.Carve(domainAlign, 2*domainAlign) })                     // overlap
+	mustPanic(t, func() { r.Carve(0, LineSize) })                                    // unaligned
+	mustPanic(t, func() { r.Write(domainAlign-8, make([]byte, 16)) })                // straddles
+	mustPanic(t, func() { a.DMA(2*domainAlign-LineSize, make([]byte, 2*LineSize)) }) // straddles
 	// A batch may run through several ranges.
 	var fs FlushSet
-	r.MarkDirty(domainAlign-LineSize, LineSize)
-	r.MarkDirty(domainAlign, LineSize)
+	r.DMA(domainAlign-LineSize, make([]byte, LineSize))
+	r.DMA(domainAlign, make([]byte, LineSize))
 	fs.Add(domainAlign-LineSize, 2*LineSize)
 	if bs := a.FlushBatch(&fs); bs.Flushed != 2 {
 		t.Errorf("straddling batch flushed %d lines, want 2", bs.Flushed)
@@ -185,8 +185,8 @@ func TestDomainHookSeesOneOrder(t *testing.T) {
 }
 
 // TestDomainsConcurrent drives N domains from N goroutines while a NIC
-// goroutine marks lines dirty in their ranges and another polls Stats;
-// run under -race. Every counter must sum exactly.
+// goroutine DMAs into their ranges and another polls Stats; run under
+// -race. Every counter must sum exactly.
 func TestDomainsConcurrent(t *testing.T) {
 	const workers, rounds = 4, 400
 	prof := calib.Profile{PMReadLine: 3, PMWriteLine: 2, PMFlushLine: 5, PMFence: 7} // below latency's spin floor
@@ -201,8 +201,10 @@ func TestDomainsConcurrent(t *testing.T) {
 	side.Add(2)
 	go func() { // NIC DMA through the default handle
 		defer side.Done()
+		frame := make([]byte, LineSize)
 		for i := 0; !stop.Load(); i++ {
-			r.MarkDirty((i%workers)*domainAlign+dmaZone+(i%8)*LineSize, LineSize)
+			frame[0] = byte(i)
+			r.DMA((i%workers)*domainAlign+dmaZone+(i%8)*LineSize, frame)
 			runtime.Gosched()
 		}
 	}()

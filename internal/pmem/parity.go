@@ -8,9 +8,9 @@ import "time"
 // maintain and usable for repair:
 //
 //   - XorDeltaBatch folds a member's not-yet-durable changes (volatile
-//     image XOR durable shadow) into the parity partition's volatile
-//     image, so the parity lines can ride the member's own
-//     FlushBatch/Fence.
+//     image XOR saved durable copy, for the member lines in flight) into
+//     the parity partition's volatile image, so the parity lines can
+//     ride the member's own FlushBatch/Fence.
 //   - XorReconstruct rebuilds a lost range as the XOR of the surviving
 //     images, writing the result at media level (volatile and durable).
 //   - EraseRange models losing the media itself: both images zeroed.
@@ -47,7 +47,8 @@ func (d *Domain) XorDeltaBatch(spans []XorSpan) {
 		if sp.Off%LineSize != 0 || sp.Poff%LineSize != 0 {
 			panic("pmem: unaligned XorDeltaBatch")
 		}
-		a, b := d.own(sp.Off, sp.N), d.own(sp.Poff, sp.N)
+		mo, po := d.own(sp.Off, sp.N), d.own(sp.Poff, sp.N)
+		a, b := mo, po
 		if b.lo < a.lo {
 			a, b = b, a
 		}
@@ -55,10 +56,17 @@ func (d *Domain) XorDeltaBatch(spans []XorSpan) {
 		if b != a {
 			b.mu.Lock()
 		}
-		for i := 0; i < sp.N; i++ {
-			r.buf[sp.Poff+i] ^= r.buf[sp.Off+i] ^ r.shadow[sp.Off+i]
+		po.markDirtyLocked(sp.Poff, sp.N)
+		for i := 0; i < sp.N; i += LineSize {
+			// A member line with no saved copy is durable as it stands:
+			// its delta is zero.
+			if ml := (sp.Off + i) / LineSize; r.saved[ml] != 0 {
+				pb, mb, md := r.buf[sp.Poff+i:], r.buf[sp.Off+i:], mo.durable(ml)
+				for j := range min(LineSize, sp.N-i) {
+					pb[j] ^= mb[j] ^ md[j]
+				}
+			}
 		}
-		r.markDirtyLocked(sp.Poff, sp.N)
 		if b != a {
 			b.mu.Unlock()
 		}
@@ -99,25 +107,27 @@ func (r *Region) XorReconstruct(off int, srcs []int, n int) (skipped int) {
 		}
 		r.check(s, n)
 	}
-	line := make([]byte, LineSize)
+	var line [LineSize]byte
 	restored := 0
 	r.lockAll()
 	for o := 0; o < n; o += LineSize {
 		l := (off + o) / LineSize
-		if r.dirty[l/64]&(1<<(l%64)) != 0 {
+		if r.isDirty(l) {
 			skipped++
 			continue
 		}
-		copy(line, r.shadow[srcs[0]+o:])
+		copy(line[:], r.durableLine((srcs[0]+o)/LineSize))
 		for _, s := range srcs[1:] {
-			for i := 0; i < LineSize; i++ {
-				line[i] ^= r.shadow[s+o+i]
+			src := r.durableLine((s + o) / LineSize)
+			for i := range line {
+				line[i] ^= src[i]
 			}
 		}
-		copy(r.buf[off+o:], line)
-		copy(r.shadow[off+o:], line)
-		// The line is durable again: drop it from any flushed-but-unfenced
-		// window so a later fence cannot resurrect pre-repair content.
+		copy(r.buf[off+o:], line[:])
+		// The line is durable again: drop its copy and take it out of any
+		// flushed-but-unfenced window so a later fence cannot resurrect
+		// pre-repair content.
+		r.owner(l).drop(l)
 		r.retire(l)
 		restored++
 	}
@@ -129,23 +139,20 @@ func (r *Region) XorReconstruct(off int, srcs []int, n int) (skipped int) {
 	return skipped
 }
 
-// EraseRange destroys [off, off+n) at media level: volatile and durable
-// images are zeroed and all per-line write-back state is dropped, as if
-// the PM rows themselves were lost. Fault injection uses it to model
-// whole-data-area loss that only redundancy can survive.
+// EraseRange destroys the whole lines [off, off+n) at media level:
+// volatile and durable images are zeroed and all per-line write-back
+// state is dropped, as if the PM rows themselves were lost. Fault
+// injection uses it to model whole-data-area loss that only redundancy
+// can survive.
 func (r *Region) EraseRange(off, n int) {
 	r.check(off, n)
-	if n == 0 {
-		return
+	if off%LineSize != 0 || n%LineSize != 0 {
+		panic("pmem: unaligned EraseRange")
 	}
 	r.lockAll()
-	for i := off; i < off+n; i++ {
-		r.buf[i] = 0
-		r.shadow[i] = 0
-	}
-	first := off / LineSize
-	last := (off + n - 1) / LineSize
-	for l := first; l <= last; l++ {
+	clear(r.buf[off : off+n])
+	for l := off / LineSize; l < (off+n)/LineSize; l++ {
+		r.owner(l).drop(l)
 		r.dirty[l/64] &^= 1 << (l % 64)
 		r.retire(l)
 	}
@@ -158,7 +165,17 @@ func (r *Region) EraseRange(off, n int) {
 // members) without perturbing latency accounting.
 func (r *Region) ReadShadow(dst []byte, off int) {
 	r.check(off, len(dst))
+	if len(dst) == 0 {
+		return
+	}
 	r.lockAll()
-	copy(dst, r.shadow[off:])
+	copy(dst, r.buf[off:])
+	for l := off / LineSize; l <= (off+len(dst)-1)/LineSize; l++ {
+		if r.saved[l] != 0 {
+			p := l * LineSize // the line's bytes that lie in dst
+			lo, hi := max(p, off), min(p+LineSize, off+len(dst))
+			copy(dst[lo-off:hi-off], r.durableLine(l)[lo-p:])
+		}
+	}
 	r.unlockAll()
 }

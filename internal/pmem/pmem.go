@@ -11,14 +11,24 @@
 //  2. Persistence semantics. A store is NOT durable until the cache line
 //     holding it has been written back (clwb/clflushopt, modelled by
 //     Flush) and the write-back has been ordered by a fence (sfence,
-//     modelled by Fence). A Region maintains a shadow "persisted" image:
-//     dirty lines live only in the volatile image; Flush moves them to a
-//     pending set; Fence commits the pending set to the shadow. Crash
-//     rebuilds the volatile image from the shadow — flushed-but-unfenced
-//     lines survive with 50/50 probability per line, exactly the
-//     uncertainty window real hardware exhibits — so crash-consistency
-//     bugs (missing flushes, missing fences, wrong ordering) manifest as
-//     real data loss in tests.
+//     modelled by Fence). A Region keeps one image of the device and,
+//     for each line in flight — written since it was last durable, so
+//     dirty or flushed-but-unfenced — a saved copy of its durable bytes,
+//     taken by the first write that changes it. The durable image is
+//     the saved copy where one exists and the volatile image elsewhere.
+//     Flush moves dirty lines to a pending set; Fence makes the pending
+//     set durable and drops its copies. Crash restores every saved copy
+//     into the volatile image — flushed-but-unfenced lines survive with
+//     50/50 probability per line, exactly the uncertainty window real
+//     hardware exhibits — so crash-consistency bugs (missing flushes,
+//     missing fences, wrong ordering) manifest as real data loss in
+//     tests. The bookkeeping is per line in flight, not per byte of the
+//     device.
+//
+// Every change to PM bytes goes through the Region: Write for the CPU,
+// DMA for a device. Slice is a read view. A store through it would have
+// no saved copy, so Crash could not take it back: writing through Slice
+// is outside the model.
 //
 // A Region may be backed by a file, giving actual durability across
 // process restarts for the CLI tools; the file holds the persisted image
@@ -144,10 +154,13 @@ type Region struct {
 	Domain            // default domain: every line no Carve claimed
 	carved  []*Domain // ascending by address; fixed while serving (Carve)
 	buf     []byte    // volatile image (CPU caches + PM, merged view)
-	shadow  []byte    // durable image
 	dirty   []uint64  // bitset: line written since last flush
 	pending []uint64  // bitset: line flushed but not yet fenced
 	gen     []uint16  // per line: times retired from pending (see retire)
+	// saved is, per line, 1 + the slot of its saved durable copy in the
+	// owning domain's pool, or 0 when the volatile image is durable. A
+	// line has a copy exactly while it is dirty or pending.
+	saved []int32
 
 	// Fault injection: persistHook is consulted on every Flush/Fence;
 	// once it cuts the power, failed stays true until Crash reboots the
@@ -209,10 +222,10 @@ func New(size int, profile calib.Profile) *Region {
 	nlines := size / LineSize
 	r := &Region{
 		buf:       make([]byte, size),
-		shadow:    make([]byte, size),
 		dirty:     make([]uint64, (nlines+63)/64),
 		pending:   make([]uint64, (nlines+63)/64),
 		gen:       make([]uint16, nlines),
+		saved:     make([]int32, nlines),
 		readLine:  profile.PMReadLine,
 		writeLine: profile.PMWriteLine,
 		flushLine: profile.PMFlushLine,
@@ -239,15 +252,15 @@ func OpenFile(path string, size int, profile calib.Profile) (*Region, error) {
 		f.Close()
 		return nil, err
 	}
-	want := int64(len(fileMagic) + len(r.shadow))
+	want := int64(len(fileMagic) + len(r.buf))
 	switch {
 	case st.Size() == 0:
-		// Fresh device: write the initial (zero) image.
+		// Fresh device: the initial image is all zeros.
 		if _, err := f.Write(fileMagic); err != nil {
 			f.Close()
 			return nil, err
 		}
-		if _, err := f.Write(r.shadow); err != nil {
+		if err := f.Truncate(want); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -261,11 +274,10 @@ func OpenFile(path string, size int, profile calib.Profile) (*Region, error) {
 			f.Close()
 			return nil, fmt.Errorf("pmem: %s is not a pmem image", path)
 		}
-		if _, err := f.ReadAt(r.shadow, int64(len(fileMagic))); err != nil {
+		if _, err := f.ReadAt(r.buf, int64(len(fileMagic))); err != nil {
 			f.Close()
 			return nil, err
 		}
-		copy(r.buf, r.shadow)
 	default:
 		f.Close()
 		return nil, fmt.Errorf("pmem: %s has size %d, want %d", path, st.Size(), want)
@@ -292,11 +304,10 @@ func lines(off, n int) int {
 	return last - first + 1
 }
 
-// Slice returns a direct view of [off, off+n). Reads through the slice are
-// not charged PM latency (they model cache hits / streaming reads); writes
-// through the slice MUST be followed by MarkDirty or they will silently
-// vanish on Crash, exactly as un-tracked stores would on real hardware
-// with a buggy persistence protocol.
+// Slice returns a direct read view of [off, off+n). Reads through the
+// slice are not charged PM latency (they model cache hits / streaming
+// reads). It is not a write path: a store through it has no saved
+// durable copy, so Crash cannot revert it. Write and DMA change PM.
 func (d *Domain) Slice(off, n int) []byte {
 	d.r.check(off, n)
 	return d.r.buf[off : off+n : off+n]
@@ -332,8 +343,8 @@ func (d *Domain) Write(off int, src []byte) {
 	var acc nodeAcc
 	cost := r.spanCost(&acc, d.Node(), off, lines(off, len(src)), r.writeLine, r.remoteWrite)
 	o.mu.Lock()
+	o.markDirtyLocked(off, len(src))
 	copy(r.buf[off:], src)
-	r.markDirtyLocked(off, len(src))
 	o.stats.Writes++
 	o.stats.BytesWritten += uint64(len(src))
 	o.mu.Unlock()
@@ -369,24 +380,17 @@ func (d *Domain) WriteUint32(off int, v uint32) {
 // ReadUint32 loads a 4-byte little-endian value (uncharged).
 func (d *Domain) ReadUint32(off int) uint32 { return getUint32(d.Slice(off, 4)) }
 
-// MarkDirty records that [off, off+n) was mutated through a Slice (for
-// example by DMA). No latency is charged; the writer charges its own cost.
-func (d *Domain) MarkDirty(off, n int) {
-	o := d.own(off, n)
+// DMA copies src into the region at off as a device writing into a
+// packet buffer does: the covered lines are dirty (DDIO leaves them in
+// the cache, unflushed) and nothing is charged or counted — the device
+// charges its own cost. Like Write, it saves each line's durable bytes
+// before changing them, under the owning range's lock.
+func (d *Domain) DMA(off int, src []byte) {
+	o := d.own(off, len(src))
 	o.mu.Lock()
-	d.r.markDirtyLocked(off, n)
+	o.markDirtyLocked(off, len(src))
+	copy(d.r.buf[off:], src)
 	o.mu.Unlock()
-}
-
-func (r *Region) markDirtyLocked(off, n int) {
-	if n == 0 {
-		return
-	}
-	first := off / LineSize
-	last := (off + n - 1) / LineSize
-	for l := first; l <= last; l++ {
-		r.dirty[l/64] |= 1 << (l % 64)
-	}
 }
 
 // Flush issues clwb for every line in [off, off+n): dirty lines move to
@@ -491,14 +495,16 @@ func (r *Region) cut(op PersistOp, spans []lineSpan) bool {
 	tear := min(dec.TearBytes, LineSize-1)
 	for _, sp := range spans {
 		for l := sp.first; l <= sp.last && tear > 0; l++ {
-			if r.dirty[l/64]&(1<<(l%64)) != 0 {
-				copy(r.shadow[l*LineSize:l*LineSize+tear], r.buf[l*LineSize:])
+			if r.isDirty(l) { // so it has a saved copy: the durable bytes
+				copy(r.durableLine(l)[:tear], r.buf[l*LineSize:])
 				return true
 			}
 		}
 	}
 	return true
 }
+
+func (r *Region) isDirty(l int) bool { return r.dirty[l/64]&(1<<(l%64)) != 0 }
 
 // retire takes line l out of the flushed-but-unfenced window, reporting
 // whether it was in it, and bumps its generation so the entries other
@@ -522,9 +528,9 @@ func (r *Region) eachPending(fn func(l int)) {
 }
 
 // Fence orders the lines this handle flushed, wherever they live: they
-// are committed to the durable shadow image. Lines other handles flushed
-// stay pending until their own issuer fences, as an sfence orders only
-// the issuing core's clwbs.
+// are durable as they stand now, and their saved copies go. Lines other
+// handles flushed stay pending until their own issuer fences, as an
+// sfence orders only the issuing core's clwbs.
 func (d *Domain) Fence() {
 	r := d.r
 	all := r.enter(d)
@@ -542,18 +548,20 @@ func (d *Domain) Fence() {
 	d.fmu.Unlock()
 	o := d
 	for _, f := range mine {
-		if no, _ := d.extent(f.l); no != o && !all {
-			o.mu.Unlock()
+		if no, _ := d.extent(f.l); no != o {
+			if !all {
+				o.mu.Unlock()
+				no.mu.Lock()
+			}
 			o = no
-			o.mu.Lock()
 			if r.failed { // power was cut between the two ranges
 				break
 			}
 		}
 		// A stale generation: another handle's fence retired the line since;
 		// whoever flushed it again owes that write-back its own fence.
-		if p := f.l * LineSize; r.gen[f.l] == f.gen && r.retire(f.l) {
-			copy(r.shadow[p:p+LineSize], r.buf[p:p+LineSize])
+		if r.gen[f.l] == f.gen && r.retire(f.l) {
+			o.settle(f.l)
 		}
 	}
 	r.leave(o, all)
@@ -590,14 +598,14 @@ func SetCrashLogger(fn func(seed int64)) {
 	crashLogger.Store(fn)
 }
 
-// Crash simulates a power failure and reboot: the volatile image is
-// discarded and rebuilt from the durable shadow. Each line that was
-// flushed but not yet fenced independently survives with probability 1/2,
-// drawn from a generator seeded with the explicit seed — the undefined
-// window between clwb and sfence. The seed is logged (SetCrashLogger) so
-// any crash-consistency failure reproduces from its seed alone. The
-// Region remains usable afterwards, representing the post-reboot device:
-// any installed persist hook and power-failure state are cleared.
+// Crash simulates a power failure and reboot: every line in flight
+// reverts to its durable bytes. Each line that was flushed but not yet
+// fenced independently survives with probability 1/2, drawn from a
+// generator seeded with the explicit seed — the undefined window between
+// clwb and sfence. The seed is logged (SetCrashLogger) so any
+// crash-consistency failure reproduces from its seed alone. The Region
+// remains usable afterwards, representing the post-reboot device: any
+// installed persist hook and power-failure state are cleared.
 func (r *Region) Crash(seed int64) {
 	crashLogger.Load().(func(seed int64))(seed)
 	rng := rand.New(rand.NewSource(seed))
@@ -613,11 +621,19 @@ func (r *Region) Crash(seed int64) {
 				// writes landed on it.
 				src = b
 			}
-			copy(r.shadow[l*LineSize:], src)
+			copy(r.durableLine(l), src)
 		}
 	})
 	r.frozen = nil
-	copy(r.buf, r.shadow)
+	// Every line in flight reverts to its saved copy, which frees the copy.
+	for w := range r.dirty {
+		for bv := r.dirty[w] | r.pending[w]; bv != 0; bv &= bv - 1 {
+			l := w*64 + bits.TrailingZeros64(bv)
+			o := r.owner(l)
+			copy(r.buf[l*LineSize:], o.durable(l))
+			o.drop(l)
+		}
+	}
 	clear(r.dirty)
 	clear(r.pending)
 	r.each(func(d *Domain) {
@@ -635,7 +651,9 @@ func (r *Region) CorruptByte(off int, mask byte) {
 	r.check(off, 1)
 	r.lockAll()
 	r.buf[off] ^= mask
-	r.shadow[off] ^= mask
+	if l := off / LineSize; r.saved[l] != 0 {
+		r.durableLine(l)[off%LineSize] ^= mask
+	}
 	r.unlockAll()
 }
 
@@ -646,13 +664,22 @@ func (r *Region) Sync() error {
 	return r.syncLocked()
 }
 
+// syncLocked writes the volatile image, then the saved copies of the
+// lines in flight over it — one snapshot of the durable image, taken with
+// every range lock held — and flushes the file.
 func (r *Region) syncLocked() error {
 	if r.file == nil {
 		return nil
 	}
-	img := make([]byte, len(r.shadow))
-	r.ReadShadow(img, 0)
-	if _, err := r.file.WriteAt(img, int64(len(fileMagic))); err != nil {
+	r.lockAll()
+	_, err := r.file.WriteAt(r.buf, int64(len(fileMagic)))
+	for l, s := range r.saved {
+		if s != 0 && err == nil {
+			_, err = r.file.WriteAt(r.durableLine(l), int64(len(fileMagic)+l*LineSize))
+		}
+	}
+	r.unlockAll()
+	if err != nil {
 		return err
 	}
 	return r.file.Sync()

@@ -68,21 +68,32 @@ func TestFlushWithoutFenceIsUndefined(t *testing.T) {
 	}
 }
 
-func TestSliceWriteWithoutMarkDirtyVanishes(t *testing.T) {
+// TestDMADirtyUntilFenced pins the device write path: DMA'd bytes are
+// visible at once, dirty, uncounted, and reverted by Crash unless they
+// were flushed and fenced first.
+func TestDMADirtyUntilFenced(t *testing.T) {
 	r := New(4096, off())
-	copy(r.Slice(0, 4), "ABCD")
-	r.Persist(0, 4) // flush sees no dirty lines -> nothing persists
+	r.DMA(60, []byte("ABCDEFGH")) // straddles lines 0 and 1
+	if string(r.Slice(60, 8)) != "ABCDEFGH" {
+		t.Fatal("DMA'd bytes not visible")
+	}
+	if d := r.DirtyLines(); d != 2 {
+		t.Fatalf("DirtyLines = %d after DMA, want 2", d)
+	}
+	if st := r.Stats(); st != (Stats{}) {
+		t.Fatalf("DMA counted as a CPU write: %+v", st)
+	}
 	r.Crash(2)
-	if string(r.Slice(0, 4)) == "ABCD" {
-		t.Fatal("untracked slice write should be lost")
+	if !bytes.Equal(r.Slice(60, 8), make([]byte, 8)) {
+		t.Fatal("unflushed DMA survived the crash")
 	}
 
-	copy(r.Slice(0, 4), "ABCD")
-	r.MarkDirty(0, 4)
-	r.Persist(0, 4)
+	r.DMA(60, []byte("ABCDEFGH"))
+	r.Persist(60, 8)
+	r.DMA(60, []byte("abcd")) // rewritten after the fence: dirty again
 	r.Crash(3)
-	if string(r.Slice(0, 4)) != "ABCD" {
-		t.Fatal("MarkDirty+Persist write lost")
+	if string(r.Slice(60, 8)) != "ABCDEFGH" {
+		t.Fatalf("after crash: %q, want the fenced DMA", r.Slice(60, 8))
 	}
 }
 
@@ -108,11 +119,11 @@ func TestDirtyAndPendingCounters(t *testing.T) {
 func TestPartialLineFlush(t *testing.T) {
 	// Flushing a sub-range only persists lines it covers.
 	r := New(4096, off())
-	r.Write(0, make([]byte, 128)) // lines 0,1 dirty
-	for i := 0; i < 128; i++ {
-		r.Slice(0, 128)[i] = byte(i)
+	img := make([]byte, 128)
+	for i := range img {
+		img[i] = byte(i)
 	}
-	r.MarkDirty(0, 128)
+	r.Write(0, img)  // lines 0,1 dirty
 	r.Persist(0, 64) // only line 0
 	r.Crash(4)
 	if r.Slice(0, 1)[0] != 0 {

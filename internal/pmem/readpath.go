@@ -3,13 +3,13 @@ package pmem
 import "time"
 
 // CopyOut copies [off, off+len(dst)) into dst under the owning range's
-// lock, so the copy is atomic with respect to every locked mutator
-// (Write, XorDeltaBatch, XorReconstruct, EraseRange, CorruptByte). It
-// charges no latency: lock-free readers account their PM cost separately
-// with TouchLines, batching the whole value into one charge. Unlike
-// Slice, the returned bytes cannot be torn by a concurrent locked write —
-// the caller still must validate (checksum + sequence recheck) against
-// writers that bypass the lock, such as NIC DMA into recycled slots.
+// lock, so the copy is atomic with respect to every mutator (Write, DMA,
+// XorDeltaBatch, XorReconstruct, EraseRange, CorruptByte). It charges no
+// latency: lock-free readers account their PM cost separately with
+// TouchLines, batching the whole value into one charge. Unlike Slice,
+// the returned bytes cannot be torn by a concurrent write — the caller
+// still must validate (checksum + sequence recheck) that the slot was
+// not recycled and rewritten, by NIC DMA for instance, before the copy.
 func (d *Domain) CopyOut(dst []byte, off int) {
 	o := d.own(off, len(dst))
 	o.mu.Lock()
