@@ -92,15 +92,14 @@ const (
 
 // deployOptions tunes deployments.
 type deployOptions struct {
-	profile    calib.Profile
-	kind       backendKind
-	storeCfg   core.Config     // pktstore
-	srvCfg     kvserver.Config // server knobs (group-commit MaxBatch etc.)
-	shards     int             // pktstore: partitions (= RSS queues = server loops)
-	zeroCopy   bool            // pktstore: PM rx pool(s)
-	pmBytes    int             // region size for rawpm / novelsm
-	noPersist  bool            // zero the PM flush/fence latencies (Table 1 methodology)
-	noChecksum bool            // disable the LSM's checksum phase
+	profile   calib.Profile
+	kind      backendKind
+	storeCfg  core.Config     // pktstore
+	srvCfg    kvserver.Config // server knobs (group-commit MaxBatch etc.)
+	shards    int             // pktstore: partitions (= RSS queues = server loops)
+	zeroCopy  bool            // pktstore: PM rx pool(s)
+	pmBytes   int             // region size for rawpm / novelsm
+	noPersist bool            // zero the PM flush/fence latencies (Table 1 methodology)
 
 	// NUMA shape (pktstore sharded deployments only). numaNodes <= 1
 	// keeps the flat single-socket model. With a model installed,
@@ -141,12 +140,7 @@ func deploy(opt deployOptions) (*deployment, error) {
 			size = 256 << 20
 		}
 		d.pm = pmem.New(size, pmProf)
-		db, err := lsm.Open(lsm.Options{
-			Mode: lsm.NoveLSMSim, PM: d.pm, PMSize: size,
-			ArenaSize:         32 << 20,
-			Checksum:          !opt.noChecksum,
-			DisableCompaction: true, // the paper's experimental setup
-		})
+		db, err := lsm.Open(lsm.Options{PM: d.pm, PMSize: size, ArenaSize: 32 << 20})
 		if err != nil {
 			return nil, err
 		}

@@ -13,8 +13,8 @@
 //     "networking only" configuration that isolates network overheads.
 //   - RawPM: copy + flush into PM, no data management — Figure 2's
 //     "Net. + persist." series.
-//   - LSM: the NoveLSM/LevelDB baseline — Figure 2's
-//     "Net. + data mgmt. + persist." series.
+//   - LSM: the NoveLSM baseline (PM memtable, no WAL, no compaction) —
+//     Figure 2's "Net. + data mgmt. + persist." series.
 //   - PktStore / ShardedPktStore: the paper's proposal. With a PM-backed
 //     NIC receive pool the engine runs the zero-copy ingest path:
 //     request values are committed where the NIC wrote them, with
@@ -76,7 +76,7 @@ func (RawPM) Delete(key []byte) (bool, error) { return false, nil }
 // Range implements Backend.
 func (RawPM) Range(start, end []byte, limit int) ([]kvproto.KV, error) { return nil, nil }
 
-// LSM adapts the NoveLSM/LevelDB baseline.
+// LSM adapts the NoveLSM baseline.
 type LSM struct {
 	DB *lsm.DB
 }

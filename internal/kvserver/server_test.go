@@ -95,10 +95,7 @@ func TestEndToEndRawPM(t *testing.T) {
 
 func TestEndToEndLSM(t *testing.T) {
 	r := pmem.New(64<<20, calib.Off())
-	db, err := lsm.Open(lsm.Options{
-		Mode: lsm.NoveLSMSim, PM: r, PMSize: r.Size(),
-		ArenaSize: 4 << 20, Checksum: true, DisableCompaction: true,
-	})
+	db, err := lsm.Open(lsm.Options{PM: r, PMSize: r.Size(), ArenaSize: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

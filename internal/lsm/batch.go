@@ -1,15 +1,14 @@
 package lsm
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Batch is a LevelDB-format write batch: an 8-byte base sequence, a
 // 4-byte record count, then records of (kind, varint key length, key,
 // [varint value length, value]). Building one is the "request
 // preparation" phase Table 1 measures at 0.70µs: the storage stack's
 // translation of a network request into its own write representation.
+// Nothing decodes it: with the memtable in PM there is no log to replay,
+// and NoveLSM still pays for the encoding, so the DB keeps building it.
 type Batch struct {
 	rep   []byte
 	count uint32
@@ -50,55 +49,8 @@ func (b *Batch) Delete(key []byte) {
 	b.count++
 }
 
-// Count returns the number of records.
-func (b *Batch) Count() int { return int(b.count) }
-
 // setSeq stamps the base sequence and count into the header.
 func (b *Batch) setSeq(seq uint64) {
 	binary.LittleEndian.PutUint64(b.rep[0:8], seq)
 	binary.LittleEndian.PutUint32(b.rep[8:12], b.count)
-}
-
-// repr returns the serialized batch (valid after setSeq).
-func (b *Batch) repr() []byte { return b.rep }
-
-// forEach decodes the batch, invoking fn with each record's sequence.
-func (b *Batch) forEach(fn func(seq uint64, kind Kind, key, value []byte) error) error {
-	if len(b.rep) < batchHeaderLen {
-		return fmt.Errorf("lsm: batch header truncated")
-	}
-	seq := binary.LittleEndian.Uint64(b.rep[0:8])
-	count := binary.LittleEndian.Uint32(b.rep[8:12])
-	p := b.rep[batchHeaderLen:]
-	for i := uint32(0); i < count; i++ {
-		if len(p) < 1 {
-			return fmt.Errorf("lsm: batch record %d truncated", i)
-		}
-		kind := Kind(p[0])
-		p = p[1:]
-		klen, n := binary.Uvarint(p)
-		if n <= 0 || uint64(len(p)-n) < klen {
-			return fmt.Errorf("lsm: batch key %d truncated", i)
-		}
-		key := p[n : n+int(klen)]
-		p = p[n+int(klen):]
-		var val []byte
-		if kind == KindValue {
-			vlen, m := binary.Uvarint(p)
-			if m <= 0 || uint64(len(p)-m) < vlen {
-				return fmt.Errorf("lsm: batch value %d truncated", i)
-			}
-			val = p[m : m+int(vlen)]
-			p = p[m+int(vlen):]
-		}
-		if err := fn(seq+uint64(i), kind, key, val); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeBatch wraps raw bytes (a WAL record) as a Batch for replay.
-func decodeBatch(rep []byte) *Batch {
-	return &Batch{rep: rep}
 }

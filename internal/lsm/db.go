@@ -2,26 +2,16 @@ package lsm
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"packetstore/internal/checksum"
 	"packetstore/internal/pmem"
 	"packetstore/internal/pskiplist"
-	"packetstore/internal/wal"
-)
-
-// Mode selects the baseline configuration.
-type Mode int
-
-const (
-	// LevelDBSim: DRAM memtable + WAL + SSTables (LevelDB as shipped).
-	LevelDBSim Mode = iota
-	// NoveLSMSim: persistent-skip-list memtable in PM, no WAL — the
-	// configuration the paper measures.
-	NoveLSMSim
 )
 
 // Errors.
@@ -30,31 +20,12 @@ var (
 	ErrPMFull = errors.New("lsm: persistent memtable area exhausted")
 )
 
-// Options configures a DB.
+// Options configures a DB: memtable arenas of ArenaSize bytes each
+// (default 4MB) tile [0, PMSize) of PM.
 type Options struct {
-	Mode    Mode
-	Storage Storage // SSTables + WAL + MANIFEST; default in-memory
-
-	// PM configures NoveLSMSim: memtable arenas live in
-	// [PMBase, PMBase+PMSize) of the region, ArenaSize bytes each.
 	PM        *pmem.Region
-	PMBase    int
 	PMSize    int
-	ArenaSize int // default 4MB
-
-	// MemtableBytes rotates the memtable when its arena reaches this
-	// size (default: ArenaSize for PM, 4MB for DRAM).
-	MemtableBytes int
-
-	// DisableCompaction keeps all data in (PM) memtables, the paper's
-	// experimental configuration.
-	DisableCompaction bool
-
-	// Checksum computes and stores a CRC32C over key+value on every put
-	// (the integrity work Table 1 prices at 1.77µs/KB) and verifies on
-	// get when VerifyOnGet is set.
-	Checksum    bool
-	VerifyOnGet bool
+	ArenaSize int
 }
 
 // Breakdown accumulates per-phase time over all puts — the direct
@@ -64,7 +35,6 @@ type Breakdown struct {
 	Prep     time.Duration // write-batch encoding
 	Checksum time.Duration // CRC32C over key+value
 	Insert   pskiplist.InsertStats
-	WALTime  time.Duration // LevelDBSim only
 }
 
 // DB is the baseline key-value store.
@@ -73,82 +43,30 @@ type DB struct {
 	opt Options
 
 	seq      uint64
-	mem      memtable
-	imms     []memtable // newest first
-	arenas   []int      // NoveLSMSim: arena base of mem (index 0) and imms
-	freeAr   []int      // recycled arena bases
+	mem      *pmMemtable
+	imms     []*pmMemtable // newest first
+	freeAr   []int         // arena bases not holding a memtable
 	arenaTag uint64
-
-	walBuf bytes.Buffer
-	walW   *wal.Writer
-	logNum int
-
-	levels   [numLevels][]*tableMeta
-	tableNum int
 
 	bd     Breakdown
 	closed bool
 	batch  *Batch // reusable per-put batch (DB calls are serialized by mu)
 }
 
-const numLevels = 7
-
-// tableMeta describes one SSTable.
-type tableMeta struct {
-	name        string
-	num         int
-	size        int
-	first, last []byte // internal keys
-	rdr         *sstableReader
-}
-
-// Open creates or reopens a DB.
+// Open creates or reopens a DB, recovering every memtable arena that
+// survives in PM.
 func Open(opt Options) (*DB, error) {
-	if opt.Storage == nil {
-		opt.Storage = NewMemStorage()
-	}
 	if opt.ArenaSize == 0 {
 		opt.ArenaSize = 4 << 20
 	}
-	if opt.MemtableBytes == 0 {
-		if opt.Mode == NoveLSMSim {
-			opt.MemtableBytes = opt.ArenaSize - (opt.ArenaSize / 8)
-		} else {
-			opt.MemtableBytes = 4 << 20
-		}
-	}
-	if opt.Mode == NoveLSMSim {
-		if opt.PM == nil || opt.PMSize < opt.ArenaSize {
-			return nil, fmt.Errorf("lsm: NoveLSMSim needs a PM area of at least one arena")
-		}
+	if opt.PM == nil || opt.PMSize < opt.ArenaSize {
+		return nil, fmt.Errorf("lsm: needs a PM area of at least one arena")
 	}
 	db := &DB{opt: opt, batch: NewBatch()}
-	if err := db.recover(); err != nil {
+	if err := db.recoverArenas(); err != nil {
 		return nil, err
 	}
 	return db, nil
-}
-
-// recover loads the manifest, tables, and memtables.
-func (db *DB) recover() error {
-	if err := db.loadManifest(); err != nil {
-		return err
-	}
-	switch db.opt.Mode {
-	case LevelDBSim:
-		// replayLogs installs the recovered memtable.
-		if err := db.replayLogs(); err != nil {
-			return err
-		}
-		db.logNum++
-		db.walBuf.Reset()
-		db.walW = wal.NewWriter(&db.walBuf)
-	case NoveLSMSim:
-		if err := db.recoverArenas(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // recoverArenas scans the PM area for surviving memtable arenas and
@@ -156,44 +74,33 @@ func (db *DB) recover() error {
 // mutable.
 func (db *DB) recoverArenas() error {
 	type found struct {
-		base int
-		mt   *pmMemtable
-		tag  uint64
+		mt  *pmMemtable
+		tag uint64
 	}
 	var hits []found
-	n := db.opt.PMSize / db.opt.ArenaSize
-	for i := 0; i < n; i++ {
-		base := db.opt.PMBase + i*db.opt.ArenaSize
+	for base := 0; base+db.opt.ArenaSize <= db.opt.PMSize; base += db.opt.ArenaSize {
 		mt, err := recoverPMMemtable(db.opt.PM, base, db.opt.ArenaSize)
 		if err != nil {
 			db.freeAr = append(db.freeAr, base)
 			continue
 		}
-		hits = append(hits, found{base, mt, mt.sl.Tag()})
+		hits = append(hits, found{mt, mt.sl.Tag()})
 	}
 	if len(hits) == 0 {
 		// Fresh database.
 		return db.newPMMemtableLocked()
 	}
-	// Sort by tag ascending; newest (highest tag) becomes mutable.
-	for i := 0; i < len(hits); i++ {
-		for j := i + 1; j < len(hits); j++ {
-			if hits[j].tag < hits[i].tag {
-				hits[i], hits[j] = hits[j], hits[i]
-			}
-		}
-	}
+	// Newest (highest tag) becomes mutable.
+	slices.SortFunc(hits, func(a, b found) int { return cmp.Compare(a.tag, b.tag) })
 	newest := hits[len(hits)-1]
 	db.mem = newest.mt
-	db.arenas = []int{newest.base}
 	db.arenaTag = newest.tag
 	for i := len(hits) - 2; i >= 0; i-- {
 		db.imms = append(db.imms, hits[i].mt)
-		db.arenas = append(db.arenas, hits[i].base)
 	}
 	// Restore the sequence counter from the highest stored seq.
 	for _, h := range hits {
-		it := h.mt.iter()
+		it := h.mt.sl.NewIterator()
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			if s := ikey(it.Key()).seq(); s > db.seq {
 				db.seq = s
@@ -203,32 +110,19 @@ func (db *DB) recoverArenas() error {
 	return nil
 }
 
-// newPMMemtableLocked carves the next arena and installs a fresh mutable
-// memtable.
+// newPMMemtableLocked carves the next free arena and installs a fresh
+// mutable memtable.
 func (db *DB) newPMMemtableLocked() error {
-	base, ok := db.nextArenaLocked()
-	if !ok {
+	if len(db.freeAr) == 0 {
 		return ErrPMFull
 	}
+	base := db.freeAr[len(db.freeAr)-1]
+	db.freeAr = db.freeAr[:len(db.freeAr)-1]
 	db.arenaTag++
 	mt := newPMMemtable(db.opt.PM, base, db.opt.ArenaSize)
 	mt.sl.SetTag(db.arenaTag)
 	db.mem = mt
-	db.arenas = append([]int{base}, db.arenas...)
 	return nil
-}
-
-func (db *DB) nextArenaLocked() (int, bool) {
-	if len(db.freeAr) > 0 {
-		b := db.freeAr[len(db.freeAr)-1]
-		db.freeAr = db.freeAr[:len(db.freeAr)-1]
-		return b, true
-	}
-	used := len(db.arenas) * db.opt.ArenaSize
-	if used+db.opt.ArenaSize > db.opt.PMSize {
-		return 0, false
-	}
-	return db.opt.PMBase + used, true
 }
 
 // Breakdown returns the cumulative phase timings.
@@ -236,9 +130,7 @@ func (db *DB) Breakdown() Breakdown {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := db.bd
-	if mt, ok := db.mem.(*pmMemtable); ok {
-		out.Insert.Add(mt.sl.Stats())
-	}
+	out.Insert.Add(db.mem.sl.Stats())
 	return out
 }
 
@@ -247,9 +139,7 @@ func (db *DB) ResetBreakdown() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.bd = Breakdown{}
-	if mt, ok := db.mem.(*pmMemtable); ok {
-		*mt.sl.Stats() = pskiplist.InsertStats{}
-	}
+	*db.mem.sl.Stats() = pskiplist.InsertStats{}
 }
 
 // Put stores key -> value.
@@ -272,17 +162,14 @@ func (db *DB) applyLocked(kind Kind, key, value []byte) error {
 	}
 	db.bd.Ops++
 
-	// Phase 1 — integrity checksum over key+value. The stored value
-	// carries the CRC so it travels through WAL, memtable and SSTables
-	// uniformly.
-	var crc [4]byte
-	stored := value
-	if db.opt.Checksum && kind == KindValue {
+	// Phase 1 — integrity checksum over key+value, stored after the value.
+	var stored []byte
+	if kind == KindValue {
 		t1 := time.Now()
 		c := checksum.UpdateCRC32C(checksum.CRC32C(key), value)
-		crc[0], crc[1], crc[2], crc[3] = byte(c), byte(c>>8), byte(c>>16), byte(c>>24)
 		db.bd.Checksum += time.Since(t1)
-		stored = append(append(make([]byte, 0, len(value)+4), value...), crc[:]...)
+		stored = append(append(make([]byte, 0, len(value)+4), value...),
+			byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 	}
 
 	// Phase 2 — request preparation: encode the write batch.
@@ -297,16 +184,7 @@ func (db *DB) applyLocked(kind Kind, key, value []byte) error {
 	b.setSeq(db.seq + 1)
 	db.bd.Prep += time.Since(t0)
 
-	// Phase 3 — durability log (LevelDBSim only).
-	if db.opt.Mode == LevelDBSim {
-		t2 := time.Now()
-		if err := db.walW.Append(b.repr()); err != nil {
-			return err
-		}
-		db.bd.WALTime += time.Since(t2)
-	}
-
-	// Phase 4 — memtable copy + allocation + insertion (instrumented
+	// Phase 3 — memtable copy + allocation + insertion (instrumented
 	// inside the PM skip list itself).
 	if !db.mem.add(db.seq+1, kind, key, stored) {
 		// PM arena full: rotate and retry once.
@@ -319,50 +197,24 @@ func (db *DB) applyLocked(kind Kind, key, value []byte) error {
 	}
 	db.seq++
 
-	if db.mem.approximateBytes() >= db.opt.MemtableBytes {
-		if err := db.rotateLocked(); err != nil {
-			return err
-		}
+	if db.mem.sl.MemoryUsage() >= db.opt.ArenaSize-db.opt.ArenaSize/8 {
+		// The put is durable either way: on ErrPMFull, the last eighth
+		// of this arena still takes puts until it fills.
+		_ = db.rotateLocked()
 	}
 	return nil
 }
 
-// rotateLocked retires the mutable memtable and installs a fresh one,
-// compacting when allowed.
+// rotateLocked retires the mutable memtable to the immutable stack and
+// installs a fresh one in the next free arena.
 func (db *DB) rotateLocked() error {
-	if db.opt.Mode == NoveLSMSim {
-		if cur, ok := db.mem.(*pmMemtable); ok {
-			if sts := cur.sl.Stats(); sts != nil {
-				db.bd.Insert.Add(sts)
-			}
-		}
+	cur := db.mem
+	if err := db.newPMMemtableLocked(); err != nil {
+		return err
 	}
-	db.imms = append([]memtable{db.mem}, db.imms...)
-	switch db.opt.Mode {
-	case LevelDBSim:
-		db.mem = newDRAMMemtable()
-		db.logNum++
-		// Retire the old log: its contents are covered by the immutable
-		// memtable, which will be flushed below (or kept in memory when
-		// compaction is disabled — in that case the log stays too).
-		if !db.opt.DisableCompaction {
-			if err := db.flushOldestImmLocked(); err != nil {
-				return err
-			}
-		}
-		db.walBuf.Reset()
-		db.walW = wal.NewWriter(&db.walBuf)
-	case NoveLSMSim:
-		if !db.opt.DisableCompaction {
-			if err := db.flushOldestImmLocked(); err != nil {
-				return err
-			}
-		}
-		if err := db.newPMMemtableLocked(); err != nil {
-			return err
-		}
-	}
-	return db.maybeCompactLocked()
+	db.bd.Insert.Add(cur.sl.Stats())
+	db.imms = append([]*pmMemtable{cur}, db.imms...)
+	return nil
 }
 
 // Get returns the newest value for key.
@@ -372,44 +224,34 @@ func (db *DB) Get(key []byte) ([]byte, bool, error) {
 	if db.closed {
 		return nil, false, ErrClosed
 	}
-	v, deleted, found := db.mem.get(key, MaxSeq)
-	if !found {
-		for _, imm := range db.imms {
-			if v, deleted, found = imm.get(key, MaxSeq); found {
-				break
-			}
+	v, deleted, found := db.mem.get(key)
+	for _, imm := range db.imms {
+		if found {
+			break
 		}
-	}
-	if !found {
-		var err error
-		v, deleted, found, err = db.tableGetLocked(key)
-		if err != nil {
-			return nil, false, err
-		}
+		v, deleted, found = imm.get(key)
 	}
 	if !found || deleted {
 		return nil, false, nil
 	}
-	return db.decodeValue(key, v)
+	val, err := decodeValue(key, v)
+	if err != nil {
+		return nil, false, err
+	}
+	return val, true, nil
 }
 
-// decodeValue strips and (optionally) verifies the stored checksum.
-func (db *DB) decodeValue(key, stored []byte) ([]byte, bool, error) {
-	if !db.opt.Checksum {
-		return bytes.Clone(stored), true, nil
-	}
+// decodeValue strips and verifies the stored checksum.
+func decodeValue(key, stored []byte) ([]byte, error) {
 	if len(stored) < 4 {
-		return nil, false, fmt.Errorf("lsm: stored value shorter than checksum")
+		return nil, fmt.Errorf("lsm: stored value shorter than checksum")
 	}
-	val := stored[:len(stored)-4]
-	if db.opt.VerifyOnGet {
-		c := stored[len(stored)-4:]
-		want := uint32(c[0]) | uint32(c[1])<<8 | uint32(c[2])<<16 | uint32(c[3])<<24
-		if got := checksum.UpdateCRC32C(checksum.CRC32C(key), val); got != want {
-			return nil, false, fmt.Errorf("lsm: checksum mismatch for key %q", key)
-		}
+	val, c := stored[:len(stored)-4], stored[len(stored)-4:]
+	want := uint32(c[0]) | uint32(c[1])<<8 | uint32(c[2])<<16 | uint32(c[3])<<24
+	if got := checksum.UpdateCRC32C(checksum.CRC32C(key), val); got != want {
+		return nil, fmt.Errorf("lsm: checksum mismatch for key %q", key)
 	}
-	return bytes.Clone(val), true, nil
+	return bytes.Clone(val), nil
 }
 
 // Seq returns the current sequence number (diagnostics).
@@ -426,18 +268,7 @@ func (db *DB) Immutables() int {
 	return len(db.imms)
 }
 
-// TableCount returns the number of live SSTables per level.
-func (db *DB) TableCount() [numLevels]int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	var out [numLevels]int
-	for i := range db.levels {
-		out[i] = len(db.levels[i])
-	}
-	return out
-}
-
-// Close flushes state (manifest) and closes the DB.
+// Close closes the DB. Everything it holds is already durable in PM.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -445,5 +276,5 @@ func (db *DB) Close() error {
 		return ErrClosed
 	}
 	db.closed = true
-	return db.saveManifest()
+	return nil
 }

@@ -1,19 +1,15 @@
-// Package lsm implements the paper's baseline storage stack: a
-// LevelDB-style log-structured merge tree with two configurations.
-//
-//   - LevelDBSim: DRAM memtable (arena skip list) + write-ahead log +
-//     SSTables with leveled compaction — LevelDB as shipped.
-//   - NoveLSMSim: the memtable is a persistent skip list in a PM region
-//     and the WAL is dropped (persistence comes from the PM memtable),
-//     matching the NoveLSM configuration measured in §3 of the paper
-//     (compaction disabled during the experiment).
+// Package lsm implements the paper's baseline storage stack: NoveLSM as
+// §3 of the paper measures it. The memtable is a persistent skip list in
+// a PM region, so there is no write-ahead log (persistence comes from
+// the PM memtable), and compaction is disabled: a full memtable is
+// retired to a stack of immutable PM memtables and a fresh arena takes
+// the writes. After a crash every arena is recovered in place.
 //
 // The data-management phases the paper's Table 1 itemizes — request
 // preparation (write-batch encoding), checksum calculation (CRC32C over
 // key+value), data copy, and buffer allocation + index insertion — are
-// real code paths here, individually instrumented (Breakdown) and
-// individually disablable, reproducing the paper's measurement
-// methodology.
+// real code paths here, individually instrumented (Breakdown),
+// reproducing the paper's measurement methodology.
 package lsm
 
 import (
@@ -46,13 +42,6 @@ func makeIKey(userKey []byte, seq uint64, kind Kind) ikey {
 	copy(k, userKey)
 	binary.BigEndian.PutUint64(k[len(userKey):], seq<<8|uint64(kind))
 	return k
-}
-
-// appendIKeyTrailer appends the 8-byte trailer to dst.
-func appendIKeyTrailer(dst []byte, seq uint64, kind Kind) []byte {
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], seq<<8|uint64(kind))
-	return append(dst, t[:]...)
 }
 
 // userKey extracts the user key portion.

@@ -3,26 +3,18 @@ package lsm
 import (
 	"bytes"
 
-	"packetstore/internal/sstable"
+	"packetstore/internal/pskiplist"
 )
 
-// iterLike is the common shape of memtable and table iterators.
-type iterLike interface {
-	Valid() bool
-	Key() []byte
-	Value() []byte
-	Next()
-}
-
-// mergedIter performs an N-way merge by internal-key order. Internal keys
-// are unique across sources (sequence numbers are global), so ties cannot
-// occur.
+// mergedIter performs an N-way merge of the memtables by internal-key
+// order. Internal keys are unique across memtables (sequence numbers are
+// global), so ties cannot occur.
 type mergedIter struct {
-	iters []iterLike
+	iters []*pskiplist.Iterator
 	cur   int
 }
 
-func newMergedIter(iters []iterLike) *mergedIter {
+func newMergedIter(iters []*pskiplist.Iterator) *mergedIter {
 	m := &mergedIter{iters: iters, cur: -1}
 	m.pick()
 	return m
@@ -48,15 +40,6 @@ func (m *mergedIter) next() {
 	m.pick()
 }
 
-// newMergedTableIter adapts sstable iterators for compaction.
-func newMergedTableIter(iters []*sstable.Iterator) *mergedIter {
-	like := make([]iterLike, len(iters))
-	for i, it := range iters {
-		like[i] = it
-	}
-	return newMergedIter(like)
-}
-
 // KV is one result of a range scan.
 type KV struct {
 	Key   []byte
@@ -76,32 +59,11 @@ func (db *DB) Range(start, end []byte, limit int) ([]KV, error) {
 		limit = 1 << 30
 	}
 	lk := lookupKey(start, MaxSeq)
-
-	var iters []iterLike
-	mit := db.mem.iter()
-	mit.Seek(lk)
-	iters = append(iters, mit)
-	for _, imm := range db.imms {
-		it := imm.iter()
+	iters := make([]*pskiplist.Iterator, 0, 1+len(db.imms))
+	for _, mt := range append([]*pmMemtable{db.mem}, db.imms...) {
+		it := mt.sl.NewIterator()
 		it.Seek(lk)
 		iters = append(iters, it)
-	}
-	for level := 0; level < numLevels; level++ {
-		for _, m := range db.levels[level] {
-			if end != nil && bytes.Compare(ikey(m.first).userKey(), end) >= 0 {
-				continue
-			}
-			if icmp(lk, m.last) > 0 {
-				continue
-			}
-			r, err := db.openTableLocked(m)
-			if err != nil {
-				return nil, err
-			}
-			it := r.NewIterator()
-			it.Seek(lk)
-			iters = append(iters, it)
-		}
 	}
 
 	merged := newMergedIter(iters)
@@ -119,13 +81,11 @@ func (db *DB) Range(start, end []byte, limit int) ([]KV, error) {
 		}
 		lastUser = append(lastUser[:0], uk...)
 		if k.kind() != KindDelete {
-			val, ok, err := db.decodeValue(uk, merged.value())
+			val, err := decodeValue(uk, merged.value())
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				out = append(out, KV{Key: bytes.Clone(uk), Value: val})
-			}
+			out = append(out, KV{Key: bytes.Clone(uk), Value: val})
 		}
 		merged.next()
 	}

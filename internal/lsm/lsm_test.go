@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"packetstore/internal/calib"
@@ -12,23 +13,7 @@ import (
 
 func openNoveLSM(t *testing.T, r *pmem.Region, opts ...func(*Options)) *DB {
 	t.Helper()
-	opt := Options{
-		Mode: NoveLSMSim, PM: r, PMBase: 0, PMSize: r.Size(),
-		ArenaSize: 1 << 20, Checksum: true, VerifyOnGet: true,
-	}
-	for _, f := range opts {
-		f(&opt)
-	}
-	db, err := Open(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
-
-func openLevelDB(t *testing.T, st Storage, opts ...func(*Options)) *DB {
-	t.Helper()
-	opt := Options{Mode: LevelDBSim, Storage: st, MemtableBytes: 64 << 10, Checksum: true, VerifyOnGet: true}
+	opt := Options{PM: r, PMSize: r.Size(), ArenaSize: 1 << 20}
 	for _, f := range opts {
 		f(&opt)
 	}
@@ -75,15 +60,9 @@ func TestBasicOpsNoveLSM(t *testing.T) {
 	testBasicOps(t, db)
 }
 
-func TestBasicOpsLevelDB(t *testing.T) {
-	db := openLevelDB(t, NewMemStorage())
-	defer db.Close()
-	testBasicOps(t, db)
-}
-
 func TestManyKeysWithRotation(t *testing.T) {
 	r := pmem.New(32<<20, calib.Off())
-	db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 256 << 10; o.DisableCompaction = true })
+	db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 256 << 10 })
 	defer db.Close()
 	val := make([]byte, 256)
 	n := 2000
@@ -100,64 +79,6 @@ func TestManyKeysWithRotation(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("lost key%06d after rotation: %v", i, err)
 		}
-	}
-}
-
-func TestCompactionKeepsData(t *testing.T) {
-	st := NewMemStorage()
-	db := openLevelDB(t, st, func(o *Options) { o.MemtableBytes = 16 << 10 })
-	defer db.Close()
-	ref := map[string]string{}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 3000; i++ {
-		k := fmt.Sprintf("key%05d", rng.Intn(800))
-		v := fmt.Sprintf("val-%d", i)
-		if rng.Intn(10) == 0 {
-			db.Delete([]byte(k))
-			delete(ref, k)
-		} else {
-			db.Put([]byte(k), []byte(v))
-			ref[k] = v
-		}
-	}
-	counts := db.TableCount()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		t.Fatal("no tables produced despite small memtable")
-	}
-	for k, v := range ref {
-		got, ok, err := db.Get([]byte(k))
-		if err != nil || !ok || string(got) != v {
-			t.Fatalf("Get(%s)=%q,%v,%v want %q", k, got, ok, err, v)
-		}
-	}
-	// Deleted keys stay deleted through compaction.
-	for k := range map[string]bool{"key00000": true} {
-		if _, inRef := ref[k]; !inRef {
-			if _, ok, _ := db.Get([]byte(k)); ok {
-				t.Fatalf("tombstone for %s lost in compaction", k)
-			}
-		}
-	}
-}
-
-func TestL0TriggerCompacts(t *testing.T) {
-	st := NewMemStorage()
-	db := openLevelDB(t, st, func(o *Options) { o.MemtableBytes = 8 << 10 })
-	defer db.Close()
-	val := make([]byte, 512)
-	for i := 0; i < 400; i++ {
-		db.Put([]byte(fmt.Sprintf("key%06d", i)), val)
-	}
-	counts := db.TableCount()
-	if counts[0] >= l0CompactionTrigger {
-		t.Fatalf("L0 never compacted: %v", counts)
-	}
-	if counts[1] == 0 {
-		t.Fatalf("nothing reached L1: %v", counts)
 	}
 }
 
@@ -193,20 +114,30 @@ func TestRange(t *testing.T) {
 	}
 }
 
+// TestRangeAcrossTablesAndMemtables merges a range over the mutable
+// memtable and the immutable ones; with the memtables in PM there are no
+// tables to merge.
 func TestRangeAcrossTablesAndMemtables(t *testing.T) {
-	st := NewMemStorage()
-	db := openLevelDB(t, st, func(o *Options) { o.MemtableBytes = 8 << 10 })
+	r := pmem.New(1<<20, calib.Off())
+	db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 64 << 10 })
 	defer db.Close()
 	val := make([]byte, 256)
-	for i := 0; i < 500; i++ {
-		db.Put([]byte(fmt.Sprintf("k%06d", i)), val)
+	// A stride coprime to 500 scatters every memtable's keys over the
+	// whole key space, so the range below merges all of them.
+	for j := 0; j < 500; j++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%06d", j*7%500)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db.Immutables() < 2 {
+		t.Fatalf("%d immutable memtables, want at least 2", db.Immutables())
 	}
 	kvs, err := db.Range([]byte("k000100"), []byte("k000200"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(kvs) != 100 {
-		t.Fatalf("range across tables: %d results", len(kvs))
+		t.Fatalf("range across memtables: %d results", len(kvs))
 	}
 	for i, kv := range kvs {
 		if string(kv.Key) != fmt.Sprintf("k%06d", 100+i) {
@@ -236,7 +167,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 
 func TestNoveLSMCrashRecovery(t *testing.T) {
 	r := pmem.New(16<<20, calib.Off())
-	db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 256 << 10; o.DisableCompaction = true })
+	db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 256 << 10 })
 	ref := map[string]string{}
 	for i := 0; i < 1500; i++ {
 		k, v := fmt.Sprintf("key%06d", i), fmt.Sprintf("value-%d", i)
@@ -249,7 +180,7 @@ func TestNoveLSMCrashRecovery(t *testing.T) {
 
 	r.Crash(7)
 
-	db2 := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 256 << 10; o.DisableCompaction = true })
+	db2 := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 256 << 10 })
 	defer db2.Close()
 	if db2.Seq() != seqBefore {
 		t.Fatalf("seq after recovery %d want %d", db2.Seq(), seqBefore)
@@ -274,7 +205,7 @@ func TestNoveLSMRepeatedCrashes(t *testing.T) {
 	ref := map[string]string{}
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 4; round++ {
-		db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 512 << 10; o.DisableCompaction = true })
+		db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 512 << 10 })
 		for i := 0; i < 300; i++ {
 			k := fmt.Sprintf("r%d-%04d", round, i)
 			v := fmt.Sprintf("v%d-%d", round, i)
@@ -284,7 +215,7 @@ func TestNoveLSMRepeatedCrashes(t *testing.T) {
 			ref[k] = v
 		}
 		r.Crash(rng.Int63())
-		db2 := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 512 << 10; o.DisableCompaction = true })
+		db2 := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 512 << 10 })
 		for k, v := range ref {
 			got, ok, err := db2.Get([]byte(k))
 			if err != nil || !ok || string(got) != v {
@@ -295,61 +226,96 @@ func TestNoveLSMRepeatedCrashes(t *testing.T) {
 	}
 }
 
-func TestLevelDBWALRecovery(t *testing.T) {
-	st := NewMemStorage()
-	db := openLevelDB(t, st, func(o *Options) { o.MemtableBytes = 1 << 20 })
-	for i := 0; i < 100; i++ {
-		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
-	}
-	if err := db.SyncWAL(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash: no Close; reopen from the same storage.
-	db2 := openLevelDB(t, st)
-	defer db2.Close()
-	for i := 0; i < 100; i++ {
-		v, ok, err := db2.Get([]byte(fmt.Sprintf("k%03d", i)))
-		if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("WAL replay lost k%03d: %q %v %v", i, v, ok, err)
-		}
-	}
-}
-
-func TestManifestReopen(t *testing.T) {
-	st := NewMemStorage()
-	db := openLevelDB(t, st, func(o *Options) { o.MemtableBytes = 8 << 10 })
-	val := make([]byte, 512)
-	for i := 0; i < 200; i++ {
-		db.Put([]byte(fmt.Sprintf("key%05d", i)), val)
-	}
-	db.SyncWAL()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2 := openLevelDB(t, st, func(o *Options) { o.MemtableBytes = 8 << 10 })
-	defer db2.Close()
-	for i := 0; i < 200; i++ {
-		if _, ok, err := db2.Get([]byte(fmt.Sprintf("key%05d", i))); err != nil || !ok {
-			t.Fatalf("lost key%05d across reopen: %v", i, err)
-		}
-	}
-}
-
+// TestDisableCompactionAccumulatesImmutables: the baseline is NoveLSM with
+// compaction disabled, so a full memtable is retired to the immutable
+// stack and stays there.
 func TestDisableCompactionAccumulatesImmutables(t *testing.T) {
 	r := pmem.New(8<<20, calib.Off())
-	db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 128 << 10; o.DisableCompaction = true })
+	db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 128 << 10 })
 	defer db.Close()
 	val := make([]byte, 512)
 	for i := 0; i < 500; i++ {
 		db.Put([]byte(fmt.Sprintf("key%05d", i)), val)
 	}
 	if db.Immutables() < 1 {
-		t.Fatal("immutables not accumulating with compaction off")
+		t.Fatal("full memtables not retired to the immutable stack")
 	}
-	counts := db.TableCount()
-	for _, c := range counts {
-		if c != 0 {
-			t.Fatal("tables produced with compaction disabled")
+}
+
+// TestManifestReopen: with the memtables in PM there is no manifest; a
+// clean Close and reopen recovers every arena in place.
+func TestManifestReopen(t *testing.T) {
+	r := pmem.New(4<<20, calib.Off())
+	small := func(o *Options) { o.ArenaSize = 64 << 10 }
+	db := openNoveLSM(t, r, small)
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 512) }
+	for i := 0; i < 200; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key%05d", i)), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	imms, seq := db.Immutables(), db.Seq()
+	if imms < 1 {
+		t.Fatal("no rotation before reopen")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openNoveLSM(t, r, small)
+	defer db2.Close()
+	if db2.Immutables() != imms || db2.Seq() != seq {
+		t.Fatalf("reopen: %d immutables seq %d, want %d seq %d", db2.Immutables(), db2.Seq(), imms, seq)
+	}
+	for i := 0; i < 200; i++ {
+		v, ok, err := db2.Get([]byte(fmt.Sprintf("key%05d", i)))
+		if err != nil || !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("lost key%05d across reopen: %v %v", i, ok, err)
+		}
+	}
+}
+
+// TestCompactionKeepsData: without compaction, overwrites and tombstones
+// in newer memtables must still shadow older versions left in the
+// immutable ones.
+func TestCompactionKeepsData(t *testing.T) {
+	r := pmem.New(4<<20, calib.Off())
+	db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 64 << 10 })
+	defer db.Close()
+	ref := map[string]string{}
+	deleted := map[string]bool{}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		k := fmt.Sprintf("key%05d", rng.Intn(800))
+		if rng.Intn(10) == 0 {
+			if err := db.Delete([]byte(k)); err != nil {
+				t.Fatal(err)
+			}
+			delete(ref, k)
+			deleted[k] = true
+		} else {
+			v := fmt.Sprintf("val-%d", i)
+			if err := db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			ref[k] = v
+			delete(deleted, k)
+		}
+	}
+	if db.Immutables() < 2 {
+		t.Fatalf("%d immutable memtables, want at least 2", db.Immutables())
+	}
+	for k, v := range ref {
+		got, ok, err := db.Get([]byte(k))
+		if err != nil || !ok || string(got) != v {
+			t.Fatalf("Get(%s)=%q,%v,%v want %q", k, got, ok, err, v)
+		}
+	}
+	if len(deleted) == 0 {
+		t.Fatal("workload left no deleted keys")
+	}
+	for k := range deleted {
+		if _, ok, _ := db.Get([]byte(k)); ok {
+			t.Fatalf("tombstone for %s lost across memtables", k)
 		}
 	}
 }
@@ -359,18 +325,28 @@ func TestPMExhaustion(t *testing.T) {
 	db := openNoveLSM(t, r, func(o *Options) {
 		o.ArenaSize = 128 << 10
 		o.PMSize = 256 << 10
-		o.DisableCompaction = true
 	})
 	defer db.Close()
 	val := make([]byte, 1024)
 	var err error
-	for i := 0; i < 1000; i++ {
+	i := 0
+	for ; i < 1000; i++ {
 		if err = db.Put([]byte(fmt.Sprintf("key%05d", i)), val); err != nil {
 			break
 		}
 	}
 	if err != ErrPMFull {
 		t.Fatalf("want ErrPMFull, got %v", err)
+	}
+	// The refused put was not stored; every acknowledged one stays
+	// readable.
+	if _, ok, _ := db.Get([]byte(fmt.Sprintf("key%05d", i))); ok {
+		t.Fatalf("key%05d refused with ErrPMFull but stored", i)
+	}
+	for j := 0; j < i; j++ {
+		if _, ok, err := db.Get([]byte(fmt.Sprintf("key%05d", j))); err != nil || !ok {
+			t.Fatalf("key%05d lost after exhaustion: %v", j, err)
+		}
 	}
 }
 
@@ -413,48 +389,6 @@ func TestClosedDBErrors(t *testing.T) {
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	b := NewBatch()
-	b.Put([]byte("k1"), []byte("v1"))
-	b.Delete([]byte("k2"))
-	b.Put([]byte("k3"), make([]byte, 300))
-	b.setSeq(42)
-	if b.Count() != 3 {
-		t.Fatal("count")
-	}
-	var got []string
-	err := b.forEach(func(seq uint64, kind Kind, key, value []byte) error {
-		got = append(got, fmt.Sprintf("%d-%d-%s-%d", seq, kind, key, len(value)))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"42-1-k1-2", "43-0-k2-0", "44-1-k3-300"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: %s want %s", i, got[i], want[i])
-		}
-	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Fatal("reset")
-	}
-}
-
-func TestBatchTruncatedRejected(t *testing.T) {
-	b := NewBatch()
-	b.Put([]byte("key"), []byte("value"))
-	b.setSeq(1)
-	trunc := decodeBatch(b.repr()[:len(b.repr())-3])
-	if err := trunc.forEach(func(uint64, Kind, []byte, []byte) error { return nil }); err == nil {
-		t.Fatal("truncated batch accepted")
-	}
-	if err := decodeBatch([]byte{1, 2}).forEach(func(uint64, Kind, []byte, []byte) error { return nil }); err == nil {
-		t.Fatal("tiny batch accepted")
-	}
-}
-
 func TestIKeyOrdering(t *testing.T) {
 	a1 := makeIKey([]byte("a"), 1, KindValue)
 	a2 := makeIKey([]byte("a"), 2, KindValue)
@@ -477,54 +411,90 @@ func TestIKeyOrdering(t *testing.T) {
 	}
 }
 
-func TestDiskStorage(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewDiskStorage(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Write("obj1", []byte("data1")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Read("obj1")
-	if err != nil || string(got) != "data1" {
-		t.Fatalf("read: %q %v", got, err)
-	}
-	names, _ := st.List()
-	if len(names) != 1 || names[0] != "obj1" {
-		t.Fatalf("list: %v", names)
-	}
-	if err := st.Remove("obj1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Remove("obj1"); err != nil {
-		t.Fatal("remove missing should be nil")
-	}
-	if _, err := st.Read("obj1"); err == nil {
-		t.Fatal("read removed object")
-	}
-	// A DB on disk storage works end to end.
-	db := openLevelDB(t, st, func(o *Options) { o.MemtableBytes = 4 << 10 })
+// TestBaselinePersistCounts pins what Table 1's baseline flushes: the
+// 40 000 x 1 KB put shape of the NoveLSM deployment (256 MB region,
+// 32 MB arenas, one arena rotation) costs exactly these persist
+// operations. Any drift in batch encoding, checksum placement, skip-list
+// insertion or arena rotation changes them.
+func TestBaselinePersistCounts(t *testing.T) {
+	r := pmem.New(256<<20, calib.Off())
+	db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 32 << 20 })
 	defer db.Close()
-	for i := 0; i < 100; i++ {
-		db.Put([]byte(fmt.Sprintf("k%04d", i)), make([]byte, 256))
+	val := make([]byte, 1024)
+	for i := 0; i < 40000; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key%08d", i)), val); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok, err := db.Get([]byte("k0050")); err != nil || !ok {
-		t.Fatalf("disk-backed get: %v", err)
+	if db.Immutables() != 1 {
+		t.Fatalf("%d immutable memtables, want 1", db.Immutables())
+	}
+	st := r.Stats()
+	if st.LinesFlushed != 760008 || st.Flushes != 120008 || st.Fences != 120008 || st.BytesWritten != 42947512 {
+		t.Fatalf("persist counts drifted: LinesFlushed %d Flushes %d Fences %d BytesWritten %d, "+
+			"want 760008 120008 120008 42947512", st.LinesFlushed, st.Flushes, st.Fences, st.BytesWritten)
 	}
 }
 
+func TestBatchEncoding(t *testing.T) {
+	b := NewBatch()
+	b.Put([]byte("k1"), []byte("v1"))
+	b.Delete([]byte("k2"))
+	b.setSeq(42)
+	want := []byte{
+		42, 0, 0, 0, 0, 0, 0, 0, // base sequence
+		2, 0, 0, 0, // record count
+		byte(KindValue), 2, 'k', '1', 2, 'v', '1',
+		byte(KindDelete), 2, 'k', '2',
+	}
+	if !bytes.Equal(b.rep, want) {
+		t.Fatalf("batch %v\nwant  %v", b.rep, want)
+	}
+	b.Reset()
+	if b.count != 0 || len(b.rep) != batchHeaderLen || !bytes.Equal(b.rep, make([]byte, batchHeaderLen)) {
+		t.Fatalf("reset left %v (count %d)", b.rep, b.count)
+	}
+}
+
+// TestRandomizedAgainstModel drives puts and deletes over small arenas
+// (so the memtable rotates) and checks Get and Range against a map, with
+// a power cut and reopen halfway through.
 func TestRandomizedAgainstModel(t *testing.T) {
-	r := pmem.New(64<<20, calib.Off())
-	db := openNoveLSM(t, r, func(o *Options) { o.ArenaSize = 512 << 10 })
-	defer db.Close()
+	r := pmem.New(4<<20, calib.Off())
+	small := func(o *Options) { o.ArenaSize = 64 << 10 }
+	db := openNoveLSM(t, r, small)
 	ref := map[string]string{}
 	rng := rand.New(rand.NewSource(11))
+	check := func(i int) {
+		t.Helper()
+		for k, v := range ref {
+			got, ok, err := db.Get([]byte(k))
+			if err != nil || !ok || string(got) != v {
+				t.Fatalf("iter %d: Get(%s)=%q,%v,%v want %q", i, k, got, ok, err, v)
+			}
+		}
+		keys := make([]string, 0, len(ref))
+		for k := range ref {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		kvs, err := db.Range(nil, nil, 0)
+		if err != nil || len(kvs) != len(keys) {
+			t.Fatalf("iter %d: Range gave %d entries (%v), model %d", i, len(kvs), err, len(keys))
+		}
+		for j, kv := range kvs {
+			if string(kv.Key) != keys[j] || string(kv.Value) != ref[keys[j]] {
+				t.Fatalf("iter %d: Range[%d] = %s:%s, want %s:%s", i, j, kv.Key, kv.Value, keys[j], ref[keys[j]])
+			}
+		}
+	}
 	for i := 0; i < 5000; i++ {
 		k := fmt.Sprintf("key%04d", rng.Intn(500))
 		switch rng.Intn(4) {
 		case 0:
-			db.Delete([]byte(k))
+			if err := db.Delete([]byte(k)); err != nil {
+				t.Fatal(err)
+			}
 			delete(ref, k)
 		default:
 			v := fmt.Sprintf("val-%d", i)
@@ -533,21 +503,28 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 			ref[k] = v
 		}
-		if i%500 == 0 {
-			for k, v := range ref {
-				got, ok, err := db.Get([]byte(k))
-				if err != nil || !ok || string(got) != v {
-					t.Fatalf("iter %d: Get(%s)=%q,%v,%v want %q", i, k, got, ok, err, v)
-				}
+		if i == 2500 {
+			seq := db.Seq()
+			r.Crash(rng.Int63())
+			db = openNoveLSM(t, r, small)
+			if db.Seq() != seq {
+				t.Fatalf("seq after reopen %d, want %d", db.Seq(), seq)
 			}
 		}
+		if i%500 == 0 {
+			check(i)
+		}
 	}
+	if db.Immutables() < 2 {
+		t.Fatalf("%d immutable memtables: the model run never rotated", db.Immutables())
+	}
+	check(5000)
+	db.Close()
 }
 
 func BenchmarkPutNoveLSM1K(b *testing.B) {
 	r := pmem.New(1<<30, calib.Off())
-	db, err := Open(Options{Mode: NoveLSMSim, PM: r, PMSize: r.Size(),
-		ArenaSize: 32 << 20, Checksum: true, DisableCompaction: true})
+	db, err := Open(Options{PM: r, PMSize: r.Size(), ArenaSize: 32 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -562,8 +539,7 @@ func BenchmarkPutNoveLSM1K(b *testing.B) {
 
 func BenchmarkPutNoveLSM1KPaperModel(b *testing.B) {
 	r := pmem.New(1<<30, calib.Paper())
-	db, err := Open(Options{Mode: NoveLSMSim, PM: r, PMSize: r.Size(),
-		ArenaSize: 32 << 20, Checksum: true, DisableCompaction: true})
+	db, err := Open(Options{PM: r, PMSize: r.Size(), ArenaSize: 32 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -578,8 +554,7 @@ func BenchmarkPutNoveLSM1KPaperModel(b *testing.B) {
 
 func BenchmarkGetNoveLSM(b *testing.B) {
 	r := pmem.New(1<<28, calib.Off())
-	db, err := Open(Options{Mode: NoveLSMSim, PM: r, PMSize: r.Size(),
-		ArenaSize: 32 << 20, Checksum: true, DisableCompaction: true})
+	db, err := Open(Options{PM: r, PMSize: r.Size(), ArenaSize: 32 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,56 +3,9 @@ package lsm
 import (
 	"packetstore/internal/pmem"
 	"packetstore/internal/pskiplist"
-	"packetstore/internal/skiplist"
 )
 
-// memIter is the common iterator shape of both memtable kinds.
-type memIter interface {
-	Valid() bool
-	Key() []byte
-	Value() []byte
-	Next()
-	Seek(key []byte)
-	SeekToFirst()
-}
-
-// memtable is a mutable in-memory (or in-PM) table of internal keys.
-type memtable interface {
-	// add inserts an entry; false means out of space (PM arena full).
-	add(seq uint64, kind Kind, userKey, value []byte) bool
-	// get looks up the newest entry for userKey at or below seq.
-	// found=false means the memtable has no entry; deleted=true means the
-	// newest entry is a tombstone.
-	get(userKey []byte, seq uint64) (value []byte, deleted, found bool)
-	iter() memIter
-	approximateBytes() int
-}
-
-// dramMemtable is the LevelDB arena skip list.
-type dramMemtable struct {
-	sl *skiplist.List
-}
-
-func newDRAMMemtable() *dramMemtable {
-	return &dramMemtable{sl: skiplist.New(icmp)}
-}
-
-func (m *dramMemtable) add(seq uint64, kind Kind, userKey, value []byte) bool {
-	m.sl.Insert(makeIKey(userKey, seq, kind), value)
-	return true
-}
-
-func (m *dramMemtable) get(userKey []byte, seq uint64) ([]byte, bool, bool) {
-	it := m.sl.NewIterator()
-	it.Seek(lookupKey(userKey, seq))
-	return memGetAt(it, userKey)
-}
-
-func (m *dramMemtable) iter() memIter { return m.sl.NewIterator() }
-
-func (m *dramMemtable) approximateBytes() int { return m.sl.MemoryUsage() }
-
-// pmMemtable is the NoveLSM persistent skip list.
+// pmMemtable is the NoveLSM persistent skip list of internal keys.
 type pmMemtable struct {
 	sl *pskiplist.List
 }
@@ -72,22 +25,17 @@ func recoverPMMemtable(r *pmem.Region, base, size int) (*pmMemtable, error) {
 	return &pmMemtable{sl: sl}, nil
 }
 
+// add inserts an entry; false means the arena is full.
 func (m *pmMemtable) add(seq uint64, kind Kind, userKey, value []byte) bool {
 	return m.sl.Insert(makeIKey(userKey, seq, kind), value)
 }
 
-func (m *pmMemtable) get(userKey []byte, seq uint64) ([]byte, bool, bool) {
+// get looks up the newest entry for userKey. found=false means the
+// memtable has no entry; deleted=true means the newest entry is a
+// tombstone.
+func (m *pmMemtable) get(userKey []byte) (value []byte, deleted, found bool) {
 	it := m.sl.NewIterator()
-	it.Seek(lookupKey(userKey, seq))
-	return memGetAt(it, userKey)
-}
-
-func (m *pmMemtable) iter() memIter { return m.sl.NewIterator() }
-
-func (m *pmMemtable) approximateBytes() int { return m.sl.MemoryUsage() }
-
-// memGetAt interprets an iterator positioned by a lookup key.
-func memGetAt(it memIter, userKey []byte) ([]byte, bool, bool) {
+	it.Seek(lookupKey(userKey, MaxSeq))
 	if !it.Valid() {
 		return nil, false, false
 	}
