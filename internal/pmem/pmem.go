@@ -36,6 +36,7 @@
 package pmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -150,10 +151,18 @@ type Stats struct {
 // take every range lock. Read-side helpers that return direct slices
 // (Slice) do not synchronize with writers; callers partition the address
 // space, as software sharing a real PM mapping must.
+//
+// The image lives outside the Go heap (newImage) for exactly as long as
+// the Region object is reachable, which Close does not end: a closed
+// Region is the powered-off device, and can be crashed and reopened. A
+// slice into the image (Slice) is valid while its Region is reachable; a
+// method that uses r.buf after its last use of r keeps r alive to the
+// end (runtime.KeepAlive).
 type Region struct {
 	Domain            // default domain: every line no Carve claimed
 	carved  []*Domain // ascending by address; fixed while serving (Carve)
 	buf     []byte    // volatile image (CPU caches + PM, merged view)
+	img     *image    // owns buf's memory
 	dirty   []uint64  // bitset: line written since last flush
 	pending []uint64  // bitset: line flushed but not yet fenced
 	gen     []uint16  // per line: times retired from pending (see retire)
@@ -220,8 +229,10 @@ func New(size int, profile calib.Profile) *Region {
 	}
 	size = (size + LineSize - 1) &^ (LineSize - 1)
 	nlines := size / LineSize
+	buf, img := newImage(size)
 	r := &Region{
-		buf:       make([]byte, size),
+		buf:       buf,
+		img:       img,
 		dirty:     make([]uint64, (nlines+63)/64),
 		pending:   make([]uint64, (nlines+63)/64),
 		gen:       make([]uint16, nlines),
@@ -274,7 +285,7 @@ func OpenFile(path string, size int, profile calib.Profile) (*Region, error) {
 			f.Close()
 			return nil, fmt.Errorf("pmem: %s is not a pmem image", path)
 		}
-		if _, err := f.ReadAt(r.buf, int64(len(fileMagic))); err != nil {
+		if err := r.load(f); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -284,6 +295,26 @@ func OpenFile(path string, size int, profile calib.Profile) (*Region, error) {
 	}
 	r.file = f
 	return r, nil
+}
+
+// loadChunk is the unit in which load reads a backing file.
+const loadChunk = 64 << 10
+
+// load reads the persisted image from f, copying only the chunks that
+// hold a non-zero byte: the rest of the image is already zero, and an
+// untouched page of it costs no memory.
+func (r *Region) load(f *os.File) error {
+	chunk, zero := make([]byte, loadChunk), make([]byte, loadChunk)
+	for off := 0; off < len(r.buf); off += loadChunk {
+		c := chunk[:min(loadChunk, len(r.buf)-off)]
+		if _, err := f.ReadAt(c, int64(len(fileMagic)+off)); err != nil {
+			return err
+		}
+		if !bytes.Equal(c, zero[:len(c)]) {
+			copy(r.buf[off:], c)
+		}
+	}
+	return nil
 }
 
 // Size returns the region size in bytes.
@@ -307,7 +338,9 @@ func lines(off, n int) int {
 // Slice returns a direct read view of [off, off+n). Reads through the
 // slice are not charged PM latency (they model cache hits / streaming
 // reads). It is not a write path: a store through it has no saved
-// durable copy, so Crash cannot revert it. Write and DMA change PM.
+// durable copy, so Crash cannot revert it. Write and DMA change PM. The
+// view is valid while the Region is reachable: the image is unmapped
+// once it is not.
 func (d *Domain) Slice(off, n int) []byte {
 	d.r.check(off, n)
 	return d.r.buf[off : off+n : off+n]
@@ -365,7 +398,11 @@ func (d *Domain) WriteUint64(off int, v uint64) {
 
 // ReadUint64 loads an 8-byte little-endian value (uncharged; callers that
 // model a cache miss call Touch).
-func (d *Domain) ReadUint64(off int) uint64 { return getUint64(d.Slice(off, 8)) }
+func (d *Domain) ReadUint64(off int) uint64 {
+	v := getUint64(d.Slice(off, 8))
+	runtime.KeepAlive(d)
+	return v
+}
 
 // WriteUint32 stores a 4-byte little-endian value at a 4-byte-aligned off.
 func (d *Domain) WriteUint32(off int, v uint32) {
@@ -378,7 +415,11 @@ func (d *Domain) WriteUint32(off int, v uint32) {
 }
 
 // ReadUint32 loads a 4-byte little-endian value (uncharged).
-func (d *Domain) ReadUint32(off int) uint32 { return getUint32(d.Slice(off, 4)) }
+func (d *Domain) ReadUint32(off int) uint32 {
+	v := getUint32(d.Slice(off, 4))
+	runtime.KeepAlive(d)
+	return v
+}
 
 // DMA copies src into the region at off as a device writing into a
 // packet buffer does: the covered lines are dirty (DDIO leaves them in
@@ -687,6 +728,7 @@ func (r *Region) syncLocked() error {
 
 // Close syncs (when file-backed) and releases the backing file. Only the
 // first of several (even concurrent) calls syncs; the rest return an error.
+// The image stays: a closed Region is the powered-off device.
 func (r *Region) Close() error {
 	r.fileMu.Lock()
 	defer r.fileMu.Unlock()

@@ -254,6 +254,37 @@ func TestFileBackingRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileBackingSparseRoundTrip: OpenFile copies only the chunks of the
+// file that hold data, and still reopens the image byte-exact — lines in
+// the first, a middle and the last (partial) chunk, and one straddling a
+// chunk boundary.
+func TestFileBackingSparseRoundTrip(t *testing.T) {
+	const size = 3*loadChunk + 5*LineSize
+	path := filepath.Join(t.TempDir(), "pm.img")
+	r, err := OpenFile(path, size, off())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, size)
+	for i, off := range []int{0, loadChunk - LineSize/2, 2*loadChunk + 7*LineSize, size - LineSize} {
+		line := bytes.Repeat([]byte{byte('a' + i)}, LineSize)
+		copy(want[off:], line)
+		r.Write(off, line)
+		r.Persist(off, LineSize)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := OpenFile(path, size, off())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if !bytes.Equal(r2.Slice(0, size), want) {
+		t.Fatal("reopened image differs from the one written")
+	}
+}
+
 func TestOpenFileSizeMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pm.img")
 	r, err := OpenFile(path, 4096, off())
