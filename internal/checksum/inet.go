@@ -14,38 +14,52 @@
 // (no SSE4.2 acceleration) because the baseline's checksum cost is one of
 // the overheads the paper measures: the paper's 1.77µs per 1KB implies a
 // software implementation at roughly 0.6 GB/s, which table-driven Go
-// matches far better than a hardware CRC instruction would.
+// matches far better than a hardware CRC instruction would. The Internet
+// checksum has no such role: on the testbed the NIC computes it, so the
+// software kernel below (used where offload is off, and on the store's copy
+// path) sums eight bytes per add rather than two.
 package checksum
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Partial extends an unfolded Internet-checksum partial sum with the bytes
 // of b. The sum argument and result are 32-bit accumulators that have not
 // yet been folded to 16 bits; fold with Fold. Partial assumes b starts at
 // an even byte offset of the covered data; when accumulating a range in
 // pieces, use Accumulator, which tracks byte parity across pieces.
+//
+// The kernel adds 64-bit big-endian words with end-around carry. Because
+// 2^16 ≡ 1 (mod 0xffff), a 64-bit word is congruent to the sum of its four
+// 16-bit words, and the carry out of bit 63 re-enters at bit 0 for the same
+// reason, so the folded result equals the 16-bit word sum of RFC 1071. The
+// unfolded value is an accumulator, not a canonical sum: compare sums only
+// after Fold (and Norm16 across derivations).
 func Partial(sum uint32, b []byte) uint32 {
-	n := len(b)
-	i := 0
-	// Unrolled 16-bit big-endian word accumulation. The inner loop reads
-	// 8 bytes per iteration; carries are deferred to Fold-time because a
-	// uint32 can absorb 65535 additions of 0xffff without overflow only
-	// if we periodically fold — so fold opportunistically when high bits
-	// appear.
-	for ; i+8 <= n; i += 8 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
-		sum += uint32(b[i+2])<<8 | uint32(b[i+3])
-		sum += uint32(b[i+4])<<8 | uint32(b[i+5])
-		sum += uint32(b[i+6])<<8 | uint32(b[i+7])
-		if sum >= 0xffff0000 {
-			sum = (sum & 0xffff) + (sum >> 16)
-		}
+	s, c := uint64(sum), uint64(0)
+	for ; len(b) >= 32; b = b[32:] {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[8:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[16:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[24:]), c)
 	}
-	for ; i+2 <= n; i += 2 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	for ; len(b) >= 8; b = b[8:] {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
 	}
-	if i < n {
-		sum += uint32(b[i]) << 8
+	for ; len(b) >= 2; b = b[2:] {
+		s, c = bits.Add64(s, uint64(b[0])<<8|uint64(b[1]), c)
 	}
-	return sum
+	if len(b) == 1 {
+		s, c = bits.Add64(s, uint64(b[0])<<8, c)
+	}
+	// Fold the last carry in, then 64 bits to 32, each with end-around
+	// carry; neither final increment can overflow again.
+	s, c = bits.Add64(s, 0, c)
+	s += c
+	r, c32 := bits.Add32(uint32(s), uint32(s>>32), 0)
+	return r + c32
 }
 
 // Fold reduces an unfolded partial sum to the final 16-bit ones-complement

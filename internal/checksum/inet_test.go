@@ -249,3 +249,113 @@ func BenchmarkCRC32CFast1K(b *testing.B) {
 		CRC32CFast(buf)
 	}
 }
+
+// partialWords16 is the previous Partial kernel, kept as the oracle of the
+// 64-bit one: it adds 16-bit big-endian words and folds opportunistically
+// every 8 bytes. It is exact while its 32-bit accumulator does not wrap,
+// which holds for a zero starting sum and buffers far beyond 4 KiB, and
+// for starting sums below 0xf0000000 at the lengths tested here.
+func partialWords16(sum uint32, b []byte) uint32 {
+	n := len(b)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		sum += uint32(b[i])<<8 | uint32(b[i+1])
+		sum += uint32(b[i+2])<<8 | uint32(b[i+3])
+		sum += uint32(b[i+4])<<8 | uint32(b[i+5])
+		sum += uint32(b[i+6])<<8 | uint32(b[i+7])
+		if sum >= 0xffff0000 {
+			sum = (sum & 0xffff) + (sum >> 16)
+		}
+	}
+	for ; i+2 <= n; i += 2 {
+		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	}
+	if i < n {
+		sum += uint32(b[i]) << 8
+	}
+	return sum
+}
+
+func TestPartialMatchesWords16Kernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	fill := func(b []byte) {
+		switch rng.Intn(4) {
+		case 0:
+			rng.Read(b)
+		case 1: // all ones: the carry-heaviest input
+			for i := range b {
+				b[i] = 0xff
+			}
+		case 2: // all zeros: the one input whose sum is +0
+			clear(b)
+		default:
+			rng.Read(b)
+			for i := range b {
+				b[i] |= 0xf0
+			}
+		}
+	}
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(4097)
+		if trial%2 == 1 {
+			n |= 1 // odd lengths on every other trial
+		}
+		b := make([]byte, n)
+		fill(b)
+		// Exact fold equality (not just Norm16): both kernels give +0
+		// only for an all-zero input and agree mod 0xffff otherwise.
+		if got, want := Fold(Partial(0, b)), Fold(partialWords16(0, b)); got != want {
+			t.Fatalf("len %d: Fold(Partial)=%#04x, 16-bit kernel %#04x", n, got, want)
+		}
+		// Any starting sum, including ones the 16-bit kernel would wrap.
+		start := rng.Uint32()
+		if got, want := Fold(Partial(start, b)), Fold(Combine(start, partialWords16(0, b))); got != want {
+			t.Fatalf("len %d start %#08x: Fold(Partial)=%#04x want %#04x", n, start, got, want)
+		}
+		if low := start >> 4; Fold(Partial(low, b)) != Fold(partialWords16(low, b)) {
+			t.Fatalf("len %d start %#08x: kernels disagree", n, low)
+		}
+
+		if n < 2 {
+			continue
+		}
+		// Through the algebra built on Partial: odd-offset combine,
+		// prefix subtraction and piecewise accumulation.
+		cut := 1 + rng.Intn(n-1)
+		odd := cut | 1
+		if odd >= n {
+			odd = n - 1
+		}
+		if odd%2 == 1 {
+			got := Fold(CombineOdd(Partial(0, b[:odd]), Partial(0, b[odd:])))
+			want := Fold(CombineOdd(partialWords16(0, b[:odd]), partialWords16(0, b[odd:])))
+			if got != want {
+				t.Fatalf("len %d: CombineOdd at %d: %#04x want %#04x", n, odd, got, want)
+			}
+		}
+		even := cut &^ 1
+		got := Norm16(Fold(Subtract(Partial(0, b), Partial(0, b[:even]))))
+		want := Norm16(Fold(Subtract(partialWords16(0, b), partialWords16(0, b[:even]))))
+		if got != want || got != Norm16(Fold(partialWords16(0, b[even:]))) {
+			t.Fatalf("len %d: Subtract prefix %d: %#04x want %#04x", n, even, got, want)
+		}
+		var acc Accumulator
+		for rest := b; len(rest) > 0; {
+			k := 1 + rng.Intn(len(rest))
+			acc.Add(rest[:k])
+			rest = rest[k:]
+		}
+		if acc.Sum16() != Fold(partialWords16(0, b)) {
+			t.Fatalf("len %d: Accumulator %#04x want %#04x", n, acc.Sum16(), Fold(partialWords16(0, b)))
+		}
+	}
+}
+
+func BenchmarkPartial1KWords16(b *testing.B) {
+	buf := make([]byte, 1024)
+	rand.New(rand.NewSource(1)).Read(buf)
+	b.SetBytes(1024)
+	for i := 0; i < b.N; i++ {
+		partialWords16(0, buf)
+	}
+}

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -90,5 +91,61 @@ func TestEventually(t *testing.T) {
 	}
 	if Eventually(20*time.Millisecond, func() bool { return false }) {
 		t.Fatal("Eventually succeeded on false")
+	}
+}
+
+// TestHandshakePaysEveryFabricCharge pins the modelled floor end to end:
+// each of the SYN and SYN-ACK leaves its NIC a per-packet cost after the
+// stack hands it over, crosses the wire, and is processed a per-packet
+// cost after it arrives, so a handshake takes at least two of each.
+func TestHandshakePaysEveryFabricCharge(t *testing.T) {
+	p := calib.Off()
+	p.WireLatency = 100 * time.Microsecond
+	p.NICPerPacket = 60 * time.Microsecond
+	p.StackPerPacket = 40 * time.Microsecond
+	tb := NewTestbed(Options{Profile: p})
+	defer tb.Close()
+	l, _ := tb.Server.Stack.Listen(80)
+	go func() {
+		for {
+			if _, err := l.Accept(); err != nil {
+				return
+			}
+		}
+	}()
+	start := time.Now()
+	if _, err := tb.Dial(80); err != nil {
+		t.Fatal(err)
+	}
+	perPacket := p.NICPerPacket + p.StackPerPacket
+	if floor := 2 * (perPacket + p.WireLatency + perPacket); time.Since(start) < floor {
+		t.Fatalf("handshake took %v, want >= %v", time.Since(start), floor)
+	}
+}
+
+// TestTestbedGoroutines pins what a testbed runs: each host's NIC
+// receive engine and TCP stack goroutine, nothing for the wire or for
+// transmit (the serializer, deliverer and NIC transmit goroutines of an
+// earlier fabric made it ten), and nothing after Close.
+func TestTestbedGoroutines(t *testing.T) {
+	settle := func(want int) int {
+		var g int
+		for i := 0; i < 100; i++ {
+			if g = runtime.NumGoroutine(); g == want {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return g
+	}
+	before := runtime.NumGoroutine()
+	tb := NewTestbed(Options{})
+	if g := settle(before+4) - before; g != 4 {
+		tb.Close()
+		t.Fatalf("a testbed runs %d goroutines, want 4", g)
+	}
+	tb.Close()
+	if g := settle(before); g != before {
+		t.Fatalf("%d goroutines left running after Close", g-before)
 	}
 }

@@ -1,22 +1,22 @@
 // Package netsim simulates the network fabric between hosts: full-duplex
-// links with propagation latency, serialization bandwidth, and optional
-// loss, reordering and duplication, plus a learning switch.
+// point-to-point links with propagation latency, serialization bandwidth,
+// and optional loss, corruption, reordering and duplication.
 //
-// Time is real: delays are enforced with calibrated busy-waits so that
-// end-to-end wall-clock measurements through the fabric reproduce the
-// testbed's microsecond-scale RTTs. Each link direction runs two stages —
-// a serializer that paces frames at line rate and applies impairments,
-// and a deliverer that holds each frame until its propagation deadline —
-// so multiple frames can be in flight on the wire at once, as on a real
-// link.
+// The wire is hardware running beside the CPUs, so it costs modelled time
+// and no host time: a link runs no goroutine and never waits. SendAt runs
+// on the sender's goroutine, applies the impairments, paces the frame at
+// line rate and propagates it — all as arithmetic on one arrival stamp —
+// and queues the stamped Frame for the peer. The receiver (the NIC's
+// receive engine) must not process a frame before its stamp. Frames of one
+// direction are stamped in send order against a serialization horizon, so
+// several can be in flight on the wire at once, as on a real link.
 package netsim
 
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"packetstore/internal/latency"
 )
 
 // LinkConfig describes one link. The zero value is an ideal, instant link.
@@ -38,31 +38,37 @@ type LinkConfig struct {
 	// Seed seeds the impairment generator; each direction derives its own
 	// stream.
 	Seed int64
-	// QueueLen bounds each direction's transmit queue; frames beyond it
-	// are tail-dropped. 0 means 1024.
+	// QueueLen bounds the frames queued towards each port — in flight on
+	// the wire or arrived and not yet taken by the receiver; frames beyond
+	// it are tail-dropped. 0 means 1024.
 	QueueLen int
 }
 
-type frame struct {
-	b   []byte
-	enq time.Time
+// Frame is a frame on the wire with the time it arrives at the far end.
+type Frame struct {
+	B []byte
+	// At is the arrival stamp: the end of serialization or of propagation,
+	// whichever is later. The frame must not be processed before it.
+	At time.Time
 }
 
 // Port is one end of a link. Frames sent on a Port arrive on the peer's
-// receive channel. Send transfers ownership of the slice.
+// receive channel.
 type Port struct {
 	cfg    LinkConfig
-	tx     chan frame
-	rx     chan []byte
-	closed chan struct{}
-	once   sync.Once
+	rx     chan Frame   // frames towards this port
+	out    chan Frame   // the peer's rx
+	closed *atomic.Bool // shared by both ports of the link
 
-	drops struct {
-		sync.Mutex
-		queue   uint64
-		loss    uint64
-		corrupt uint64
-	}
+	mu         sync.Mutex // orders this direction: draws, horizon, queue
+	rng        *rand.Rand
+	busy       time.Time // serialization horizon: the wire is free after it
+	holding    bool      // a frame is held back by the reorder impairment
+	held       []byte
+	heldReady  time.Time
+	queueDrops uint64
+	lossDrops  uint64
+	corrupted  uint64
 }
 
 // NewLink creates a full-duplex link and returns its two ports.
@@ -70,158 +76,111 @@ func NewLink(cfg LinkConfig) (*Port, *Port) {
 	if cfg.QueueLen == 0 {
 		cfg.QueueLen = 1024
 	}
-	a := newPort(cfg)
-	b := newPort(cfg)
-	go a.run(b, cfg.Seed*2+1)
-	go b.run(a, cfg.Seed*2+2)
+	closed := new(atomic.Bool)
+	a := &Port{cfg: cfg, rx: make(chan Frame, cfg.QueueLen), closed: closed, rng: rand.New(rand.NewSource(cfg.Seed*2 + 1))}
+	b := &Port{cfg: cfg, rx: make(chan Frame, cfg.QueueLen), closed: closed, rng: rand.New(rand.NewSource(cfg.Seed*2 + 2))}
+	a.out, b.out = b.rx, a.rx
 	return a, b
 }
 
-func newPort(cfg LinkConfig) *Port {
-	return &Port{
-		cfg:    cfg,
-		tx:     make(chan frame, cfg.QueueLen),
-		rx:     make(chan []byte, cfg.QueueLen),
-		closed: make(chan struct{}),
+// SendAt puts a frame on the wire towards the peer. ready is when the
+// sender has finished with it (the transmit NIC's completion time); the
+// frame arrives no earlier than ready plus the propagation latency, and
+// no earlier than the end of its serialization behind the frames sent
+// before it. SendAt reports false when the link is closed or the peer's
+// queue is full (tail drop); a frame lost to the loss impairment counts as
+// sent. It takes ownership of b.
+func (p *Port) SendAt(b []byte, ready time.Time) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed.Load() {
+		return false
 	}
+	// The draws happen per frame in send order, so a seed fixes every
+	// impairment decision.
+	if p.cfg.Loss > 0 && p.rng.Float64() < p.cfg.Loss {
+		p.lossDrops++
+		return true
+	}
+	if p.cfg.Corrupt > 0 && len(b) > 0 && p.rng.Float64() < p.cfg.Corrupt {
+		// Flip one random bit in flight. The NIC's receive-side checksum
+		// offload (or the stack's software verify) must catch this and
+		// drop the frame, forcing retransmission.
+		b[p.rng.Intn(len(b))] ^= 1 << uint(p.rng.Intn(8))
+		p.corrupted++
+	}
+	if p.holding {
+		ok := p.emit(b, ready)
+		p.holding = false
+		p.emit(p.held, p.heldReady)
+		p.held = nil
+		return ok
+	}
+	if p.cfg.Reorder > 0 && p.rng.Float64() < p.cfg.Reorder {
+		p.holding, p.held, p.heldReady = true, b, ready
+		return true
+	}
+	return p.emit(b, ready)
 }
 
-// Send enqueues a frame for transmission towards the peer. It reports
-// false when the transmit queue is full (tail drop) or the link is closed.
-// The frame slice must not be reused by the caller.
-func (p *Port) Send(b []byte) bool {
-	select {
-	case <-p.closed:
-		return false
-	default:
+// emit serializes b behind the frames before it, stamps its arrival and
+// queues it (and, when the duplicate impairment fires, a copy) for the
+// peer.
+func (p *Port) emit(b []byte, ready time.Time) bool {
+	if p.busy.Before(ready) {
+		p.busy = ready
 	}
+	if p.cfg.Bandwidth > 0 {
+		p.busy = p.busy.Add(time.Duration(float64(len(b)) * 8 / p.cfg.Bandwidth * 1e9))
+	}
+	at := ready.Add(p.cfg.Latency)
+	if at.Before(p.busy) {
+		at = p.busy
+	}
+	ok := p.push(Frame{B: b, At: at})
+	if p.cfg.Duplicate > 0 && p.rng.Float64() < p.cfg.Duplicate {
+		p.push(Frame{B: append([]byte(nil), b...), At: at})
+	}
+	return ok
+}
+
+func (p *Port) push(f Frame) bool {
 	select {
-	case p.tx <- frame{b: b, enq: time.Now()}:
+	case p.out <- f:
 		return true
 	default:
-		p.drops.Lock()
-		p.drops.queue++
-		p.drops.Unlock()
+		// Receiver queue overflow: drop, as a NIC ring overrun would.
+		p.queueDrops++
 		return false
 	}
 }
 
-// Recv returns the channel on which frames from the peer arrive. The
-// channel is closed when the link closes.
-func (p *Port) Recv() <-chan []byte { return p.rx }
+// Recv returns the channel on which stamped frames from the peer arrive.
+func (p *Port) Recv() <-chan Frame { return p.rx }
 
-// Close shuts down both directions of the link.
-func (p *Port) Close() { p.once.Do(func() { close(p.closed) }) }
+// Close shuts down both directions of the link: later sends fail.
+func (p *Port) Close() { p.closed.Store(true) }
 
-// QueueDrops reports frames tail-dropped at this port's transmit queue.
+// QueueDrops reports frames sent on this port that were tail-dropped
+// because the peer's queue was full.
 func (p *Port) QueueDrops() uint64 {
-	p.drops.Lock()
-	defer p.drops.Unlock()
-	return p.drops.queue
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.queueDrops
 }
 
 // LossDrops reports frames dropped by the loss impairment on this port's
 // transmit direction.
 func (p *Port) LossDrops() uint64 {
-	p.drops.Lock()
-	defer p.drops.Unlock()
-	return p.drops.loss
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lossDrops
 }
 
 // CorruptFrames reports frames bit-flipped by the corruption impairment
 // on this port's transmit direction.
 func (p *Port) CorruptFrames() uint64 {
-	p.drops.Lock()
-	defer p.drops.Unlock()
-	return p.drops.corrupt
-}
-
-// run is the per-direction pipeline: serialize (pace + impair) then hand
-// to the deliver stage.
-func (p *Port) run(peer *Port, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	delivery := make(chan timedFrame, cap(p.tx))
-	go deliver(delivery, peer, p.closed)
-	defer close(delivery)
-
-	var held *frame // reorder hold slot
-	emit := func(f frame) {
-		// Serialization delay at line rate.
-		if p.cfg.Bandwidth > 0 {
-			latency.Spin(time.Duration(float64(len(f.b)) * 8 / p.cfg.Bandwidth * 1e9))
-		}
-		deadline := f.enq.Add(p.cfg.Latency)
-		select {
-		case delivery <- timedFrame{b: f.b, at: deadline}:
-		case <-p.closed:
-		}
-		if p.cfg.Duplicate > 0 && rng.Float64() < p.cfg.Duplicate {
-			dup := append([]byte(nil), f.b...)
-			select {
-			case delivery <- timedFrame{b: dup, at: deadline}:
-			case <-p.closed:
-			}
-		}
-	}
-
-	for {
-		select {
-		case <-p.closed:
-			return
-		case f := <-p.tx:
-			if p.cfg.Loss > 0 && rng.Float64() < p.cfg.Loss {
-				p.drops.Lock()
-				p.drops.loss++
-				p.drops.Unlock()
-				continue
-			}
-			if p.cfg.Corrupt > 0 && len(f.b) > 0 && rng.Float64() < p.cfg.Corrupt {
-				// Flip one random bit in flight. The NIC's receive-side
-				// checksum offload (or the stack's software verify) must
-				// catch this and drop the frame, forcing retransmission.
-				f.b[rng.Intn(len(f.b))] ^= 1 << uint(rng.Intn(8))
-				p.drops.Lock()
-				p.drops.corrupt++
-				p.drops.Unlock()
-			}
-			if held != nil {
-				emit(f)
-				emit(*held)
-				held = nil
-				continue
-			}
-			if p.cfg.Reorder > 0 && rng.Float64() < p.cfg.Reorder {
-				cp := f
-				held = &cp
-				continue
-			}
-			emit(f)
-		}
-	}
-}
-
-type timedFrame struct {
-	b  []byte
-	at time.Time
-}
-
-// deliver holds each frame until its propagation deadline, then pushes it
-// to the peer's receive channel. Deadlines are near-monotone, so waiting
-// on each in turn keeps multiple frames in flight.
-func deliver(in <-chan timedFrame, peer *Port, closed <-chan struct{}) {
-	for f := range in {
-		if wait := time.Until(f.at); wait > 0 {
-			latency.Spin(wait)
-		}
-		select {
-		case peer.rx <- f.b:
-		case <-closed:
-			return
-		default:
-			// Receiver queue overflow: drop, as a NIC ring overrun would.
-			peer.drops.Lock()
-			peer.drops.queue++
-			peer.drops.Unlock()
-		}
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.corrupted
 }

@@ -1,30 +1,37 @@
 package netsim
 
 import (
+	"encoding/binary"
+	"math/bits"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
+func send(p *Port, b []byte) bool { return p.SendAt(b, time.Now()) }
+
 func TestLinkDelivers(t *testing.T) {
 	a, b := NewLink(LinkConfig{})
 	defer a.Close()
-	if !a.Send([]byte("ping")) {
+	if !send(a, []byte("ping")) {
 		t.Fatal("send failed")
 	}
 	select {
 	case f := <-b.Recv():
-		if string(f) != "ping" {
-			t.Fatalf("got %q", f)
+		if string(f.B) != "ping" {
+			t.Fatalf("got %q", f.B)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("timeout")
 	}
 	// Reverse direction too.
-	b.Send([]byte("pong"))
+	send(b, []byte("pong"))
 	select {
 	case f := <-a.Recv():
-		if string(f) != "pong" {
-			t.Fatalf("got %q", f)
+		if string(f.B) != "pong" {
+			t.Fatalf("got %q", f.B)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("timeout")
@@ -36,12 +43,12 @@ func TestLinkOrderPreserved(t *testing.T) {
 	defer a.Close()
 	const n = 200
 	for i := 0; i < n; i++ {
-		a.Send([]byte{byte(i), byte(i >> 8)})
+		send(a, []byte{byte(i), byte(i >> 8)})
 	}
 	for i := 0; i < n; i++ {
 		select {
 		case f := <-b.Recv():
-			got := int(f[0]) | int(f[1])<<8
+			got := int(f.B[0]) | int(f.B[1])<<8
 			if got != i {
 				t.Fatalf("frame %d arrived at position %d", got, i)
 			}
@@ -55,11 +62,10 @@ func TestLinkLatency(t *testing.T) {
 	const lat = 200 * time.Microsecond
 	a, b := NewLink(LinkConfig{Latency: lat})
 	defer a.Close()
-	start := time.Now()
-	a.Send([]byte("x"))
-	<-b.Recv()
-	if e := time.Since(start); e < lat {
-		t.Fatalf("delivered after %v, want >= %v", e, lat)
+	ready := time.Now()
+	a.SendAt([]byte("x"), ready)
+	if f := <-b.Recv(); f.At.Sub(ready) < lat {
+		t.Fatalf("stamped %v after ready, want >= %v", f.At.Sub(ready), lat)
 	}
 }
 
@@ -67,11 +73,160 @@ func TestLinkBandwidth(t *testing.T) {
 	// 8 Mbit/s: a 1000-byte frame serializes in 1ms.
 	a, b := NewLink(LinkConfig{Bandwidth: 8e6})
 	defer a.Close()
+	ready := time.Now()
+	a.SendAt(make([]byte, 1000), ready)
+	if f := <-b.Recv(); f.At.Sub(ready) < time.Millisecond {
+		t.Fatalf("1000B at 8Mbit/s stamped %v after ready, want >= 1ms", f.At.Sub(ready))
+	}
+}
+
+// TestStampFloors pins the arrival contract: a frame is stamped no
+// earlier than its ready time plus the propagation latency, nor before
+// the wire has serialized it and every frame sent before it, and a link
+// starts no goroutine and never waits on the sender's.
+func TestStampFloors(t *testing.T) {
+	const (
+		lat  = 30 * time.Microsecond
+		bw   = 1e9 // 1000 B serialize in 8µs
+		size = 1000
+		ser  = 8 * time.Microsecond
+	)
+	before := runtime.NumGoroutine()
+	a, b := NewLink(LinkConfig{Latency: lat, Bandwidth: bw})
+	defer a.Close()
+	if g := runtime.NumGoroutine(); g != before {
+		t.Fatalf("NewLink started %d goroutines", g-before)
+	}
+	// A ready time far ahead of now: no floor can hold by accident of
+	// the wall clock.
+	ready := time.Now().Add(time.Second)
 	start := time.Now()
-	a.Send(make([]byte, 1000))
-	<-b.Recv()
-	if e := time.Since(start); e < time.Millisecond {
-		t.Fatalf("1000B at 8Mbit/s took %v, want >= 1ms", e)
+	const n = 10
+	for i := 0; i < n; i++ {
+		if !a.SendAt(make([]byte, size), ready) {
+			t.Fatal("send refused")
+		}
+	}
+	if e := time.Since(start); e > 50*time.Millisecond {
+		t.Fatalf("SendAt blocked for %v", e)
+	}
+	var prev time.Time
+	for i := 0; i < n; i++ {
+		f := <-b.Recv()
+		if d := f.At.Sub(ready); d < lat || d < time.Duration(i+1)*ser {
+			t.Fatalf("frame %d stamped ready+%v: below latency %v or serialization %v", i, d, lat, time.Duration(i+1)*ser)
+		}
+		if f.At.Before(prev) {
+			t.Fatalf("frame %d stamped before frame %d", i, i-1)
+		}
+		prev = f.At
+	}
+
+	// With the wire, not propagation, as the bottleneck, back-to-back
+	// frames arrive one serialization time apart.
+	c, d := NewLink(LinkConfig{Bandwidth: bw})
+	defer c.Close()
+	for i := 0; i < n; i++ {
+		c.SendAt(make([]byte, size), ready)
+	}
+	prev = ready
+	for i := 0; i < n; i++ {
+		f := <-d.Recv()
+		if gap := f.At.Sub(prev); gap < ser {
+			t.Fatalf("frame %d arrived %v after its predecessor, want >= %v", i, gap, ser)
+		}
+		prev = f.At
+	}
+}
+
+// impairFrame is frame i of the pinned impairment sequence: its index at
+// both ends (one bit flip cannot hide both) and a length that varies.
+func impairFrame(i int) []byte {
+	f := make([]byte, 8+i%1400)
+	binary.BigEndian.PutUint32(f, uint32(i))
+	for j := 4; j < len(f)-4; j++ {
+		f[j] = byte(i + j)
+	}
+	binary.BigEndian.PutUint32(f[len(f)-4:], uint32(i))
+	return f
+}
+
+// TestImpairmentDecisionsPinned sends a fixed sequence of 10 000 frames
+// through every impairment and compares each frame's fate with the
+// decisions recorded when the link ran as serializer and deliverer
+// goroutines: one character per frame, '.' clean, 'L' lost, 'R' arrived
+// after its successor, 'D' arrived twice, 'B' both, lower case when a bit
+// was flipped ('c' for an otherwise clean frame). A held frame still held
+// at the end counts as lost. The seed alone must fix every decision.
+func TestImpairmentDecisionsPinned(t *testing.T) {
+	want, err := os.ReadFile("testdata/impair_seed42.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10000
+	a, b := NewLink(LinkConfig{Loss: 0.05, Corrupt: 0.05, Reorder: 0.05, Duplicate: 0.05, Seed: 42, QueueLen: 1 << 15})
+	defer a.Close()
+	ready := time.Now()
+	for i := 0; i < n; i++ {
+		if !a.SendAt(impairFrame(i), ready) {
+			t.Fatalf("frame %d refused", i)
+		}
+	}
+	seen := make([]int, n)
+	corrupt := make([]bool, n)
+	reordered := make([]bool, n)
+	last := -1
+	for len(b.Recv()) > 0 {
+		f := (<-b.Recv()).B
+		id := int(binary.BigEndian.Uint32(f))
+		if id >= n || len(f) != 8+id%1400 {
+			id = int(binary.BigEndian.Uint32(f[len(f)-4:]))
+		}
+		flipped := 0
+		for j, c := range impairFrame(id) {
+			flipped += bits.OnesCount8(f[j] ^ c)
+		}
+		if flipped > 1 {
+			t.Fatalf("frame %d differs in %d bits", id, flipped)
+		}
+		corrupt[id] = corrupt[id] || flipped == 1
+		if seen[id] == 0 && id < last {
+			reordered[id] = true
+		}
+		last = max(last, id)
+		seen[id]++
+	}
+	var got strings.Builder
+	for i := 0; i < n; i++ {
+		c := byte('.')
+		switch {
+		case seen[i] == 0:
+			c = 'L'
+		case reordered[i] && seen[i] > 1:
+			c = 'B'
+		case reordered[i]:
+			c = 'R'
+		case seen[i] > 1:
+			c = 'D'
+		}
+		if corrupt[i] {
+			c |= 0x20 // lower case
+			if c == '.'|0x20 {
+				c = 'c'
+			}
+		}
+		got.WriteByte(c)
+		if i%100 == 99 {
+			got.WriteByte('\n')
+		}
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range wl {
+			if gl[i] != wl[i] {
+				t.Fatalf("frames %d..%d:\n got %s\nwant %s", i*100, i*100+99, gl[i], wl[i])
+			}
+		}
 	}
 }
 
@@ -79,11 +234,11 @@ func TestLinkLoss(t *testing.T) {
 	a, b := NewLink(LinkConfig{Loss: 1.0, Seed: 1})
 	defer a.Close()
 	for i := 0; i < 10; i++ {
-		a.Send([]byte("gone"))
+		send(a, []byte("gone"))
 	}
 	select {
 	case f := <-b.Recv():
-		t.Fatalf("frame %q survived 100%% loss", f)
+		t.Fatalf("frame %q survived 100%% loss", f.B)
 	case <-time.After(50 * time.Millisecond):
 	}
 	if a.LossDrops() != 10 {
@@ -96,14 +251,14 @@ func TestLinkReorder(t *testing.T) {
 	defer a.Close()
 	const n = 100
 	for i := 0; i < n; i++ {
-		a.Send([]byte{byte(i)})
+		send(a, []byte{byte(i)})
 	}
 	got := make([]int, 0, n)
 	deadline := time.After(2 * time.Second)
 	for len(got) < n-1 { // a held frame may remain in the hold slot
 		select {
 		case f := <-b.Recv():
-			got = append(got, int(f[0]))
+			got = append(got, int(f.B[0]))
 		case <-deadline:
 			t.Fatalf("timeout after %d frames", len(got))
 		}
@@ -122,12 +277,12 @@ func TestLinkReorder(t *testing.T) {
 func TestLinkDuplicate(t *testing.T) {
 	a, b := NewLink(LinkConfig{Duplicate: 1.0, Seed: 3})
 	defer a.Close()
-	a.Send([]byte("twin"))
+	send(a, []byte("twin"))
 	for i := 0; i < 2; i++ {
 		select {
 		case f := <-b.Recv():
-			if string(f) != "twin" {
-				t.Fatalf("got %q", f)
+			if string(f.B) != "twin" {
+				t.Fatalf("got %q", f.B)
 			}
 		case <-time.After(time.Second):
 			t.Fatalf("timeout waiting for copy %d", i)
@@ -140,7 +295,7 @@ func TestLinkQueueOverflow(t *testing.T) {
 	defer a.Close()
 	sent := 0
 	for i := 0; i < 100; i++ {
-		if a.Send([]byte{1}) {
+		if send(a, []byte{1}) {
 			sent++
 		}
 	}
@@ -155,56 +310,9 @@ func TestLinkQueueOverflow(t *testing.T) {
 func TestSendAfterClose(t *testing.T) {
 	a, _ := NewLink(LinkConfig{})
 	a.Close()
-	if a.Send([]byte("x")) {
+	if send(a, []byte("x")) {
 		t.Fatal("send succeeded after close")
 	}
-}
-
-func TestSwitchLearningAndFlood(t *testing.T) {
-	// Three hosts h1,h2,h3 on a switch; host side ports hs*, switch side ss*.
-	hs1, ss1 := NewLink(LinkConfig{})
-	hs2, ss2 := NewLink(LinkConfig{})
-	hs3, ss3 := NewLink(LinkConfig{})
-	sw := NewSwitch(ss1, ss2, ss3)
-	defer sw.Close()
-	defer hs1.Close()
-	defer hs2.Close()
-	defer hs3.Close()
-
-	mac := func(i byte) []byte { return []byte{2, 0, 0, 0, 0, i} }
-	frame := func(dst, src []byte, body string) []byte {
-		f := append(append(append([]byte{}, dst...), src...), 0x08, 0x00)
-		return append(f, body...)
-	}
-
-	// h1 -> h2 (unknown dst: flood to h2 and h3).
-	hs1.Send(frame(mac(2), mac(1), "hello"))
-	recvOn := func(p *Port) string {
-		select {
-		case f := <-p.Recv():
-			return string(f[14:])
-		case <-time.After(time.Second):
-			t.Fatal("timeout")
-			return ""
-		}
-	}
-	if recvOn(hs2) != "hello" || recvOn(hs3) != "hello" {
-		t.Fatal("flood did not reach all ports")
-	}
-
-	// h2 -> h1: switch has learned h1's location; h3 must NOT see it.
-	hs2.Send(frame(mac(1), mac(2), "reply"))
-	if recvOn(hs1) != "reply" {
-		t.Fatal("learned forward failed")
-	}
-	select {
-	case f := <-hs3.Recv():
-		t.Fatalf("h3 received unicast it should not see: %q", f)
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	// Runt frames are dropped silently.
-	hs1.Send([]byte{1, 2, 3})
 }
 
 func BenchmarkLinkThroughput(b *testing.B) {
@@ -216,7 +324,7 @@ func BenchmarkLinkThroughput(b *testing.B) {
 	}()
 	buf := make([]byte, 1024)
 	for i := 0; i < b.N; i++ {
-		for !a.Send(append([]byte(nil), buf...)) {
+		for !send(a, append([]byte(nil), buf...)) {
 		}
 	}
 }

@@ -10,6 +10,14 @@
 // software-stack overhead (Config.PerPacketSW) standing in for the
 // softirq/syscall path of the testbed's kernel stack.
 //
+// The charges are modelled time, not host time. Transmit runs on the
+// caller's goroutine: Tx advances the transmit engine's completion time by
+// the per-packet cost, segments and checksums the frame, and hands it to
+// the fabric stamped with that time — nothing waits. Receive runs on one
+// goroutine per NIC, which waits once per frame, until the frame's arrival
+// stamp plus the per-packet cost (or the previous frame's completion plus
+// the cost, if later), and then DMAs it and runs the receive offloads.
+//
 // When the receive pool is PM-backed (PASTE), DMA lands packet data
 // directly in persistent memory; the NIC marks the lines dirty and the
 // application decides when to flush — persistence stays an explicit,
@@ -59,15 +67,19 @@ type Config struct {
 	// Queues is the number of RSS receive queues (default 1). Flows hash
 	// by 4-tuple onto queues.
 	Queues int
-	// RingLen bounds the tx ring and each rx ring (default 512).
+	// RingLen bounds the tx ring and each rx ring (default 512). A
+	// transmit that would start more than RingLen per-packet costs after
+	// now finds the tx ring full and is dropped.
 	RingLen  int
 	Offloads Offloads
 	// PerPacket is the emulated hardware per-packet cost in each
-	// direction.
+	// direction: a transmitted frame leaves the NIC PerPacket (plus
+	// PerPacketSW) after the transmit engine is free, and a received frame
+	// is processed no earlier than its arrival stamp plus the same.
 	PerPacket time.Duration
 	// PerPacketSW is the emulated fixed software-path cost charged with
-	// each packet, standing in for kernel-stack overheads the thin
-	// simulator stack does not have.
+	// each packet in each direction, as PerPacket is, standing in for
+	// kernel-stack overheads the thin simulator stack does not have.
 	PerPacketSW time.Duration
 	// MSS is the TCP maximum segment size used by TSO (default 1460).
 	MSS int
@@ -95,32 +107,24 @@ type Stats struct {
 	RxCsumBad   uint64
 }
 
-// txDesc is a transmit descriptor: a linearized frame plus the offload
-// metadata a real descriptor carries.
-type txDesc struct {
-	frame    []byte
-	l3, l4   int // offsets within frame; 0 = not TCP/IPv4
-	payload  int
-	csumFill bool
-	tso      bool
-}
-
 // NIC is a simulated adapter bound to one fabric port.
 type NIC struct {
 	cfg     Config
 	port    *netsim.Port
 	rxqs    []chan *pkt.Buf
 	rxPools []*pkt.Pool // per-queue receive pools
-	txq     chan txDesc
 	done    chan struct{}
 	wg      sync.WaitGroup
+
+	txMu   sync.Mutex
+	txBusy time.Time // the transmit engine finishes its last frame then
 
 	rxPackets, rxBytes, rxDropNoBuf, rxDropRing atomic.Uint64
 	txPackets, txBytes, txDropRing, tsoSegments atomic.Uint64
 	rxCsumGood, rxCsumBad                       atomic.Uint64
 }
 
-// New creates a NIC on port and starts its rx/tx engines.
+// New creates a NIC on port and starts its receive engine.
 func New(cfg Config, port *netsim.Port) *NIC {
 	if len(cfg.RxPools) > 0 {
 		cfg.Queues = len(cfg.RxPools)
@@ -137,7 +141,6 @@ func New(cfg Config, port *netsim.Port) *NIC {
 	n := &NIC{
 		cfg:  cfg,
 		port: port,
-		txq:  make(chan txDesc, cfg.RingLen),
 		done: make(chan struct{}),
 	}
 	if len(cfg.RxPools) > 0 {
@@ -152,9 +155,8 @@ func New(cfg Config, port *netsim.Port) *NIC {
 	for i := range n.rxqs {
 		n.rxqs[i] = make(chan *pkt.Buf, cfg.RingLen)
 	}
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.rxLoop()
-	go n.txLoop()
 	return n
 }
 
@@ -219,64 +221,58 @@ func (n *NIC) Close() {
 // Tx hands a packet to the adapter. The buffer's view must contain the
 // frame from the Ethernet header; fragments extend the payload. L3/L4/
 // Payload offsets must be set for TCP offloads to apply. Tx consumes the
-// buffer (linearizing it into a descriptor — the DMA gather) and returns
-// false if the ring is full, in which case the packet is dropped.
+// buffer (linearizing it into a frame — the DMA gather), runs the transmit
+// offloads and puts the result on the wire stamped with the time the
+// transmit engine finishes it. It returns false if the tx ring is full, in
+// which case the packet is dropped.
 func (n *NIC) Tx(b *pkt.Buf) bool {
-	d := txDesc{frame: make([]byte, b.TotalLen())}
-	b.Linearize(d.frame)
+	frame := make([]byte, b.TotalLen())
+	b.Linearize(frame)
+	var l3, l4, payload int // offsets within frame; 0 = not TCP/IPv4
 	if b.L3 > 0 {
-		d.l3 = b.L3 - b.HeadOffset()
-		d.l4 = b.L4 - b.HeadOffset()
-		d.payload = b.Payload - b.HeadOffset()
+		l3 = b.L3 - b.HeadOffset()
+		l4 = b.L4 - b.HeadOffset()
+		payload = b.Payload - b.HeadOffset()
 	}
-	d.csumFill = b.CsumStatus == pkt.CsumPartial
-	d.tso = n.cfg.Offloads.TSO && d.l4 > 0 && len(d.frame)-d.payload > n.cfg.MSS
+	csumFill := b.CsumStatus == pkt.CsumPartial && n.cfg.Offloads.TxChecksum && l4 > 0
+	tso := n.cfg.Offloads.TSO && l4 > 0 && len(frame)-payload > n.cfg.MSS
 	b.Release()
-	select {
-	case n.txq <- d:
-		return true
-	default:
+
+	cost := n.cfg.PerPacket + n.cfg.PerPacketSW
+	n.txMu.Lock()
+	defer n.txMu.Unlock()
+	now := time.Now()
+	if n.txBusy.Sub(now) > time.Duration(n.cfg.RingLen)*cost {
 		n.txDropRing.Add(1)
 		return false
 	}
-}
-
-func (n *NIC) txLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.done:
-			return
-		case d := <-n.txq:
-			latency.Spin(n.cfg.PerPacket + n.cfg.PerPacketSW)
-			if d.tso {
-				n.transmitTSO(d)
-			} else {
-				n.transmitOne(d.frame, d)
-			}
-		}
+	if n.txBusy.Before(now) {
+		n.txBusy = now
 	}
-}
-
-func (n *NIC) transmitOne(frame []byte, d txDesc) {
-	if d.csumFill && n.cfg.Offloads.TxChecksum && d.l4 > 0 {
-		fillTCPChecksum(frame, d.l3, d.l4)
+	n.txBusy = n.txBusy.Add(cost)
+	if tso {
+		n.transmitTSO(frame, l3, l4, payload)
+		return true
+	}
+	if csumFill {
+		fillTCPChecksum(frame, l3, l4)
 	}
 	n.txPackets.Add(1)
 	n.txBytes.Add(uint64(len(frame)))
-	n.port.Send(frame)
+	n.port.SendAt(frame, n.txBusy)
+	return true
 }
 
 // transmitTSO splits one oversized TCP frame into MSS-sized segments,
 // replicating headers and advancing IP ID and TCP sequence numbers — the
-// hardware path of GSO.
-func (n *NIC) transmitTSO(d txDesc) {
-	hdr := d.frame[:d.payload]
-	payload := d.frame[d.payload:]
+// hardware path of GSO. The caller holds txMu.
+func (n *NIC) transmitTSO(frame []byte, l3, l4, payloadOff int) {
+	hdr := frame[:payloadOff]
+	payload := frame[payloadOff:]
 	mss := n.cfg.MSS
-	baseSeq := binary.BigEndian.Uint32(d.frame[d.l4+4 : d.l4+8])
-	baseID := binary.BigEndian.Uint16(d.frame[d.l3+4 : d.l3+6])
-	flags := d.frame[d.l4+13]
+	baseSeq := binary.BigEndian.Uint32(frame[l4+4 : l4+8])
+	baseID := binary.BigEndian.Uint16(frame[l3+4 : l3+6])
+	flags := frame[l4+13]
 	for off, i := 0, 0; off < len(payload); i++ {
 		seg := payload[off:]
 		last := len(seg) <= mss
@@ -287,23 +283,23 @@ func (n *NIC) transmitTSO(d txDesc) {
 		copy(f, hdr)
 		copy(f[len(hdr):], seg)
 		// IP: total length, ID, header checksum.
-		binary.BigEndian.PutUint16(f[d.l3+2:d.l3+4], uint16(len(f)-d.l3))
-		binary.BigEndian.PutUint16(f[d.l3+4:d.l3+6], baseID+uint16(i))
-		f[d.l3+10], f[d.l3+11] = 0, 0
-		cs := checksum.Checksum(f[d.l3 : d.l3+ipv4.HeaderLen])
-		binary.BigEndian.PutUint16(f[d.l3+10:d.l3+12], cs)
+		binary.BigEndian.PutUint16(f[l3+2:l3+4], uint16(len(f)-l3))
+		binary.BigEndian.PutUint16(f[l3+4:l3+6], baseID+uint16(i))
+		f[l3+10], f[l3+11] = 0, 0
+		cs := checksum.Checksum(f[l3 : l3+ipv4.HeaderLen])
+		binary.BigEndian.PutUint16(f[l3+10:l3+12], cs)
 		// TCP: sequence; FIN/PSH only on the last segment.
-		binary.BigEndian.PutUint32(f[d.l4+4:d.l4+8], baseSeq+uint32(off))
+		binary.BigEndian.PutUint32(f[l4+4:l4+8], baseSeq+uint32(off))
 		fl := flags
 		if !last {
 			fl &^= 0x09 // clear FIN|PSH
 		}
-		f[d.l4+13] = fl
-		fillTCPChecksum(f, d.l3, d.l4)
+		f[l4+13] = fl
+		fillTCPChecksum(f, l3, l4)
 		n.tsoSegments.Add(1)
 		n.txPackets.Add(1)
 		n.txBytes.Add(uint64(len(f)))
-		n.port.Send(f)
+		n.port.SendAt(f, n.txBusy)
 		off += len(seg)
 	}
 }
@@ -322,23 +318,31 @@ func fillTCPChecksum(frame []byte, l3, l4 int) {
 	binary.BigEndian.PutUint16(frame[l4+16:l4+18], cs)
 }
 
+// rxLoop is the receive engine. Its one wait per frame is the only place
+// the fabric's modelled time (propagation, serialization, both NICs'
+// per-packet costs) turns into host time: the frame is processed at its
+// arrival stamp plus this NIC's per-packet cost, or that cost after the
+// previous frame, whichever is later — never before.
 func (n *NIC) rxLoop() {
 	defer n.wg.Done()
+	cost := n.cfg.PerPacket + n.cfg.PerPacketSW
+	var busy time.Time
 	for {
 		select {
 		case <-n.done:
 			return
-		case frame, ok := <-n.port.Recv():
-			if !ok {
-				return
+		case f := <-n.port.Recv():
+			if busy.Before(f.At) {
+				busy = f.At
 			}
-			n.receive(frame)
+			busy = busy.Add(cost)
+			latency.Spin(time.Until(busy))
+			n.receive(f.B)
 		}
 	}
 }
 
 func (n *NIC) receive(frame []byte) {
-	latency.Spin(n.cfg.PerPacket + n.cfg.PerPacketSW)
 	// RSS steering happens in the NIC pipeline before DMA: the queue
 	// choice selects the descriptor ring AND its buffer pool, so with
 	// per-queue PM pools the payload lands in the owning partition.
@@ -467,15 +471,14 @@ func (n *NIC) parseOffloads(b *pkt.Buf) {
 		segLen := totalLen - ihl
 		if segLen >= doff && eth.HeaderLen+ihl+segLen <= len(f) {
 			seg := f[eth.HeaderLen+ihl : eth.HeaderLen+ihl+segLen]
-			sum := checksum.PseudoHeaderSum(src, dst, ipv4.ProtoTCP, segLen)
-			sum = checksum.Combine(sum, checksum.Partial(0, seg))
+			segSum := checksum.Partial(0, seg)
+			sum := checksum.Combine(checksum.PseudoHeaderSum(src, dst, ipv4.ProtoTCP, segLen), segSum)
 			if checksum.Fold(sum) == 0xffff {
 				n.rxCsumGood.Add(1)
 				b.CsumStatus = pkt.CsumComplete
 				// Export the payload-only partial sum: whole-segment sum
 				// minus header bytes. The header is always even-length
 				// (doff is a multiple of 4), so Subtract applies.
-				segSum := checksum.Partial(0, seg)
 				b.Csum = checksum.Subtract(segSum, checksum.Partial(0, seg[:doff]))
 			} else {
 				n.rxCsumBad.Add(1)

@@ -3,6 +3,7 @@ package nic
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 	"testing"
 	"time"
 
@@ -40,9 +41,16 @@ func buildTCPFrame(payload []byte, seq uint32, goodCsum bool) []byte {
 	return f
 }
 
+func send(p *netsim.Port, f []byte) bool { return p.SendAt(f, time.Now()) }
+
 func newPair(t *testing.T, cfg Config) (*NIC, *netsim.Port) {
 	t.Helper()
-	a, b := netsim.NewLink(netsim.LinkConfig{})
+	return newPairOn(t, cfg, netsim.LinkConfig{})
+}
+
+func newPairOn(t *testing.T, cfg Config, link netsim.LinkConfig) (*NIC, *netsim.Port) {
+	t.Helper()
+	a, b := netsim.NewLink(link)
 	if cfg.RxPool == nil {
 		cfg.RxPool = pkt.NewPool(2048, 64)
 	}
@@ -68,7 +76,7 @@ func recvBuf(t *testing.T, n *NIC, q int) *pkt.Buf {
 func TestRxParsesAndTimestamps(t *testing.T) {
 	n, peer := newPair(t, Config{Offloads: Offloads{HWTimestamp: true}})
 	payload := []byte("hello tcp payload")
-	peer.Send(buildTCPFrame(payload, 1000, true))
+	send(peer, buildTCPFrame(payload, 1000, true))
 	b := recvBuf(t, n, 0)
 	defer b.Release()
 	if b.L3 == 0 || b.L4 == 0 || b.Payload == 0 {
@@ -89,7 +97,7 @@ func TestRxParsesAndTimestamps(t *testing.T) {
 func TestRxChecksumOffload(t *testing.T) {
 	n, peer := newPair(t, Config{Offloads: Offloads{RxChecksum: true}})
 	payload := []byte("payload to be summed!")
-	peer.Send(buildTCPFrame(payload, 1, true))
+	send(peer, buildTCPFrame(payload, 1, true))
 	b := recvBuf(t, n, 0)
 	defer b.Release()
 	if b.CsumStatus != pkt.CsumComplete {
@@ -106,7 +114,7 @@ func TestRxChecksumOffload(t *testing.T) {
 
 func TestRxChecksumBad(t *testing.T) {
 	n, peer := newPair(t, Config{Offloads: Offloads{RxChecksum: true}})
-	peer.Send(buildTCPFrame([]byte("corrupted"), 1, false))
+	send(peer, buildTCPFrame([]byte("corrupted"), 1, false))
 	b := recvBuf(t, n, 0)
 	defer b.Release()
 	if b.CsumStatus != pkt.CsumNone {
@@ -120,10 +128,10 @@ func TestRxChecksumBad(t *testing.T) {
 func TestRxPoolExhaustionDrops(t *testing.T) {
 	pool := pkt.NewPool(2048, 1)
 	n, peer := newPair(t, Config{RxPool: pool})
-	peer.Send(buildTCPFrame([]byte("one"), 1, true))
+	send(peer, buildTCPFrame([]byte("one"), 1, true))
 	b := recvBuf(t, n, 0) // hold the only buffer
 	defer b.Release()
-	peer.Send(buildTCPFrame([]byte("two"), 2, true))
+	send(peer, buildTCPFrame([]byte("two"), 2, true))
 	deadline := time.Now().Add(2 * time.Second)
 	for n.Stats().RxDropNoBuf == 0 {
 		if time.Now().After(deadline) {
@@ -137,7 +145,7 @@ func TestRxIntoPMPoolMarksDirty(t *testing.T) {
 	r := pmem.New(1<<20, calib.Off())
 	pool := pkt.NewPMPool(r, 0, 2048, 16)
 	n, peer := newPair(t, Config{RxPool: pool})
-	peer.Send(buildTCPFrame([]byte("persist-me"), 1, true))
+	send(peer, buildTCPFrame([]byte("persist-me"), 1, true))
 	b := recvBuf(t, n, 0)
 	defer b.Release()
 	if b.PMOff() < 0 {
@@ -163,7 +171,7 @@ func TestTxEmitsFrame(t *testing.T) {
 	b.Release()
 	select {
 	case f := <-peer.Recv():
-		if !bytes.Equal(f, raw) {
+		if !bytes.Equal(f.B, raw) {
 			t.Fatal("frame mutated in tx")
 		}
 	case <-time.After(2 * time.Second):
@@ -186,7 +194,7 @@ func TestTxChecksumOffload(t *testing.T) {
 	b.Payload = b.L4 + 20
 	b.CsumStatus = pkt.CsumPartial
 	n.Tx(b)
-	f := <-peer.Recv()
+	f := (<-peer.Recv()).B
 	// Verify the checksum the NIC filled.
 	var src, dst [4]byte
 	copy(src[:], f[eth.HeaderLen+12:])
@@ -217,7 +225,8 @@ func TestTSOSplitsSegments(t *testing.T) {
 	seqs := []uint32{}
 	for i := 0; i < 4; i++ {
 		select {
-		case f := <-peer.Recv():
+		case fr := <-peer.Recv():
+			f := fr.B
 			ih, err := ipv4.Decode(f[eth.HeaderLen:])
 			if err != nil {
 				t.Fatalf("segment %d: %v", i, err)
@@ -264,8 +273,8 @@ func TestTxWithFrags(t *testing.T) {
 	n.Tx(head)
 	select {
 	case f := <-peer.Recv():
-		if string(f) != "head|frag1|frag2" {
-			t.Fatalf("gather result %q", f)
+		if string(f.B) != "head|frag1|frag2" {
+			t.Fatalf("gather result %q", f.B)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("timeout")
@@ -279,7 +288,7 @@ func TestRSSQueueSteering(t *testing.T) {
 	}
 	// Same flow must always land on the same queue.
 	for i := 0; i < 5; i++ {
-		peer.Send(buildTCPFrame([]byte{byte(i)}, uint32(i), true))
+		send(peer, buildTCPFrame([]byte{byte(i)}, uint32(i), true))
 	}
 	hits := make([]int, 4)
 	deadline := time.After(2 * time.Second)
@@ -319,7 +328,7 @@ func TestNonTCPFrameStillDelivered(t *testing.T) {
 	// An ARP-typed frame: delivered raw on queue 0 with no offsets.
 	f := make([]byte, 60)
 	eth.Header{Dst: eth.Broadcast, Src: eth.HostAddr(1), Type: eth.TypeARP}.Encode(f)
-	peer.Send(f)
+	send(peer, f)
 	b := recvBuf(t, n, 0)
 	defer b.Release()
 	if b.L4 != 0 || b.CsumStatus != pkt.CsumNone {
@@ -330,7 +339,7 @@ func TestNonTCPFrameStillDelivered(t *testing.T) {
 func TestOversizeFrameDropped(t *testing.T) {
 	pool := pkt.NewPool(256, 8)
 	n, peer := newPair(t, Config{RxPool: pool})
-	peer.Send(make([]byte, 1000))
+	send(peer, make([]byte, 1000))
 	deadline := time.Now().Add(2 * time.Second)
 	for n.Stats().RxDropNoBuf == 0 {
 		if time.Now().After(deadline) {
@@ -353,9 +362,117 @@ func BenchmarkRxPath(b *testing.B) {
 	// drops packets, which would starve a counting consumer.
 	for i := 0; i < b.N; i++ {
 		f := append([]byte(nil), frame...)
-		for !peer.Send(f) {
+		for !send(peer, f) {
 		}
 		buf := <-n.Rx(0)
 		buf.Release()
+	}
+}
+
+// TestRxWaitsForStampAndCost pins the receive floor: a frame is processed
+// (DMAed and hardware-timestamped) no earlier than its arrival stamp —
+// ready plus propagation, or the end of its serialization — plus this
+// NIC's per-packet cost, and each later frame of a burst pays the cost
+// again after its predecessor. A receive loop that skips its wait fails.
+func TestRxWaitsForStampAndCost(t *testing.T) {
+	const (
+		lat  = 300 * time.Microsecond
+		hw   = 200 * time.Microsecond
+		sw   = 100 * time.Microsecond
+		cost = hw + sw
+	)
+	n, peer := newPairOn(t, Config{PerPacket: hw, PerPacketSW: sw, Offloads: Offloads{HWTimestamp: true}},
+		netsim.LinkConfig{Latency: lat, Bandwidth: 8e6}) // 8 Mbit/s: 125 B serialize in 125µs
+	frame := buildTCPFrame(make([]byte, 125-eth.HeaderLen-ipv4.HeaderLen-20), 1, true)
+	const burst = 4
+	ready := time.Now()
+	for i := 0; i < burst; i++ {
+		if !peer.SendAt(append([]byte(nil), frame...), ready) {
+			t.Fatal("send refused")
+		}
+	}
+	var floor time.Duration
+	for i := 0; i < burst; i++ {
+		b := recvBuf(t, n, 0)
+		got := b.HWTime.Sub(ready)
+		b.Release()
+		arrive := max(lat, time.Duration(i+1)*125*time.Microsecond)
+		floor = max(arrive, floor) + cost
+		if got < floor {
+			t.Fatalf("frame %d processed ready+%v, before its floor ready+%v", i, got, floor)
+		}
+	}
+}
+
+// TestTxRingBound pins the transmit ring: Tx never waits, it stamps each
+// frame with the time the transmit engine finishes it, and a frame that
+// would start more than RingLen per-packet costs after now is dropped and
+// counted — the ring holds RingLen descriptors behind the one in service.
+func TestTxRingBound(t *testing.T) {
+	const (
+		ring = 4
+		cost = 50 * time.Millisecond
+		sent = 20
+	)
+	n, peer := newPair(t, Config{RingLen: ring, PerPacket: cost})
+	start := time.Now()
+	accepted := 0
+	for i := 0; i < sent; i++ {
+		if n.Tx(pkt.NewBuf([]byte{byte(i)})) {
+			accepted++
+		}
+	}
+	if e := time.Since(start); e > cost {
+		t.Fatalf("Tx blocked for %v", e)
+	}
+	if accepted != ring+1 {
+		t.Fatalf("accepted %d frames behind a %v per-packet cost, want %d", accepted, cost, ring+1)
+	}
+	if st := n.Stats(); st.TxDropRing != sent-ring-1 || st.TxPackets != ring+1 {
+		t.Fatalf("TxDropRing %d TxPackets %d, want %d and %d", st.TxDropRing, st.TxPackets, sent-ring-1, ring+1)
+	}
+	for i := 0; i < accepted; i++ {
+		f := <-peer.Recv()
+		if f.B[0] != byte(i) {
+			t.Fatalf("frame %d carries %d", i, f.B[0])
+		}
+		if d := f.At.Sub(start); d < time.Duration(i+1)*cost {
+			t.Fatalf("frame %d leaves the NIC at start+%v, want >= %v", i, d, time.Duration(i+1)*cost)
+		}
+	}
+}
+
+// TestTxConcurrentSenders drives one NIC's transmit from several
+// goroutines at once, as two connections of one host do: every frame
+// reaches the wire, and the wire sees their stamps in order, because the
+// transmit engine's clock and the hand-off to the port advance together.
+func TestTxConcurrentSenders(t *testing.T) {
+	const senders, each = 4, 200
+	n, peer := newPairOn(t, Config{PerPacket: time.Microsecond, RingLen: senders * each},
+		netsim.LinkConfig{QueueLen: senders * each})
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if !n.Tx(pkt.NewBuf(buildTCPFrame([]byte{byte(s), byte(i)}, uint32(i), true))) {
+					t.Error("tx refused")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var prev time.Time
+	for i := 0; i < senders*each; i++ {
+		f := <-peer.Recv()
+		if f.At.Before(prev) {
+			t.Fatalf("frame %d stamped %v before its predecessor", i, prev.Sub(f.At))
+		}
+		prev = f.At
+	}
+	if st := n.Stats(); st.TxPackets != senders*each || st.TxDropRing != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
