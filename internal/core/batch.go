@@ -188,7 +188,7 @@ func (s *Store) supersedeStagedLocked(j int) int {
 // (retireLocked), batched the clear (phase C), or never stamped it
 // (superseded staged puts).
 func (s *Store) recycleRecordLocked(idx int) {
-	s.meta[idx].desc.Store(nil)
+	s.entry(idx).desc.Store(nil)
 	sl := s.slot(idx)
 	exts, err := s.readExtentsLocked(sl, nil)
 	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))

@@ -397,7 +397,7 @@ func TestSupersededSlotsHeldUntilCommit(t *testing.T) {
 	}
 	first := s.staged[0].slot
 	var firstData []int // the first put's data slots (key slot + extents)
-	for _, e := range s.meta[first].desc.Load().exts {
+	for _, e := range s.descAt(first).exts {
 		firstData = append(firstData, s.dataBase+s.dataSlotIndex(e.Off)*cfg.DataBufSize)
 	}
 	if err := s.PutStaged([]byte("k"), bytes.Repeat([]byte{2}, 700)); err != nil {

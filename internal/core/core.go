@@ -18,16 +18,18 @@
 // key prefix, 32 reserved bytes, and up to two inline value extents with
 // a chain for more; one CRC32C covers all of it plus the key bytes. The
 // slots are the store's only persistent structure and its source of
-// truth. The index — a skip list of DRAM descriptors ordered by key
-// (index.go) — is volatile: nothing of it is written to PM, and
-// recovery rebuilds it by scanning the slot array for committed slots.
+// truth. The index — a skip list ordered by key whose nodes are the
+// slots' 64-byte DRAM entries (index.go) — is volatile: nothing of it is
+// written to PM, and recovery rebuilds it by scanning the slot array for
+// committed slots.
 //
 // Crash-consistency protocol: puts are staged, then committed as a
 // group (a per-op put is a group of one). Staging writes the data
 // lines, key bytes, chain slots and the uncommitted (seq=0) slot image,
-// links the record's descriptor into the index, and accumulates every
-// dirty range in a pmem.FlushSet. Commit then runs three phases, each
-// one deduplicated flush batch plus one fence:
+// publishes the record's descriptor and links its slot's entry into the
+// index, and accumulates every dirty range in a pmem.FlushSet. Commit
+// then runs three phases, each one deduplicated flush batch plus one
+// fence:
 //
 //	A: images + data + keys + chains      -> FlushBatch, Fence
 //	B: seq words (8-byte atomic commits)  -> FlushBatch, Fence
@@ -257,20 +259,6 @@ type Breakdown struct {
 	Flush    time.Duration // cache-line write-backs and fences
 }
 
-// metaState is the volatile state of one metadata slot. All of it is
-// guarded by Store.mu except desc, which lock-free readers load.
-type metaState struct {
-	// desc is the slot's published descriptor — the record's index node —
-	// or nil when the slot holds no indexed record.
-	desc atomic.Pointer[nodeDesc]
-	// stamp is the scrub generation (Store.scrubPass) that last validated
-	// the slot's record; rebuilds skip re-validating fresh stamps.
-	stamp uint32
-	// fenced marks a slot quarantined for failed validation, so the
-	// scrubber doesn't re-report the same damage every pass.
-	fenced bool
-}
-
 // dataState is the volatile ownership state of one data slot.
 type dataState struct {
 	// refs is -1 while the NIC pool owns the slot, else the number of
@@ -315,10 +303,12 @@ type Store struct {
 
 	pool     *pkt.Pool // data-area packet pool (shared with the NIC)
 	metaFree []int32   // free metadata slot indices; int32 halves what every open allocates
-	meta     []metaState
-	data     []dataState
-	seq      uint64
-	count    int
+	// meta is the per-slot entry table (index.go), in chunks of
+	// metaChunk entries allocated on first touch.
+	meta  []atomic.Pointer[metaChunkArr]
+	data  []dataState
+	seq   uint64
+	count int
 	// quarantined counts committed slots that failed validation during
 	// recovery. They are fenced off: never served, never handed out for
 	// reuse (the corruption may be a media fault that would recur).
@@ -372,10 +362,10 @@ type Store struct {
 	// traffic, gauge near zero) or an immediate concession to the lock
 	// (sustained write pressure, gauge pinned high).
 	oddHot atomic.Int32
-	// head holds the index's first node per level: slot index + 1, 0 = nil.
-	// Written under mu inside mutation brackets, read with plain atomic
-	// loads by lock-free GETs.
-	head [maxHeight]atomic.Uint32
+	// head is the index's head node: only its links are used, the first
+	// entry per level (slot index + 1, 0 = nil). Written under mu inside
+	// mutation brackets, read with plain atomic loads by lock-free GETs.
+	head metaState
 	// Read-side counters, atomic so the fast path can count without the
 	// lock; Stats() merges them into the snapshot.
 	gets             atomic.Uint64
@@ -413,7 +403,7 @@ func openAt(pm *pmem.Domain, cfg Config, base int) (*Store, error) {
 		rng:      rand.New(rand.NewSource(0x9e3779b9)),
 	}
 	s.dataBase = s.metaBase + cfg.MetaSlots*cfg.SlotSize
-	s.meta = make([]metaState, cfg.MetaSlots)
+	s.meta = make([]atomic.Pointer[metaChunkArr], (cfg.MetaSlots+metaChunk-1)/metaChunk)
 	s.data = make([]dataState, cfg.DataSlots)
 	for i := range s.data {
 		s.data[i].refs = -1
@@ -569,14 +559,6 @@ func (s *Store) validateSuperblock() error {
 func (s *Store) slotOff(idx int) int { return s.metaBase + idx*s.cfg.SlotSize }
 
 func (s *Store) slot(idx int) []byte { return s.pm.Slice(s.slotOff(idx), s.cfg.SlotSize) }
-
-// keyPrefix packs the first 8 bytes of key big-endian (zero padded) so
-// integer comparison matches bytes.Compare on the prefix.
-func keyPrefix(key []byte) uint64 {
-	var p [8]byte
-	copy(p[:], key)
-	return binary.BigEndian.Uint64(p[:])
-}
 
 // slotKey reads a slot's key bytes from the data area.
 func (s *Store) slotKey(sl []byte) []byte {

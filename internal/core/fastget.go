@@ -23,12 +23,13 @@ import (
 //     any change means a mutation overlapped and the result is thrown
 //     away.
 //
-//   - The index (index.go): immutable descriptors published through
-//     meta[slot].desc, linked by atomic successor words per level.
-//     Mutators change it under s.mu inside their seqlock brackets;
-//     readers walk it with plain atomic loads — the same walker the
-//     locked paths use. Mid-bracket the index can be momentarily torn —
-//     a nil descriptor or an exhausted step budget — which readers
+//   - The index (index.go): the slots' 64-byte entries, each holding
+//     its record's immutable descriptor pointer, key prefix and atomic
+//     successor words per level. Mutators change it under s.mu inside
+//     their seqlock brackets; readers walk it with plain atomic loads —
+//     the same walker the locked paths use. Mid-bracket the index can
+//     be momentarily torn — an unpublished entry, a link into a chunk
+//     never allocated, or an exhausted step budget — which readers
 //     treat as a retry signal, never an error.
 //
 //   - Per-data-slot pin counters (dataState.pins). A validated
@@ -190,8 +191,7 @@ func (s *Store) fastLookup(key []byte) (d *nodeDesc, seq0 uint64, out fastOutcom
 		// locked path must commit it before serving.
 		return nil, 0, fastFall
 	}
-	kp := keyPrefix(key)
-	ge, ok := s.findGE(key, kp, nil)
+	_, ge, ok := s.findGE(key, keyPrefix(key), nil)
 	if !ok {
 		if s.mutSeq.Load() != seq0 {
 			return nil, 0, fastRetrySeq
@@ -200,7 +200,7 @@ func (s *Store) fastLookup(key []byte) (d *nodeDesc, seq0 uint64, out fastOutcom
 		// defensive and take the lock rather than loop.
 		return nil, 0, fastFall
 	}
-	if ge == nil || cmpDesc(key, kp, ge) != 0 {
+	if ge == nil {
 		if s.mutSeq.Load() != seq0 {
 			return nil, 0, fastRetrySeq
 		}

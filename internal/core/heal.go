@@ -128,16 +128,16 @@ func (s *Store) ScrubSlots(cursor, n int) ScrubResult {
 	end := min(cursor+n, s.cfg.MetaSlots)
 	var res ScrubResult
 	for i := cursor; i < end; i++ {
-		m := &s.meta[i]
-		if m.fenced {
-			continue // already quarantined: damage reported once
-		}
 		sl := s.slot(i)
 		if binary.LittleEndian.Uint32(sl[oMagic:]) != slotMagic {
 			continue // free, or a chain slot (validated via its record)
 		}
 		if binary.LittleEndian.Uint64(sl[oSeq:]) == 0 {
 			continue // uncommitted or deleted
+		}
+		m := s.entry(i)
+		if m.fenced {
+			continue // already quarantined: damage reported once
 		}
 		res.Checked++
 		s.pm.Touch(s.slotOff(i), s.cfg.SlotSize)

@@ -217,7 +217,7 @@ func TestScrubExcisionKeepsIndex(t *testing.T) {
 		_, s := healSetup(t)
 		before := map[string]*nodeDesc{}
 		for _, k := range []string{"alpha", "beta", "gamma", "delta"} {
-			before[k] = s.meta[slotOf(t, s, k)].desc.Load()
+			before[k] = s.descAt(slotOf(t, s, k))
 		}
 		s.CorruptRecord([]byte("gamma"), target, 5, 0x10)
 		if _, bad, excised := fullScrub(s); bad != 1 || excised != 1 {
@@ -231,7 +231,7 @@ func TestScrubExcisionKeepsIndex(t *testing.T) {
 			wantGoneOrError(t, s, "gamma")
 			for _, k := range []string{"alpha", "beta", "delta"} {
 				wantKey(t, s, k)
-				if d := s.meta[slotOf(t, s, k)].desc.Load(); d != before[k] {
+				if d := s.descAt(slotOf(t, s, k)); d != before[k] {
 					t.Fatalf("target %d: %q was republished: excision rescanned", target, k)
 				}
 			}

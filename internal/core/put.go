@@ -121,9 +121,9 @@ func (s *Store) putCopy(key, value []byte, staged bool) error {
 }
 
 // stagePutLocked prepares a put for the next group commit: it writes
-// the data, key, chains and the uncommitted (seq=0) slot image, links
-// the record's descriptor into the index, and accumulates every dirty
-// range into s.fs. Nothing is flushed or fenced here — a per-op put is
+// the data, key, chains and the uncommitted (seq=0) slot image,
+// publishes the record's descriptor and links its slot's entry into the
+// index, and accumulates every dirty range into s.fs. Nothing is flushed or fenced here — a per-op put is
 // simply a stage followed immediately by commitStagedLocked.
 func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	s.beginMutLocked()
@@ -141,12 +141,12 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	}
 	slotIdx := int(s.metaFree[len(s.metaFree)-1])
 	s.metaFree = s.metaFree[:len(s.metaFree)-1]
-	s.meta[slotIdx].stamp = 0
+	s.entry(slotIdx).stamp = 0
 	chains := make([]int, nChains)
 	for i := range chains {
 		chains[i] = int(s.metaFree[len(s.metaFree)-1])
 		s.metaFree = s.metaFree[:len(s.metaFree)-1]
-		s.meta[chains[i]].stamp = 0
+		s.entry(chains[i]).stamp = 0
 	}
 	s.bd.Alloc += s.since(tAlloc)
 
@@ -175,7 +175,7 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	s.bd.Checksum += s.since(tCsum)
 
 	tMeta := s.tnow()
-	var prev [maxHeight]*nodeDesc
+	var prev [maxHeight]*metaState
 	old := s.lookupLocked(key, &prev)
 	kp := keyPrefix(key)
 
@@ -186,7 +186,7 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	binary.LittleEndian.PutUint64(img[oHWTime:], uint64(opt.HWTime.UnixNano()))
 	binary.LittleEndian.PutUint32(img[oVCsum:], combined)
 	binary.LittleEndian.PutUint32(img[oKLen:], uint32(len(key)))
-	binary.LittleEndian.PutUint64(img[oKPrefix:], kp)
+	binary.LittleEndian.PutUint64(img[oKPrefix:], kp.a)
 	binary.LittleEndian.PutUint32(img[oKOff:], uint32(opt.KeyOff))
 	binary.LittleEndian.PutUint32(img[oVLen:], uint32(vlen))
 	// Inline extents + chain slots.

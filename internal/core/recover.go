@@ -80,7 +80,8 @@ func (s *Store) rescan(online bool) error {
 	fenceUnrecoverable := func(i int) {
 		unrecoverable++
 		s.quarantined++
-		s.meta[i].fenced, s.meta[i].stamp = true, 0
+		m := s.entry(i)
+		m.fenced, m.stamp = true, 0
 		used[i] = true
 	}
 
@@ -92,17 +93,25 @@ func (s *Store) rescan(online bool) error {
 	// re-earn the gate at the next scrub.
 	s.beginMutLocked()
 	defer s.endMutLocked()
-	for l := range s.head {
-		s.head[l].Store(0)
-	}
-	for i := range s.meta {
-		if s.meta[i].desc.Load() != nil { // an atomic store costs ~20× a load
-			s.meta[i].desc.Store(nil)
-		}
-		s.meta[i].fenced = false
-	}
 	s.seq, s.count, s.quarantined = 0, 0, 0
 	if online {
+		// At boot the entry table is fresh — no chunk allocated, nothing
+		// to reset. Online, only allocated chunks can hold state.
+		for l := range s.head.next {
+			s.head.next[l].Store(0)
+		}
+		for c := range s.meta {
+			chunk := s.meta[c].Load()
+			if chunk == nil {
+				continue
+			}
+			for i := range chunk {
+				if chunk[i].desc.Load() != nil { // an atomic store costs ~20× a load
+					chunk[i].desc.Store(nil)
+				}
+				chunk[i].fenced = false
+			}
+		}
 		// Record reference counts are about to be recomputed from the
 		// scan; any surviving store-owned slot starts at zero. External
 		// pins are NOT reset — their holders survive the rebuild and
@@ -196,7 +205,7 @@ func (s *Store) rescan(online bool) error {
 			if d == nil {
 				continue
 			}
-			m := &s.meta[i]
+			m := s.entry(i)
 			switch {
 			case m.stamp != 0 && s.scrubPass-m.stamp <= 1:
 			case s.valueChecksumOKLocked(s.slot(i)):
@@ -240,19 +249,31 @@ func (s *Store) rescan(online bool) error {
 		}
 	}
 
-	// Build the index in key order; heights come from the store's seeded
-	// generator, so the same survivors always build the same index.
-	var last [maxHeight]*nodeDesc
+	// Build the index: heights are drawn in key order from the store's
+	// seeded generator, so the same survivors always build the same
+	// index; then one pass in reverse key order writes each survivor's
+	// entry once, its successor per level being the last entry written
+	// at that level.
 	for _, d := range survivors {
+		if keep[d.slot] != nil { // else fenced by the value sweep
+			d.height = s.randomHeightLocked()
+			s.count++
+		}
+	}
+	var succ [maxHeight]uint32
+	for i := len(survivors) - 1; i >= 0; i-- {
+		d := survivors[i]
 		if keep[d.slot] == nil {
-			continue // fenced by the value sweep
+			continue
 		}
-		d.height = s.randomHeightLocked()
-		s.insertLocked(d, nil, &last)
+		e := s.publishLocked(d)
 		for l := 0; l < d.height; l++ {
-			last[l] = d
+			e.next[l].Store(succ[l])
+			succ[l] = uint32(d.slot + 1)
 		}
-		s.count++
+	}
+	for l := range succ {
+		s.head.next[l].Store(succ[l])
 	}
 
 	if unrecoverable > 0 {
@@ -333,7 +354,7 @@ func (p *scanPart) take(s *Store, i int, sl []byte) (*nodeDesc, error) {
 	d := &p.descs[len(p.descs)-1]
 	d.slot = i
 	d.key = p.keys[len(p.keys)-len(key) : len(p.keys) : len(p.keys)]
-	d.kp = binary.LittleEndian.Uint64(sl[oKPrefix:])
+	d.kp = keyPrefix(key)
 	d.exts = exts[:len(exts):len(exts)]
 	d.vlen = int(binary.LittleEndian.Uint32(sl[oVLen:]))
 	d.csum = binary.LittleEndian.Uint32(sl[oVCsum:])
@@ -407,7 +428,7 @@ func (s *Store) quarantineSlotLocked(i int, err error) {
 		s.onQuarantine(i, err)
 	}
 	s.quarantined++
-	s.meta[i].fenced = true
+	s.entry(i).fenced = true
 }
 
 // adoptForRecovery transitions a data slot from pool-owned to store-owned
@@ -503,17 +524,18 @@ func (s *Store) Ascend(start []byte, fn func(rec Record) bool) error {
 	// durable before they are observable.
 	s.commitStagedLocked()
 	s.stats.Ranges++
-	d, _ := s.findGE(start, keyPrefix(start), nil) // cannot tear under s.mu
-	for d != nil {
+	e, _, _ := s.findGE(start, keyPrefix(start), nil) // cannot tear under s.mu
+	for e != nil {
 		// A damaged value awaiting deferred parity repair is omitted from
 		// iteration rather than handing out bytes that cannot be trusted
 		// (point reads answer the typed error instead).
+		d := e.desc.Load()
 		if !d.gated.Load() && !fn(Record{Key: bytes.Clone(d.key), Ref: refFromDesc(d)}) {
 			return nil
 		}
-		next := d.next[0].Load()
-		if d = nil; next != 0 {
-			d = s.meta[next-1].desc.Load()
+		next := e.next[0].Load()
+		if e = nil; next != 0 {
+			e = s.loadEntry(int(next - 1))
 		}
 	}
 	return nil

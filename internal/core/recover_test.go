@@ -136,10 +136,10 @@ type scanOutcome struct {
 
 func outcomeOf(s *Store) scanOutcome {
 	o := scanOutcome{MetaFree: slices.Clone(s.metaFree), Seq: s.seq, Count: s.count, Quarantined: s.quarantined}
-	for w := s.head[0].Load(); w != 0; {
-		d := s.meta[w-1].desc.Load()
+	for w := s.head.next[0].Load(); w != 0; {
+		d := s.descAt(int(w - 1))
 		o.Index = append(o.Index, fmt.Sprintf("%s/%d/%d", d.key, d.slot, d.height))
-		w = d.next[0].Load()
+		w = s.loadEntry(d.slot).next[0].Load()
 	}
 	return o
 }
@@ -193,10 +193,10 @@ func TestRecoverDuplicatesAcrossBlocks(t *testing.T) {
 		if win/scanBlock == lose/scanBlock {
 			t.Fatalf("duplicate pair %d/%d shares a block", win, lose)
 		}
-		if s.meta[win].desc.Load() == nil {
+		if s.descAt(win) == nil {
 			t.Errorf("slot %d should have won the dedup", win)
 		}
-		if s.meta[lose].desc.Load() != nil || binary.LittleEndian.Uint64(s.slot(lose)[oSeq:]) != 0 {
+		if s.descAt(lose) != nil || binary.LittleEndian.Uint64(s.slot(lose)[oSeq:]) != 0 {
 			t.Errorf("loser slot %d still indexed or committed", lose)
 		}
 		if !slices.Contains(s.metaFree, int32(lose)) {
@@ -219,7 +219,7 @@ func TestRecoverCorruptAcrossBlocks(t *testing.T) {
 		t.Fatalf("quarantined %d, want %d", got, len(ri.corrupt))
 	}
 	for _, i := range ri.corrupt {
-		if s.meta[i].desc.Load() != nil || slices.Contains(s.metaFree, int32(i)) {
+		if s.descAt(i) != nil || slices.Contains(s.metaFree, int32(i)) {
 			t.Fatalf("damaged slot %d indexed or reusable", i)
 		}
 	}
