@@ -712,7 +712,9 @@ func (s *Store) AllocDataSlot() int {
 	return off
 }
 
-// WriteData writes bytes into the data area (key-arena writes).
+// WriteData writes bytes into the data area (key-arena writes). It takes
+// no store lock, so their modelled PM time stays owed until the put they
+// belong to pays it as its mutation bracket closes.
 func (s *Store) WriteData(off int, b []byte) { s.pm.Write(off, b) }
 
 // DataBufSize returns the data slot size.

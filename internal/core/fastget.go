@@ -70,12 +70,15 @@ func (s *Store) beginMutLocked() {
 	s.mutDepth++
 }
 
-// endMutLocked closes a mutation bracket; the outermost close flips the
-// sequence back to even (a new value, so readers that snapshotted before
-// the bracket reject their results).
+// endMutLocked closes a mutation bracket; the outermost close first
+// waits out the PM time the store still owes for stores no fence paid
+// (pmem.Domain.Pay), so no debt outlives s.mu or the bracket, then flips
+// the sequence back to even (a new value, so readers that snapshotted
+// before the bracket reject their results).
 func (s *Store) endMutLocked() {
 	s.mutDepth--
 	if s.mutDepth == 0 {
+		s.pm.Pay()
 		s.mutSeq.Add(1) // odd -> even
 	}
 }

@@ -39,13 +39,18 @@ type Domain struct {
 	// mu guards the owned lines' dirty/pending bits and, against the
 	// other locked mutators, their image bytes — plus stats, the
 	// write-side counters of operations that landed in this range and of
-	// the fences and folds this handle issued. Charged reads and delays
-	// count in atomics on the issuing handle: a read takes no lock, so
-	// lock-free GETs never meet the writer inside the simulator.
-	mu                   sync.Mutex
-	stats                Stats
-	reads, local, remote atomic.Uint64
-	charged, remoteExtra atomic.Int64
+	// the fences and folds this handle issued. Charged reads, delays and
+	// stalls count in atomics on the issuing handle: a read takes no lock,
+	// so lock-free GETs never meet the writer inside the simulator.
+	mu                           sync.Mutex
+	stats                        Stats
+	reads, local, remote, stalls atomic.Uint64
+	charged, remoteExtra         atomic.Int64
+
+	// debt is the modelled time of the stores and write-backs this handle
+	// issued and has not yet waited out (owe); the next stall point pays
+	// it (Fence, Pay).
+	debt atomic.Int64
 
 	// saves is the pool of saved durable copies of the owned lines in
 	// flight (Region.saved indexes it), grown saveChunk entries at a time
@@ -256,14 +261,19 @@ func (r *Region) leave(o *Domain, all bool) {
 	}
 }
 
-// bill counts one operation's emulated delay and NUMA attribution, then
-// consumes the delay; callers release their range lock first. PM delays
-// stall the issuing core (blocking loads, clwb retire, sfence drain), so
-// they spin hot — unless simulated cores outnumber physical (SetCores).
-func (d *Domain) bill(cost time.Duration, a *nodeAcc) {
-	if cost <= 0 && a.loc+a.rem == 0 {
-		return // an unmodelled device (calib.Off) pays nothing per call
-	}
+// Modelled time is counted where an operation happens and waited out
+// where the hardware stalls. Stores and write-backs are posted: Write,
+// Flush, FlushBatch and XorDeltaBatch count their cost at once (Charged,
+// the NUMA counters) and add it to the issuing handle's debt (owe). A
+// fence waits until they are done, so Fence spins once for debt + fence,
+// timed from its start; Pay spins for the debt alone, where software
+// must not run ahead of its stores (a store mutation's end). Loads stall
+// the issuing core themselves: Touch, TouchLines and Read spin for their
+// own cost at once and leave the debt to its writer. Each spin is one
+// Stats.Stalls.
+
+// account counts one operation's modelled cost and NUMA attribution.
+func (d *Domain) account(cost time.Duration, a *nodeAcc) {
 	d.charged.Add(int64(cost))
 	if a.loc != 0 {
 		d.local.Add(a.loc)
@@ -272,9 +282,55 @@ func (d *Domain) bill(cost time.Duration, a *nodeAcc) {
 		d.remote.Add(a.rem)
 		d.remoteExtra.Add(int64(a.extra))
 	}
-	if d.r.yield.Load() {
-		latency.Spin(cost)
-	} else {
-		latency.SpinHot(cost)
+}
+
+// owe counts a posted store or write-back and adds its cost to the
+// handle's debt.
+func (d *Domain) owe(cost time.Duration, a *nodeAcc) {
+	if cost <= 0 && a.loc+a.rem == 0 {
+		return // an unmodelled device (calib.Off) pays nothing per call
+	}
+	d.account(cost, a)
+	if cost > 0 {
+		d.debt.Add(int64(cost))
 	}
 }
+
+// stall counts an operation that waits for cost and consumes it in one
+// spin — with settle, together with the handle's debt. The spin is timed
+// from start, a latency.Now reading taken as the operation began (0:
+// from now), so the simulator's own bookkeeping since then, which has no
+// hardware counterpart, runs inside the modelled wait instead of adding
+// to it. Callers release their range lock first. PM stalls hold the
+// issuing core (blocking loads, the sfence drain), so they spin hot —
+// unless simulated cores outnumber physical (SetCores).
+func (d *Domain) stall(start, cost time.Duration, a *nodeAcc, settle bool) {
+	if cost > 0 || a.loc+a.rem != 0 {
+		d.account(cost, a)
+	}
+	if settle && d.r.posted && d.debt.Load() != 0 {
+		cost += time.Duration(d.debt.Swap(0))
+	}
+	if cost <= 0 {
+		return
+	}
+	d.stalls.Add(1)
+	if start == 0 {
+		start = latency.Now()
+	}
+	if d.r.yield.Load() {
+		latency.SpinFrom(start, cost)
+	} else {
+		latency.SpinHotFrom(start, cost)
+	}
+}
+
+// Pay waits out the handle's debt now, in one spin: the modelled time of
+// the stores and write-backs it issued since its last Fence or Pay.
+// Software that must not run ahead of its own stores calls it — a store
+// pays before it ends a mutation, so no debt outlives the store's lock.
+func (d *Domain) Pay() { d.stall(0, 0, &nodeAcc{}, true) }
+
+// Owed reports the modelled time the handle owes: counted, not yet
+// waited out.
+func (d *Domain) Owed() time.Duration { return time.Duration(d.debt.Load()) }

@@ -248,9 +248,11 @@ func TestDomainsConcurrent(t *testing.T) {
 				d.Fence()
 				st.Fences++
 				st.Charged += prof.PMFence
+				st.Stalls++ // the write, both flushes and the fence
 				d.Touch(off, len(buf))
 				st.Reads += 3
 				st.Charged += 3 * prof.PMReadLine
+				st.Stalls++
 			}
 		}(w, doms[w])
 	}
@@ -267,6 +269,7 @@ func TestDomainsConcurrent(t *testing.T) {
 		sum.Flushes++
 		sum.BatchFlushes++
 		sum.Fences++
+		sum.Stalls++
 		sum.LinesFlushed += uint64(bs.Flushed)
 		sum.Charged += time.Duration(bs.Flushed)*prof.PMFlushLine + prof.PMFence
 	}

@@ -65,6 +65,7 @@ func (r *Region) SetNUMA(nodes int, prof calib.NUMAProfile, ranges []NodeRange) 
 	r.remoteWrite = orLocal(prof.RemoteWriteLine, r.writeLine)
 	r.remoteFlush = orLocal(prof.RemoteFlushLine, r.flushLine)
 	r.hopCost = prof.HopCost
+	r.posted = r.posted || r.remoteWrite > 0 || r.remoteFlush > 0 || r.hopCost > 0
 }
 
 func orLocal(remote, local time.Duration) time.Duration {
@@ -94,8 +95,8 @@ func (r *Region) NodeAt(off int) int {
 }
 
 // nodeAcc accumulates the node-attributed cost of a batch of lines so
-// the counters are bumped once per operation (Domain.bill), not once per
-// line.
+// the counters are bumped once per operation (Domain.account), not once
+// per line.
 type nodeAcc struct {
 	cost, extra time.Duration
 	loc, rem    uint64

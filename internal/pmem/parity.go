@@ -34,9 +34,7 @@ type XorSpan struct {
 // holds the locks of both ranges it touches (in address order), so
 // members of one group fold into a shared parity line atomically. Write
 // latency is charged per parity line touched, in a single charge for
-// the whole batch: a group commit folds its spans back-to-back, and
-// consuming an emulated sub-microsecond delay costs far more scheduler
-// time than it models when paid span by span.
+// the whole batch, and owed until the handle's fence like any store's.
 func (d *Domain) XorDeltaBatch(spans []XorSpan) {
 	r := d.r
 	nl := 0
@@ -80,7 +78,7 @@ func (d *Domain) XorDeltaBatch(spans []XorSpan) {
 	d.stats.Writes++
 	d.stats.ParityLines += uint64(nl)
 	d.mu.Unlock()
-	d.bill(time.Duration(nl)*r.writeLine, &nodeAcc{})
+	d.owe(time.Duration(nl)*r.writeLine, &nodeAcc{})
 }
 
 // XorReconstruct rebuilds [off, off+n) as the byte-wise XOR of the
@@ -92,7 +90,9 @@ func (d *Domain) XorDeltaBatch(spans []XorSpan) {
 // in-flight line would corrupt state the durable images cannot vouch
 // for; the caller treats skipped lines as not-yet-repairable. It reads
 // and writes across ranges, so it runs with every range lock held. Write
-// and flush latency is charged per reconstructed line, plus one fence.
+// and flush latency is charged per reconstructed line and owed by the
+// default handle; the closing fence waits it out, with whatever else
+// that handle owes, in one stall.
 func (r *Region) XorReconstruct(off int, srcs []int, n int) (skipped int) {
 	if n == 0 || len(srcs) == 0 {
 		return 0
@@ -131,11 +131,11 @@ func (r *Region) XorReconstruct(off int, srcs []int, n int) (skipped int) {
 		r.retire(l)
 		restored++
 	}
-	cost := time.Duration(restored)*(r.writeLine+r.flushLine) + r.fence
 	r.Domain.stats.Writes++
 	r.Domain.stats.ReconstructedLines += uint64(restored)
 	r.unlockAll()
-	r.bill(cost, &nodeAcc{})
+	r.owe(time.Duration(restored)*(r.writeLine+r.flushLine), &nodeAcc{})
+	r.stall(0, r.fence, &nodeAcc{}, true)
 	return skipped
 }
 

@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"packetstore/internal/calib"
+	"packetstore/internal/latency"
 )
 
 // LineSize is the cache-line granularity of flush operations, in bytes.
@@ -109,7 +110,8 @@ func (r *Region) PowerFailed() bool {
 
 // Stats counts Region operations. Latencies are the emulated hardware
 // delays charged; they are included in wall-clock measurements because
-// charging spins.
+// charging spins — at the operation for a read, at the next stall point
+// for a store or write-back (Domain.owe).
 type Stats struct {
 	Reads        uint64 // explicit charged reads (lines)
 	Writes       uint64 // write calls
@@ -140,6 +142,9 @@ type Stats struct {
 	RemoteLines uint64
 	RemoteExtra time.Duration
 	Charged     time.Duration // total emulated delay
+	// Stalls counts the spins that waited modelled time out: one per
+	// charged read, per Fence or Pay with time owed, per XorReconstruct.
+	Stalls uint64
 }
 
 // Region is a simulated PM device. All mutating methods are safe for
@@ -209,6 +214,10 @@ type Region struct {
 
 	// yield: a PM stall yields instead of busy-waiting (SetCores).
 	yield atomic.Bool
+	// posted: some store or write-back costs modelled time, so a handle
+	// can owe (Domain.owe). False under calib.Off: Fence and Pay then
+	// check no debt. Fixed like the NUMA rates (New, SetNUMA).
+	posted bool
 }
 
 // SetCores declares how many simulated cores drive the region at once (a
@@ -241,6 +250,7 @@ func New(size int, profile calib.Profile) *Region {
 		writeLine: profile.PMWriteLine,
 		flushLine: profile.PMFlushLine,
 		fence:     profile.PMFence,
+		posted:    profile.PMWriteLine > 0 || profile.PMFlushLine > 0,
 	}
 	r.Domain.r, r.Domain.lo, r.Domain.hi = r, -1, -1
 	return r
@@ -357,7 +367,7 @@ func (d *Domain) Touch(off, n int) {
 	var acc nodeAcc
 	cost := r.spanCost(&acc, d.Node(), off, nl, r.readLine, r.remoteRead)
 	d.reads.Add(uint64(nl))
-	d.bill(cost, &acc)
+	d.stall(0, cost, &acc, false)
 }
 
 // Read copies [off, off+len(dst)) into dst, charging read latency.
@@ -367,9 +377,9 @@ func (d *Domain) Read(dst []byte, off int) {
 }
 
 // Write copies src into the region at off, marks the covered lines dirty,
-// and charges write latency. The store lands in the target DIMM's
-// write-pending queue either way, but a cross-socket store pays the
-// interconnect transfer first.
+// and charges write latency, which the handle owes until its next Fence
+// or Pay. The store lands in the target DIMM's write-pending queue either
+// way, but a cross-socket store pays the interconnect transfer first.
 func (d *Domain) Write(off int, src []byte) {
 	r := d.r
 	o := d.own(off, len(src))
@@ -381,7 +391,7 @@ func (d *Domain) Write(off int, src []byte) {
 	o.stats.Writes++
 	o.stats.BytesWritten += uint64(len(src))
 	o.mu.Unlock()
-	d.bill(cost, &acc)
+	d.owe(cost, &acc)
 }
 
 // WriteUint64 stores an 8-byte little-endian value at off. off must be
@@ -435,7 +445,8 @@ func (d *Domain) DMA(off int, src []byte) {
 }
 
 // Flush issues clwb for every line in [off, off+n): dirty lines move to
-// the pending (flushed-but-unfenced) set and are charged flush latency.
+// the pending (flushed-but-unfenced) set and are charged flush latency,
+// owed like a store's: clwb is posted, the fence waits for it.
 // Lines that are not dirty cost nothing, as clwb of a clean line retires
 // without a write-back. With a NUMA map, each freshly written-back line
 // homed on another socket pays the remote flush rate plus interconnect
@@ -452,7 +463,7 @@ func (d *Domain) Flush(off, n int) {
 }
 
 // flushSpans is the write-back under Flush and FlushBatch: one persist
-// operation (one hook consult, one charge, Stats.Flushes + 1) over
+// operation (one hook consult, one owed charge, Stats.Flushes + 1) over
 // sorted, disjoint line spans of any ranges; it fills bs.Flushed/Wasted.
 func (d *Domain) flushSpans(spans []lineSpan, bs *BatchStats, batch bool) {
 	r := d.r
@@ -511,7 +522,7 @@ scan:
 	o.stats.LinesFlushed += uint64(bs.Flushed)
 	o.stats.WastedFlushes += uint64(bs.Wasted)
 	r.leave(o, all)
-	d.bill(cost, &acc)
+	d.owe(cost, &acc)
 }
 
 // cut consults the installed hook at a persist operation (the caller
@@ -571,9 +582,15 @@ func (r *Region) eachPending(fn func(l int)) {
 // Fence orders the lines this handle flushed, wherever they live: they
 // are durable as they stand now, and their saved copies go. Lines other
 // handles flushed stay pending until their own issuer fences, as an
-// sfence orders only the issuing core's clwbs.
+// sfence orders only the issuing core's clwbs. It is the handle's stall
+// point: one spin, timed from the call, waits out the fence and
+// everything the handle owes, so retiring the lines runs inside the wait.
 func (d *Domain) Fence() {
 	r := d.r
+	var start time.Duration
+	if r.fence > 0 || r.posted {
+		start = latency.Now()
+	}
 	all := r.enter(d)
 	// A cut here kills the power before the sfence retires: the pending
 	// (flushed but unordered) lines stay in their undefined window —
@@ -611,7 +628,7 @@ func (d *Domain) Fence() {
 		d.flushed = mine[:0]
 	}
 	d.fmu.Unlock()
-	d.bill(r.fence, &nodeAcc{})
+	d.stall(start, r.fence, &nodeAcc{}, true)
 }
 
 // Persist is the common flush-then-fence sequence for a single range.
@@ -646,7 +663,8 @@ func SetCrashLogger(fn func(seed int64)) {
 // clwb and sfence. The seed is logged (SetCrashLogger) so any
 // crash-consistency failure reproduces from its seed alone. The Region
 // remains usable afterwards, representing the post-reboot device: any
-// installed persist hook and power-failure state are cleared.
+// installed persist hook and power-failure state are cleared, and no
+// handle owes modelled time.
 func (r *Region) Crash(seed int64) {
 	crashLogger.Load().(func(seed int64))(seed)
 	rng := rand.New(rand.NewSource(seed))
@@ -681,6 +699,7 @@ func (r *Region) Crash(seed int64) {
 		d.fmu.Lock()
 		d.flushed = d.flushed[:0]
 		d.fmu.Unlock()
+		d.debt.Store(0) // the stores it was for are gone
 	})
 }
 
@@ -757,6 +776,7 @@ func (r *Region) Stats() Stats {
 		d.mu.Unlock()
 		ds.Reads, ds.LocalLines, ds.RemoteLines = d.reads.Load(), d.local.Load(), d.remote.Load()
 		ds.RemoteExtra, ds.Charged = time.Duration(d.remoteExtra.Load()), time.Duration(d.charged.Load())
+		ds.Stalls = d.stalls.Load()
 		s.add(&ds)
 	})
 	return s
@@ -779,6 +799,7 @@ func (s *Stats) add(o *Stats) {
 	s.RemoteLines += o.RemoteLines
 	s.RemoteExtra += o.RemoteExtra
 	s.Charged += o.Charged
+	s.Stalls += o.Stalls
 }
 
 // ResetStats zeroes the operation counters.
@@ -792,6 +813,7 @@ func (r *Region) ResetStats() {
 		d.remote.Store(0)
 		d.remoteExtra.Store(0)
 		d.charged.Store(0)
+		d.stalls.Store(0)
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"packetstore/internal/calib"
+	"packetstore/internal/latency"
 )
 
 func off() calib.Profile { return calib.Off() }
@@ -193,18 +194,142 @@ func TestCrashQuick(t *testing.T) {
 	}
 }
 
+// TestLatencyCharged: a write, its flush and the fence together take at
+// least the time they charge. Stores and write-backs are owed and the
+// fence waits them out, so the wall time is measured around all three.
 func TestLatencyCharged(t *testing.T) {
 	p := calib.Off()
+	p.PMWriteLine = 10 * time.Microsecond
 	p.PMFlushLine = 50 * time.Microsecond
+	p.PMFence = 20 * time.Microsecond
+	const want = 4*10*time.Microsecond + 4*50*time.Microsecond + 20*time.Microsecond
 	r := New(4096, p)
-	r.Write(0, make([]byte, 256)) // 4 lines
 	start := time.Now()
+	r.Write(0, make([]byte, 256)) // 4 lines
 	r.Flush(0, 256)
-	if e := time.Since(start); e < 200*time.Microsecond {
-		t.Fatalf("flush of 4 lines took %v, want >= 200µs of charged latency", e)
+	r.Fence()
+	if e := time.Since(start); e < want {
+		t.Fatalf("write + flush + fence of 4 lines took %v, want >= %v of charged latency", e, want)
 	}
-	if st := r.Stats(); st.LinesFlushed != 4 || st.Charged < 200*time.Microsecond {
-		t.Fatalf("stats %+v", st)
+	if st := r.Stats(); st.LinesFlushed != 4 || st.Charged != want || st.Stalls != 1 {
+		t.Fatalf("stats %+v, want 4 lines flushed, %v charged in 1 stall", st, want)
+	}
+}
+
+// TestDebtPaidAtStallPoints: a store and a write-back are counted at
+// once but waited out only at the handle's next Fence or Pay, which
+// spins once for the whole debt; another handle's fence does not pay it.
+func TestDebtPaidAtStallPoints(t *testing.T) {
+	p := calib.Paper()
+	r := New(2*domainAlign, p)
+	d := r.Carve(domainAlign, domainAlign)
+	d.Write(domainAlign, make([]byte, 128)) // 2 lines
+	d.Flush(domainAlign, 128)
+	owed := 2*p.PMWriteLine + 2*p.PMFlushLine
+	if st := r.Stats(); d.Owed() != owed || st.Charged != owed || st.Stalls != 0 {
+		t.Fatalf("after write + flush: owed %v, stats %+v; want %v owed and charged, 0 stalls", d.Owed(), st, owed)
+	}
+	r.Fence() // the default handle's fence
+	if d.Owed() != owed {
+		t.Fatalf("another handle's fence changed the debt to %v", d.Owed())
+	}
+	start := time.Now()
+	d.Fence()
+	if e := time.Since(start); e < owed+p.PMFence {
+		t.Errorf("fence took %v, want >= %v owed + fence", e, owed+p.PMFence)
+	}
+	if st := r.Stats(); d.Owed() != 0 || st.Stalls != 2 || st.Charged != owed+2*p.PMFence {
+		t.Fatalf("after the fences: owed %v, stats %+v", d.Owed(), st)
+	}
+	d.Write(domainAlign, make([]byte, 8))
+	start = time.Now()
+	d.Pay()
+	if e := time.Since(start); e < p.PMWriteLine {
+		t.Errorf("Pay took %v, want >= %v", e, p.PMWriteLine)
+	}
+	d.Pay() // owes nothing: no stall
+	if st := r.Stats(); d.Owed() != 0 || st.Stalls != 3 {
+		t.Fatalf("after Pay: owed %v, %d stalls, want 0 and 3", d.Owed(), st.Stalls)
+	}
+}
+
+// TestDebtAddsUpBelowSpinFloor: charges too small to spin for on their
+// own (calib.Fast's 12ns one-line flush) add up in the debt and are
+// paid together, not dropped.
+func TestDebtAddsUpBelowSpinFloor(t *testing.T) {
+	p := calib.Fast()
+	r := New(4096, p)
+	for i := 0; i < 8; i++ {
+		r.Write(i*LineSize, []byte{1})
+		r.Flush(i*LineSize, 1)
+	}
+	if want := 8 * p.PMFlushLine; r.Owed() != want {
+		t.Fatalf("owed %v after 8 one-line flushes, want %v", r.Owed(), want)
+	}
+	before := latency.TotalSpun()
+	r.Fence()
+	if got := latency.TotalSpun() - before; got < 8*p.PMFlushLine {
+		t.Fatalf("fence spun %v, want >= %v", got, 8*p.PMFlushLine)
+	}
+}
+
+// TestReaderDoesNotPayWriterDebt: a read on a handle that owes spins for
+// its own cost only, and leaves the debt to the writer's stall point.
+func TestReaderDoesNotPayWriterDebt(t *testing.T) {
+	p := calib.Off()
+	p.PMWriteLine = 50 * time.Millisecond
+	p.PMReadLine = time.Microsecond
+	r := New(4096, p)
+	r.Write(0, make([]byte, LineSize))
+	start := time.Now()
+	r.TouchLines(0, 2)
+	if e := time.Since(start); e < 2*time.Microsecond || e >= p.PMWriteLine {
+		t.Errorf("TouchLines of 2 lines took %v, want >= 2µs and well under the %v owed", e, p.PMWriteLine)
+	}
+	r.Touch(0, 1)
+	r.Read(make([]byte, 1), 0)
+	if r.Owed() != p.PMWriteLine {
+		t.Errorf("reads changed the debt to %v, want %v", r.Owed(), p.PMWriteLine)
+	}
+	if st := r.Stats(); st.Stalls != 3 {
+		t.Errorf("%d stalls, want one per read", st.Stalls)
+	}
+	r.Crash(1) // drop the debt rather than spin 50ms for it
+}
+
+// TestCrashClearsDebt: a power cut drops what every handle owes — the
+// stores it was for are gone — so nothing is waited out after reboot.
+func TestCrashClearsDebt(t *testing.T) {
+	p := calib.Off()
+	p.PMWriteLine = 50 * time.Millisecond
+	r := New(2*domainAlign, p)
+	d := r.Carve(domainAlign, domainAlign)
+	r.Write(0, []byte{1})
+	d.Write(domainAlign, []byte{1})
+	r.Crash(1)
+	if r.Owed() != 0 || d.Owed() != 0 {
+		t.Fatalf("owed %v / %v after Crash, want 0", r.Owed(), d.Owed())
+	}
+	start := time.Now()
+	d.Fence()
+	if e := time.Since(start); e >= p.PMWriteLine {
+		t.Errorf("fence after Crash took %v: it paid a pre-crash debt", e)
+	}
+}
+
+// TestOffProfileOwesNothing: under calib.Off a handle never owes and
+// never stalls, so the unmodelled device does no new work at a fence.
+func TestOffProfileOwesNothing(t *testing.T) {
+	r := New(4096, calib.Off())
+	if r.posted {
+		t.Fatal("calib.Off region marked as owing")
+	}
+	r.Write(0, make([]byte, 256))
+	r.Flush(0, 256)
+	r.Fence()
+	r.Pay()
+	if st := r.Stats(); r.Owed() != 0 || st.Stalls != 0 || st.Charged != 0 {
+		t.Fatalf("owed %v, stats %+v", r.Owed(), st)
 	}
 }
 

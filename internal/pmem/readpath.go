@@ -40,5 +40,5 @@ func (d *Domain) TouchLines(off, nl int) {
 		cost = acc.cost
 	}
 	d.reads.Add(uint64(nl))
-	d.bill(cost, &acc)
+	d.stall(0, cost, &acc, false)
 }
