@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	pktbench -experiment table1|figure2|table2|ablation|figure3|recovery|metasize|scaling|torture|batch|heal|steal|erase|readmix|surge|numa|all \
+//	pktbench -experiment table1|figure2|table2|ablation|figure3|recovery|metasize|scaling|torture|batch|heal|erase|readmix|surge|numa|all \
 //	         [-profile paper|fast|off] [-requests N] [-duration D] [-conns 1,25,50,75,100] \
 //	         [-shards 1,2,4,8] [-batches 1,4,16,64] [-seeds N] [-json FILE]
 //
@@ -16,13 +16,11 @@
 // experiment sweeps the self-healing torture mode (shard loss and
 // latent bit flips under live traffic, supervised by the Healer) over
 // -seeds seeds, measures non-victim throughput during continuous
-// destroy-rebuild churn, and writes BENCH_heal.json. The steal
-// experiment runs a connection-placement-skewed workload with the
-// work-stealing scheduler off and on (plus a uniform sanity point) and
-// writes BENCH_steal.json. The erase experiment sweeps the cross-shard
-// parity torture mode (whole data areas destroyed and healed by
-// reconstruction) over -seeds seeds, measures the parity write overhead
-// and warm/cold/reconstruct rebuild times, and writes BENCH_erase.json.
+// destroy-rebuild churn, and writes BENCH_heal.json. The erase
+// experiment sweeps the cross-shard parity torture mode (whole data
+// areas destroyed and healed by reconstruction) over -seeds seeds,
+// measures the parity write overhead and warm/cold/reconstruct rebuild
+// times, and writes BENCH_erase.json.
 // The readmix experiment sweeps GET-heavy mixes (50/90/99% reads x
 // connection counts) with the lock-free read fast path forced off and
 // on, and writes BENCH_readmix.json. The numa experiment sweeps socket
@@ -46,7 +44,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "table1|figure2|table2|ablation|figure3|recovery|metasize|scaling|torture|batch|heal|steal|erase|readmix|surge|numa|all")
+		experiment = flag.String("experiment", "all", "table1|figure2|table2|ablation|figure3|recovery|metasize|scaling|torture|batch|heal|erase|readmix|surge|numa|all")
 		seeds      = flag.Int("seeds", 256, "torture runs for the crash mode (other modes scale down)")
 		profile    = flag.String("profile", "paper", "latency profile: paper|fast|off")
 		requests   = flag.Int("requests", 4000, "requests per RTT measurement")
@@ -79,7 +77,9 @@ func main() {
 	shards := parseInts("shards", *shardsFlag)
 	batches := parseInts("batches", *batchFlag)
 
+	ran := false
 	run := func(name string, fn func() error) {
+		ran = true
 		fmt.Printf("=== %s (profile %s) ===\n", name, prof.Name)
 		start := time.Now()
 		if err := fn(); err != nil {
@@ -203,36 +203,6 @@ func main() {
 			out := *jsonPath
 			if out == "" || *experiment == "all" {
 				out = "BENCH_batch.json"
-			}
-			blob, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-			return nil
-		})
-	}
-	if want("steal") {
-		run("E12 steal", func() error {
-			// The steal experiment runs one fixed deployment shape: the
-			// largest shard count from -shards, 100 connections (or the
-			// single -conns value if overridden).
-			ns := shards[len(shards)-1]
-			nc := 100
-			if *connsFlag != "1,25,50,75,100" && len(conns) == 1 {
-				nc = conns[0]
-			}
-			res, err := bench.RunSteal(prof, ns, nc, *duration)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			out := *jsonPath
-			if out == "" || *experiment == "all" {
-				out = "BENCH_steal.json"
 			}
 			blob, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {
@@ -414,5 +384,9 @@ func main() {
 			}
 			return nil
 		})
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
+		os.Exit(2)
 	}
 }

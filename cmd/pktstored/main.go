@@ -111,8 +111,7 @@ func main() {
 	if *heal {
 		healer = kvserver.NewHealer(ss, kvserver.HealConfig{ScrubInterval: *scrubIval})
 		go healer.Run()
-		healer.SetLoopSource(srv.LoopStats)
-		srv.SetHealthSource(healer.Health)
+		srv.SetHealer(healer)
 		fmt.Printf("pktstored: healer running (scrub interval %v); GET /healthz reports shard state\n", *scrubIval)
 	}
 

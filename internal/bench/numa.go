@@ -164,10 +164,6 @@ func RunNUMA(profile calib.Profile, shards, nodes int, duration time.Duration, r
 				d, err := deploy(deployOptions{
 					profile: profile, kind: kindPktStore, zeroCopy: true,
 					shards: shards, storeCfg: cfg,
-					// Stealing stays off: a stolen cycle runs a shard from the
-					// thief's socket, which is cross-node traffic by design and
-					// would blur the placement comparison (E12 and the healthz
-					// cross-steal counters cover the scheduler side).
 					srvCfg:    kvserver.Config{MaxBatch: 16},
 					numaNodes: sh.numaNodes, numaShardNode: sh.shardNode,
 					numaLoopNodes: sh.loopNodes, numaQueueNodes: sh.queueNodes,

@@ -345,14 +345,14 @@ func RunSurge(profile calib.Profile, shards, conns int, duration time.Duration, 
 			}(i)
 		}
 		wg.Wait()
-		// The /healthz view: a healer fed by the server loops and the
-		// clients' breaker tally.
+		// The /healthz view: the server's report, with a healer adding
+		// the clients' breaker tally.
 		h := kvserver.NewHealer(d.ss, kvserver.HealConfig{})
-		h.SetLoopSource(d.srv.LoopStats)
 		h.SetPressureSource(d.srv.Pressure)
 		h.SetBreakerSource(func() uint64 { return agg.BreakerOpens })
+		d.srv.SetHealer(h)
 		go h.Run()
-		rep := h.Health()
+		rep := d.srv.Health()
 		h.Close()
 		d.close()
 		out.Containment = SurgeContainment{

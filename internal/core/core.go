@@ -377,8 +377,7 @@ type Store struct {
 
 // SetNUMANode declares which NUMA node the core currently driving this
 // store runs on — the serving event loop stamps its own node at cycle
-// start when it owns the shard, the thief's during a stolen cycle — by
-// stamping the store's PM handle. Unstamped handles are node 0, which
+// start — by stamping the store's PM handle. Unstamped handles are node 0, which
 // keeps Nodes=1 deployments on the pre-NUMA charge arithmetic.
 func (s *Store) SetNUMANode(n int) { s.pm.SetNode(n) }
 

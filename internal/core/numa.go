@@ -74,7 +74,7 @@ func (ss *ShardedStore) SetNUMAPlacement(prof calib.NUMAProfile, nodes int, shar
 	ss.r.SetNUMA(nodes, prof, ranges)
 	// Stamp each store's caller-node default with its home: recovery,
 	// scrub and healer work the shard drives itself is node-local until
-	// a serving loop (or a thief) restamps it per cycle.
+	// a serving loop restamps it per cycle.
 	ss.mu.RLock()
 	for i := 0; i < n; i++ {
 		if st := ss.shards[i]; st != nil {

@@ -72,16 +72,6 @@ type ShardedStore struct {
 	// second rebuild must not race the first).
 	rebuilding []bool
 
-	// owners is the per-shard serialisation handle: the goroutine holding
-	// owners[i] has the exclusive right to stage writes into shard i and
-	// to group-commit what it staged. The token is indexed by shard, not
-	// by Store object, so it survives quarantine and rebuild — whichever
-	// goroutine drives a shard (its home event loop or a stealer) must
-	// hold the token across its stage/commit window. Reads need no token:
-	// every Store read takes the shard's own mutex and self-barriers
-	// (commits any open staged group) before serving.
-	owners []sync.Mutex
-
 	// notifyMu guards notify; notify (if set) is invoked, outside ss.mu,
 	// after each serving->down transition — the healer's push wakeup.
 	notifyMu sync.Mutex
@@ -124,7 +114,6 @@ func OpenSharded(r *pmem.Region, cfg Config, shards int) (*ShardedStore, error) 
 		down:       make([]error, shards),
 		parked:     make([]*Store, shards),
 		rebuilding: make([]bool, shards),
-		owners:     make([]sync.Mutex, shards),
 	}
 	if shards > 1 {
 		if need := ShardedRegionSize(cc, shards); need > r.Size() {
@@ -170,27 +159,8 @@ func WrapSharded(s *Store) *ShardedStore {
 		r: s.pm.Region(), cfg: s.cfg, stride: shardStride(s.cfg), doms: []*pmem.Domain{s.pm},
 		shards: []*Store{s}, down: make([]error, 1),
 		parked: make([]*Store, 1), rebuilding: make([]bool, 1),
-		owners: make([]sync.Mutex, 1),
 	}
 }
-
-// Acquire blocks until the caller holds shard i's ownership token — the
-// exclusive right to stage writes into the shard and group-commit them.
-// The single-writer invariant of the event loops is carried by this
-// token alone: any goroutine may drive any shard, provided it wraps its
-// stage/commit window in Acquire/Release.
-func (ss *ShardedStore) Acquire(i int) { ss.owners[i].Lock() }
-
-// TryAcquire takes shard i's ownership token without blocking,
-// reporting whether it succeeded — the steal path's admission gate: a
-// contended token means another loop is already driving the shard's
-// mutations.
-func (ss *ShardedStore) TryAcquire(i int) bool { return ss.owners[i].TryLock() }
-
-// Release returns shard i's ownership token. The holder must have
-// committed (or abandoned to a poisoned-cycle abort) everything it
-// staged: the next holder's group must never interleave with this one.
-func (ss *ShardedStore) Release(i int) { ss.owners[i].Unlock() }
 
 // OnQuarantine installs fn to be called — outside the router's lock,
 // from whichever goroutine quarantined the shard — after every

@@ -57,9 +57,8 @@ func (c *OverloadConfig) fill(maxBatch int) {
 // whole interval (a transient burst does not — its tail drains and the
 // minimum dips), at which point the controller enters the dropping
 // state and sheds at an increasing rate (interval/√count spacing) until
-// the minimum falls back under target. State is guarded by the owning
-// sched's mutex: observations come from popBatch, which stealers call
-// from other goroutines.
+// the minimum falls back under target. Observations come from its
+// loop's popBatch, on the loop's own goroutine.
 type codel struct {
 	target, interval time.Duration
 

@@ -32,7 +32,6 @@ type Healer struct {
 	busy    []bool          // per shard: a rebuild goroutine is in flight
 	stats   HealStats
 	rejoins []time.Duration
-	loopSrc func() []Stats // optional: Server.LoopStats for healthz
 	// pressureSrc is the server's overload signal (Server.Pressure,
 	// 0..1): the scrubber sheds its own budget first when the serving
 	// path is browned out — background PM reads are the most
@@ -163,15 +162,6 @@ func NewHealer(ss *core.ShardedStore, cfg HealConfig) *Healer {
 // event-driven signal that a rebuild completed — no counter polling, no
 // wall-clock window.
 func (h *Healer) RejoinC() <-chan time.Duration { return h.rejoinC }
-
-// SetLoopSource wires the server's per-loop stats into the healthz
-// report, making queue depths and steal activity observable in
-// production. fn is typically Server.LoopStats.
-func (h *Healer) SetLoopSource(fn func() []Stats) {
-	h.mu.Lock()
-	h.loopSrc = fn
-	h.mu.Unlock()
-}
 
 // SetPressureSource wires the server's overload signal (typically
 // Server.Pressure) into the supervisor: while loops are browned out the
@@ -372,13 +362,25 @@ func (h *Healer) Stats() HealStats {
 	return out
 }
 
-// Health builds the healthz report: per-shard serving state, scrubber
-// and rebuild progress, and — when a loop source is wired — each event
-// loop's queue depth and steal activity.
-func (h *Healer) Health() HealthReport {
-	st := h.Stats()
-	rep := healthFromStates(h.ss.States(), &st)
-	if ss := h.ss.Stats(); ss.Gets != 0 || ss.FastGets != 0 || ss.FastGetFallbacks != 0 {
+// Health is the report GET /healthz serves: the store's shard states (a
+// quarantined shard reads down, and the endpoint answers 503, exactly
+// when its keys answer 503), this server's loop and overload counters,
+// the read-path section, the NUMA section under a multi-node placement,
+// and — with a healer installed — its scrub, rebuild and breaker state.
+func (e *engine) Health() HealthReport {
+	var states []core.ShardStatus
+	if e.sharded != nil {
+		states = e.sharded.States()
+	}
+	rep := healthFromStates(states)
+	rep.addLoops(e.loopStats())
+	if h := e.healer.Load(); h != nil {
+		h.addTo(&rep)
+	}
+	if e.sharded == nil {
+		return rep
+	}
+	if ss := e.sharded.Stats(); ss.Gets != 0 || ss.FastGets != 0 || ss.FastGetFallbacks != 0 {
 		rep.Reads = &ReadPathHealth{
 			Gets:             ss.Gets,
 			Hits:             ss.Hits,
@@ -387,28 +389,13 @@ func (h *Healer) Health() HealthReport {
 			FastGetFallbacks: ss.FastGetFallbacks,
 		}
 	}
-	h.mu.Lock()
-	src := h.loopSrc
-	brkSrc := h.breakerSrc
-	h.mu.Unlock()
-	var crossSteals uint64
-	if src != nil {
-		crossSteals = rep.addLoops(src())
-	}
-	if brkSrc != nil {
-		if rep.Overload == nil {
-			rep.Overload = &OverloadHealth{}
-		}
-		rep.Overload.BreakerOpens = brkSrc()
-	}
-	if nodes := h.ss.NUMANodes(); nodes > 1 {
-		rs := h.ss.Region().Stats()
+	if nodes := e.sharded.NUMANodes(); nodes > 1 {
+		rs := e.sharded.Region().Stats()
 		nh := &NUMAHealth{
 			Nodes:         nodes,
 			LocalLines:    rs.LocalLines,
 			RemoteLines:   rs.RemoteLines,
 			RemoteExtraMs: float64(rs.RemoteExtra) / float64(time.Millisecond),
-			CrossSteals:   crossSteals,
 		}
 		if total := nh.LocalLines + nh.RemoteLines; total > 0 {
 			nh.RemoteShare = float64(nh.RemoteLines) / float64(total)
@@ -416,6 +403,29 @@ func (h *Healer) Health() HealthReport {
 		rep.NUMA = nh
 	}
 	return rep
+}
+
+// addTo fills the report's scrub section from the supervisor's counters
+// and adds the client-breaker tally (SetBreakerSource) to its overload
+// section.
+func (h *Healer) addTo(rep *HealthReport) {
+	st := h.Stats()
+	rep.Scrub = ScrubHealth{
+		Passes:          st.ScrubPasses,
+		ErrorsFound:     st.ScrubErrorsFound,
+		Repaired:        st.ScrubRepaired,
+		Rebuilds:        st.Rebuilds,
+		RebuildFailures: st.RebuildFailures,
+		Reconstructions: st.Reconstructions,
+		Unrecoverable:   st.UnrecoverableSlots,
+		Throttled:       st.ScrubThrottled,
+	}
+	h.mu.Lock()
+	brk := h.breakerSrc
+	h.mu.Unlock()
+	if brk != nil {
+		rep.Overload.BreakerOpens = brk()
+	}
 }
 
 // ShardHealth is one shard's state in the healthz report.
@@ -437,19 +447,14 @@ type ScrubHealth struct {
 	Throttled       uint64 `json:"throttled,omitempty"`
 }
 
-// LoopHealth is one event loop's scheduler view in the healthz report:
-// its live backlog (the steal path's victim-selection metric) and its
-// steal activity, so workload skew is observable in production, not just
-// in pktbench.
+// LoopHealth is one event loop's view in the healthz report: its live
+// backlog and request count, so workload skew is observable in
+// production, not just in pktbench.
 type LoopHealth struct {
-	Queue       int    `json:"queue"`
-	QueueDepth  int    `json:"queue_depth"`
-	Node        int    `json:"node"`
-	Requests    uint64 `json:"requests"`
-	Steals      uint64 `json:"steals"`
-	StolenOps   uint64 `json:"stolen_ops"`
-	StealAborts uint64 `json:"steal_aborts"`
-	CrossSteals uint64 `json:"cross_steals,omitempty"`
+	Queue      int    `json:"queue"`
+	QueueDepth int    `json:"queue_depth"`
+	Node       int    `json:"node"`
+	Requests   uint64 `json:"requests"`
 	// Overload view: whether the loop's CoDel controller is currently
 	// shedding (brownout), and its doomed-work/shed counters.
 	Brownout   bool   `json:"brownout,omitempty"`
@@ -489,15 +494,13 @@ type ReadPathHealth struct {
 // NUMAHealth is the placement section of the healthz report, present
 // only when a multi-node placement is installed: the region's node-
 // attributed line counters (remote share ~0 means the placement is
-// aligned), the total modeled cross-socket surcharge, and how many
-// stolen cycles crossed sockets for the balance they bought.
+// aligned) and the total modeled cross-socket surcharge.
 type NUMAHealth struct {
 	Nodes         int     `json:"nodes"`
 	LocalLines    uint64  `json:"local_lines"`
 	RemoteLines   uint64  `json:"remote_lines"`
 	RemoteShare   float64 `json:"remote_share"`
 	RemoteExtraMs float64 `json:"remote_extra_ms"`
-	CrossSteals   uint64  `json:"cross_steals"`
 }
 
 // HealthReport is the GET /healthz body. Ready is true only when every
@@ -513,26 +516,20 @@ type HealthReport struct {
 	NUMA     *NUMAHealth     `json:"numa,omitempty"`
 }
 
-// addLoops fills the report's scheduler and overload sections from a
-// server's per-loop snapshots (Server.LoopStats, NetServer.LoopStats),
-// returning the cross-socket steal total the NUMA section repeats.
-func (rep *HealthReport) addLoops(loops []Stats) (crossSteals uint64) {
+// addLoops fills the report's loop and overload sections from a
+// server's per-loop snapshots (Server.LoopStats, NetServer.LoopStats).
+func (rep *HealthReport) addLoops(loops []Stats) {
 	var ov OverloadHealth
 	for q, ls := range loops {
 		rep.Loops = append(rep.Loops, LoopHealth{
-			Queue:       q,
-			QueueDepth:  ls.QueueDepth,
-			Node:        ls.Node,
-			Requests:    ls.Requests,
-			Steals:      ls.Steals,
-			StolenOps:   ls.StolenOps,
-			StealAborts: ls.StealAborts,
-			CrossSteals: ls.CrossSteals,
-			Brownout:    ls.BrownoutLoops > 0,
-			Expired:     ls.Expired,
-			CoDelSheds:  ls.CoDelSheds,
+			Queue:      q,
+			QueueDepth: ls.QueueDepth,
+			Node:       ls.Node,
+			Requests:   ls.Requests,
+			Brownout:   ls.BrownoutLoops > 0,
+			Expired:    ls.Expired,
+			CoDelSheds: ls.CoDelSheds,
 		})
-		crossSteals += ls.CrossSteals
 		ov.Sheds += ls.Sheds
 		ov.IdleClosed += ls.IdleClosed
 		ov.Expired += ls.Expired
@@ -542,7 +539,6 @@ func (rep *HealthReport) addLoops(loops []Stats) (crossSteals uint64) {
 		ov.QueueDelayMs += float64(ls.QueueDelay) / float64(time.Millisecond)
 	}
 	rep.Overload = &ov
-	return crossSteals
 }
 
 // appendHealth serialises a report as the GET /healthz response: 200
@@ -562,24 +558,12 @@ func appendHealth(resp []byte, rep HealthReport) []byte {
 	return append(resp, b...)
 }
 
-func healthFromStates(states []core.ShardStatus, st *HealStats) HealthReport {
+func healthFromStates(states []core.ShardStatus) HealthReport {
 	rep := HealthReport{Ready: true}
 	for i, s := range states {
 		rep.Shards = append(rep.Shards, ShardHealth{Shard: i, State: s.State, Reason: s.Reason})
 		if s.State != "serving" {
 			rep.Ready = false
-		}
-	}
-	if st != nil {
-		rep.Scrub = ScrubHealth{
-			Passes:          st.ScrubPasses,
-			ErrorsFound:     st.ScrubErrorsFound,
-			Repaired:        st.ScrubRepaired,
-			Rebuilds:        st.Rebuilds,
-			RebuildFailures: st.RebuildFailures,
-			Reconstructions: st.Reconstructions,
-			Unrecoverable:   st.UnrecoverableSlots,
-			Throttled:       st.ScrubThrottled,
 		}
 	}
 	return rep

@@ -182,12 +182,8 @@ func TestNetServerHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewNetServer(lst, ShardedPktStore{S: ss})
-	srv.SetHealthSource(h.Health)
-	// Wire a loop source the way an event-loop deployment wires
-	// Server.LoopStats, so the scheduler section rides along in the JSON.
-	h.SetLoopSource(func() []Stats {
-		return []Stats{{Requests: 7, Steals: 2, StolenOps: 5, StealAborts: 1, QueueDepth: 3}}
-	})
+	srv.SetHealer(h)
+	h.SetBreakerSource(func() uint64 { return 7 })
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
 
@@ -209,11 +205,13 @@ func TestNetServerHealthz(t *testing.T) {
 	if rep.Ready || len(rep.Shards) != ss.Shards() || rep.Shards[3].State != "down" {
 		t.Fatalf("bad report while down: %+v", rep)
 	}
-	if len(rep.Loops) != 1 {
+	// The server's own connection counters ride along (the healthz
+	// request itself counts), and the healer adds its breaker tally.
+	if len(rep.Loops) != 1 || rep.Loops[0].Requests != 1 {
 		t.Fatalf("loop stats missing from healthz: %+v", rep)
 	}
-	if l := rep.Loops[0]; l.Requests != 7 || l.Steals != 2 || l.StolenOps != 5 || l.StealAborts != 1 || l.QueueDepth != 3 {
-		t.Fatalf("loop stats mangled in healthz JSON: %+v", l)
+	if rep.Overload == nil || rep.Overload.BreakerOpens != 7 {
+		t.Fatalf("healer's breaker tally missing from healthz: %+v", rep.Overload)
 	}
 
 	if err := ss.Rebuild(3); err != nil {
@@ -317,8 +315,9 @@ func TestNetServerIdleTimeout(t *testing.T) {
 // group, so the commit gate must poison the cycle and refuse the acks.
 func TestCommitGroupDetectsMidCycleRebuild(t *testing.T) {
 	_, ss, _ := healShardedSetup(t)
-	lp := &loop{srv: &Server{engine: engine{sharded: ss}}, store: ss.Shard(1), shard: 1}
-	x := lp.executorFor(lp)
+	srv := &Server{engine: engine{sharded: ss}}
+	lp := &loop{srv: srv}
+	x := &executor{eng: &srv.engine, stats: &lp.stats, lp: lp, store: ss.Shard(1), shard: 1}
 
 	x.beginCycle()
 	if err := x.store.PutStaged([]byte("staged-a"), []byte("v")); err != nil {
@@ -363,47 +362,6 @@ func TestCommitGroupDetectsMidCycleRebuild(t *testing.T) {
 	if !x.commitGroup() {
 		t.Fatal("gate failed to re-arm after the shard healed")
 	}
-}
-
-// TestCommitGroupGateHoldsUnderSteal is the same acked-write gate driven
-// the way a stealing loop drives it: the executing loop is not the
-// shard's home loop and enters holding the ownership token. The gate's
-// correctness must not depend on which goroutine (or loop) runs the
-// cycle.
-func TestCommitGroupGateHoldsUnderSteal(t *testing.T) {
-	_, ss, _ := healShardedSetup(t)
-	srv := &Server{engine: engine{sharded: ss}}
-	victim := &loop{srv: srv, store: ss.Shard(1), shard: 1}
-	thief := &loop{srv: srv, q: 3, shard: -1}
-
-	x := thief.executorFor(victim)
-	if x.lp != thief || x.tgt != victim || x.store != victim.store {
-		t.Fatal("executor for a peer loop not aimed at the victim's shard")
-	}
-	if !ss.TryAcquire(victim.shard) {
-		t.Fatal("uncontended token not acquired")
-	}
-	x.token = true
-	x.beginCycle()
-	if err := x.store.PutStaged([]byte("stolen-a"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	x.stagedOps++ // dispatch's accounting; this test stages directly
-	ss.Quarantine(1, fmt.Errorf("injected"))
-	if err := ss.Rebuild(1); err != nil {
-		t.Fatal(err)
-	}
-	if x.commitGroup() {
-		t.Fatal("mid-steal rebuild dropped the staged group but the gate passed its acks")
-	}
-	if x.token {
-		t.Fatal("commitGroup left the ownership token held")
-	}
-	// The token must be free again for the home loop.
-	if !ss.TryAcquire(victim.shard) {
-		t.Fatal("token still held after the steal cycle resolved")
-	}
-	ss.Release(victim.shard)
 }
 
 // TestQuarantineWakesHealerImmediately asserts rejoin latency is

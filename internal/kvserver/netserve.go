@@ -17,7 +17,7 @@ import (
 // run (handleBuf -> beginRequest -> dispatch -> finishConn), so requests
 // parse, expire, count and answer exactly as on the simulated stack's
 // copy path. The Go netpoller and scheduler are this transport's event
-// loop; the hand-written sched (CoDel, bursts, stealing) stays with the
+// loop; the hand-written run queue (CoDel, bursts) stays with the
 // simulated stack (DESIGN.md §5.17).
 type NetServer struct {
 	engine
@@ -49,8 +49,8 @@ func NewNetServerWithConfig(lst net.Listener, backend Backend, cfg Config) *NetS
 	return s
 }
 
-// LoopStats is the counters in the per-loop shape Healer.SetLoopSource
-// takes: connections come and go, so they report as one loop.
+// LoopStats is the counters in Server.LoopStats' per-loop shape:
+// connections come and go, so they report as one loop.
 func (s *NetServer) LoopStats() []Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -16,33 +16,6 @@ import (
 	"packetstore/internal/tcp"
 )
 
-// StealConfig tunes the work-stealing scheduler. With stealing enabled,
-// an event loop whose own queue is empty picks the deepest backlogged
-// peer, try-acquires that peer's shard ownership token, and runs one
-// service cycle against the peer's connections on its own goroutine —
-// so a skewed workload that piles onto one RSS queue is served by every
-// idle core instead of collapsing onto the hot loop.
-type StealConfig struct {
-	// Enabled turns the steal path on. Off by default: with it off the
-	// scheduler reduces exactly to the per-queue loops of the 1:1 design.
-	Enabled bool
-	// MinDepth is the minimum victim backlog (undrained ready events +
-	// NIC ring occupancy + queued connections) worth stealing from.
-	// Below it the steal costs more than the wait. Default 2.
-	MinDepth int
-	// Poll is the idle loop's steal-scan period. Default 200µs.
-	Poll time.Duration
-}
-
-func (c *StealConfig) fill() {
-	if c.MinDepth <= 0 {
-		c.MinDepth = 2
-	}
-	if c.Poll <= 0 {
-		c.Poll = 200 * time.Microsecond
-	}
-}
-
 // Config tunes the server's overload and robustness behaviour. The zero
 // value imposes no connection cap and no idle timeout (the original
 // trusted-testbed behaviour).
@@ -64,14 +37,12 @@ type Config struct {
 	// unbatched path, so unloaded latency does not regress. 0 or 1
 	// disables batching.
 	MaxBatch int
-	// Steal configures the work-stealing scheduler.
-	Steal StealConfig
 	// LoopNodes declares each event loop's NUMA node, indexed by RSS
-	// queue: the loop's executor stamps the node onto whatever store it
+	// queue: the loop's executor stamps the node onto the store it
 	// drives so the PM simulator bills cross-socket lines at the remote
-	// rate, and the steal policy prefers same-node victims. Nil falls
-	// back to the NIC's per-queue interrupt nodes (nic.Config.QueueNodes),
-	// which default to node 0 everywhere — the single-socket no-op.
+	// rate. Nil falls back to the NIC's per-queue interrupt nodes
+	// (nic.Config.QueueNodes), which default to node 0 everywhere — the
+	// single-socket no-op.
 	LoopNodes []int
 	// Overload configures deadline-aware admission and the CoDel
 	// run-queue controller (see OverloadConfig). Disabled by default.
@@ -79,21 +50,17 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	c.Steal.fill()
 	c.Overload.fill(c.MaxBatch)
 }
 
 // Server is the storage server application. One event-loop goroutine per
-// NIC RSS queue emulates the paper's busy-polling server cores. With a
-// sharded packetstore, loop q is the *home* of the store shard whose PM
-// partition backs queue q's receive pool, so in the common case
-// zero-copy ingest never crosses cores: the NIC DMAs a flow's payloads
-// straight into the partition of the shard that will index them
-// (DESIGN.md §5.7). Home is a scheduling default, not ownership: the
-// right to mutate a shard is the ShardedStore ownership token, and with
-// Config.Steal enabled any idle loop may acquire a busy shard's token
-// and serve its queue (DESIGN.md §5.11). With one queue and one shard
-// this degenerates to the original single-core loop.
+// NIC RSS queue emulates the paper's run-to-completion server cores. With
+// a sharded packetstore, loop q serves the store shard whose PM partition
+// backs queue q's receive pool and no other: the NIC DMAs a flow's
+// payloads straight into the partition of the shard that will index
+// them (DESIGN.md §5.7), and that shard's staged group is only ever
+// touched by its one loop. With one queue and one shard this degenerates
+// to the original single-core loop.
 type Server struct {
 	engine
 	stk   *tcp.Stack
@@ -120,11 +87,11 @@ type engine struct {
 	// its body is buffered. 0 (no packetstore behind the server) = no bound.
 	maxBody int
 	// loopStats is the embedding server's per-loop counter view, the
-	// source of the default health report's loops and overload sections.
+	// source of the health report's loops and overload sections.
 	loopStats func() []Stats
-
-	hmu    sync.Mutex
-	health func() HealthReport // SetHealthSource; nil = the default report
+	// healer, once installed (SetHealer), adds its scrub, rebuild and
+	// client-breaker state to the health report.
+	healer atomic.Pointer[Healer]
 }
 
 func (e *engine) init(backend Backend, cfg Config, loopStats func() []Stats) {
@@ -142,34 +109,9 @@ func (e *engine) init(backend Backend, cfg Config, loopStats func() []Stats) {
 	}
 }
 
-// SetHealthSource installs the GET /healthz report producer — normally
-// (*Healer).Health, which adds scrub and rebuild progress to what the
-// default report already carries.
-func (e *engine) SetHealthSource(fn func() HealthReport) {
-	e.hmu.Lock()
-	e.health = fn
-	e.hmu.Unlock()
-}
-
-// Health is the report GET /healthz serves. Without an installed source
-// it is built from the store's own shard states, so a quarantined shard
-// reads down (and the endpoint 503) exactly when its keys answer 503,
-// healer or not, plus this server's loop and overload counters.
-func (e *engine) Health() HealthReport {
-	e.hmu.Lock()
-	fn := e.health
-	e.hmu.Unlock()
-	if fn != nil {
-		return fn()
-	}
-	var states []core.ShardStatus
-	if e.sharded != nil {
-		states = e.sharded.States()
-	}
-	rep := healthFromStates(states, nil)
-	rep.addLoops(e.loopStats())
-	return rep
-}
+// SetHealer adds h's scrub, rebuild and client-breaker state to the
+// GET /healthz report; every other section is the server's own.
+func (e *engine) SetHealer(h *Healer) { e.healer.Store(h) }
 
 // Stats aggregates every loop's counters (Server.LoopStats, or all of a
 // NetServer's connections as one) into one snapshot, plus the store's
@@ -194,83 +136,50 @@ func (e *engine) Stats() Stats {
 	return out
 }
 
-// sched is one loop's scheduling core: the table of connections homed on
-// this loop's RSS queue plus the run queue of those that are readable
-// and waiting for an executor, with the burst-formation claim flags on
-// each connState. It is the only loop state a stealing peer touches, so
-// it carries its own mutex; everything else on the loop stays
-// single-goroutine.
-type sched struct {
-	mu    sync.Mutex
-	conns map[*tcp.Conn]*connState
-	runq  []*connState
-	// qlen mirrors len(runq) so the steal path's victim scan reads a
-	// single atomic instead of taking every peer's mu — depth sampling
-	// at the steal poll rate must not contend with the hot loop's
-	// scheduling path.
-	qlen atomic.Int32
-	// cd is the CoDel sojourn controller over this run queue
-	// (Config.Overload); guarded by mu like the queue it watches, since
-	// observations come from popBatch on home and stealer goroutines.
-	cd codel
-}
-
-// loop is one event-loop "core": the home of the connections whose flows
-// RSS to its queue and — in sharded mode — of the store shard backing
-// that queue's receive pool. Scheduling state (sched) is shared with
-// stealing peers under its mutex; stats, arenas and the executor scratch
-// are touched only by this loop's goroutine.
+// loop is one event-loop "core": it serves the connections whose flows
+// RSS to its queue and — in sharded mode — the store shard backing that
+// queue's receive pool. Everything on it is touched only by the loop's
+// own goroutine, except the qlen and brownout gauges that LoopStats and
+// Pressure read from others.
 type loop struct {
 	srv   *Server
 	q     int
-	store *core.Store // home shard for the zero-copy paths; nil = copy only
-	shard int         // index of store within srv.sharded (-1 if none)
-	node  int         // NUMA node this loop's core runs on (Config.LoopNodes)
+	node  int // NUMA node this loop's core runs on (Config.LoopNodes)
 	stats statsCounters
 
-	sched sched
-	// wake is the cross-goroutine kick: a peer that reposted work onto
-	// this loop's run queue (repost flag on a claimed connection) rings
-	// it so the home loop re-drains without waiting for the next packet.
-	wake chan struct{}
+	// conns is the table of connections homed on this loop's queue and
+	// runq those of them that are readable and waiting for a service
+	// cycle (connState.queued).
+	conns map[*tcp.Conn]*connState
+	runq  []*connState
+	// qlen mirrors len(runq) for the QueueDepth gauge.
+	qlen atomic.Int32
+	// cd is the CoDel sojourn controller over runq (Config.Overload).
+	cd codel
+	// brownout mirrors the CoDel controller's dropping state: while set,
+	// batchMax returns the larger BrownoutBatch (fence amortization when
+	// it buys the most) and Server.Pressure reports the loop as pressed
+	// so the Healer throttles background scrub.
+	brownout atomic.Bool
 	// accept is the shared listener queue (set by Run); every loop drains
 	// it, and drain/gather poll it mid-cycle so a saturated loop cannot
 	// starve handshake completion (see drainAccepts).
 	accept <-chan *tcp.Conn
-	// theft is the victim-side single-thief guard: at most one peer
-	// steals from this loop at a time. Beyond the first, thieves would
-	// convoy on the shard token — and a loop parked in Acquire is a loop
-	// not draining the shared accept channel.
-	theft atomic.Bool
-	// brownout mirrors the CoDel controller's dropping state outside
-	// sched.mu: while set, batchMax returns the larger BrownoutBatch
-	// (fence amortization when it buys the most), idle peers stop
-	// stealing extra work onto this loop, and Server.Pressure reports
-	// the loop as pressed so the Healer throttles background scrub.
-	brownout atomic.Bool
 
-	// arenas holds this goroutine's key arena per target shard. Steal
-	// cycles execute on the stealer's goroutine, so arenas never need
-	// locking — each executing loop appends keys into its own slot of
-	// whatever shard it is currently serving.
-	arenas map[int]*keyArena
-
-	// burst is the reusable claimed-connection list for service cycles.
+	// arena is the key-copy arena inside this loop's shard.
+	arena keyArena
+	// burst is the reusable batch list for service cycles.
 	burst []*connState
-	// exec is the reusable executor scratch for cycles this goroutine
-	// runs (against its own shard or a steal victim's).
+	// exec is this loop's request executor. Its store is the loop's
+	// shard for the zero-copy paths (nil = copy only).
 	exec executor
 }
 
-// keyArena is one executing goroutine's private key-copy arena inside
-// one shard's data area: small key copies land here so records can
-// reference them (values are never copied). The (store, epoch) stamp
-// detects an online rebuild of the target shard — the arena slot is then
-// abandoned (its pin dropped; surviving records keep it alive) and a
-// fresh slot allocated, so the goroutine never appends into a slot the
-// rebuilt allocator may have repurposed.
+// keyArena is a loop's key-copy arena: one pinned data slot of its
+// shard, where small key copies land so records can reference them
+// (values are never copied). epoch is the shard's rebuild epoch when the
+// slot was cut (see allocKey).
 type keyArena struct {
-	store *core.Store
 	epoch uint64
 	off   int
 	used  int
@@ -297,25 +206,23 @@ func NewWithConfig(stk *tcp.Stack, port uint16, backend Backend, cfg Config) (*S
 	s.loops = make([]*loop, nq)
 	for q := 0; q < nq; q++ {
 		lp := &loop{
-			srv:    s,
-			q:      q,
-			shard:  -1,
-			node:   stk.NIC().NodeOfQueue(q),
-			wake:   make(chan struct{}, 1),
-			arenas: make(map[int]*keyArena),
+			srv:   s,
+			q:     q,
+			node:  stk.NIC().NodeOfQueue(q),
+			conns: make(map[*tcp.Conn]*connState),
+			cd:    codel{target: s.cfg.Overload.Target, interval: s.cfg.Overload.Interval},
 		}
+		lp.exec = executor{eng: &s.engine, stats: &lp.stats, lp: lp, shard: -1}
 		if q < len(s.cfg.LoopNodes) {
 			lp.node = s.cfg.LoopNodes[q]
 		}
-		lp.sched.conns = make(map[*tcp.Conn]*connState)
-		lp.sched.cd = codel{target: s.cfg.Overload.Target, interval: s.cfg.Overload.Interval}
 		if s.sharded != nil {
 			pool := stk.NIC().RxPoolQ(q)
 			for i := 0; i < s.sharded.Shards(); i++ {
 				// Shard returns nil for a quarantined shard — its queue's
 				// loop then runs copy-path only, like a DRAM-pool loop.
 				if sh := s.sharded.Shard(i); sh != nil && sh.Pool() == pool {
-					lp.store, lp.shard = sh, i
+					lp.exec.store, lp.exec.shard = sh, i
 					break
 				}
 			}
@@ -327,9 +234,8 @@ func NewWithConfig(stk *tcp.Stack, port uint16, backend Backend, cfg Config) (*S
 
 // LoopStats returns each event loop's own snapshot, indexed by RSS
 // queue — the per-core view of a sharded deployment. QueueDepth is
-// sampled live: it is the same backlog metric the steal path uses for
-// victim selection, so persistent skew is directly observable here (and
-// in GET /healthz).
+// sampled live, so persistent skew is directly observable here (and in
+// GET /healthz).
 func (s *Server) LoopStats() []Stats {
 	out := make([]Stats, len(s.loops))
 	for i, lp := range s.loops {
@@ -344,9 +250,9 @@ func (s *Server) LoopStats() []Stats {
 }
 
 // Pressure is the overload signal exported to background work (the
-// Healer's scrub budget, steal admission): the fraction of event loops
-// currently in brownout, 0 when fully healthy through 1 when every
-// loop's queue controller is shedding.
+// Healer's scrub budget): the fraction of event loops currently in
+// brownout, 0 when fully healthy through 1 when every loop's queue
+// controller is shedding.
 func (s *Server) Pressure() float64 {
 	if len(s.loops) == 0 {
 		return 0
@@ -397,6 +303,15 @@ func (s *Server) Close() {
 	s.lst.Close()
 }
 
+// ready is always receivable: run selects on it while the run queue
+// still holds connections, so a drain that spent its cycle budget
+// resumes as soon as accepts, shutdown and ticks have had their turn.
+var ready = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // run is one loop's event cycle.
 func (lp *loop) run() {
 	s := lp.srv
@@ -411,15 +326,13 @@ func (lp *loop) run() {
 		defer t.Stop()
 		idleTick = t.C
 	}
-	var stealTick <-chan time.Time
-	if s.cfg.Steal.Enabled && len(s.loops) > 1 {
-		t := time.NewTicker(s.cfg.Steal.Poll)
-		defer t.Stop()
-		stealTick = t.C
-	}
 	for {
 		if !lp.drainAccepts() {
 			return
+		}
+		var more <-chan struct{}
+		if len(lp.runq) > 0 {
+			more = ready
 		}
 		select {
 		case <-s.done:
@@ -440,15 +353,10 @@ func (lp *loop) run() {
 			c.ClearReady()
 			lp.noteReady(c)
 			lp.drain(rx)
-		case <-lp.wake:
+		case <-more:
 			lp.drain(rx)
 		case now := <-idleTick:
 			lp.sweepIdle(now)
-		case <-stealTick:
-			// Bounded per tick: a deep victim backlog must not starve this
-			// loop's own accepts and shutdown path.
-			for i := 0; i < stealRounds && lp.trySteal(); i++ {
-			}
 		}
 	}
 }
@@ -457,69 +365,55 @@ func (lp *loop) run() {
 // queueing it (it becomes runnable on its first readable event), unless
 // the loop is at its MaxConns cap.
 func (lp *loop) register(c *tcp.Conn) {
-	lp.sched.mu.Lock()
-	if lp.sched.conns[c] != nil {
-		lp.sched.mu.Unlock()
+	if lp.conns[c] != nil {
 		return
 	}
-	if max := lp.srv.cfg.MaxConns; max > 0 && len(lp.sched.conns) >= max {
-		lp.sched.mu.Unlock()
+	if max := lp.srv.cfg.MaxConns; max > 0 && len(lp.conns) >= max {
 		lp.shed(c)
 		return
 	}
-	lp.sched.conns[c] = newConnState(c, c)
-	lp.sched.mu.Unlock()
+	lp.conns[c] = newConnState(c, c)
 }
 
 // noteReady records a readable event for c: the connection is admitted
 // (registered on first contact, or shed at the MaxConns cap) and pushed
-// onto the run queue — unless an executor currently holds the claim, in
-// which case it is marked for reposting when the claim releases. Safe
-// from any goroutine; stealers use it to queue the events they pulled
-// off the victim's ready channel.
+// onto the run queue unless it is already there.
 func (lp *loop) noteReady(c *tcp.Conn) {
+	st := lp.conns[c]
+	if st == nil {
+		if max := lp.srv.cfg.MaxConns; max > 0 && len(lp.conns) >= max {
+			lp.shed(c)
+			return
+		}
+		st = newConnState(c, c)
+		lp.conns[c] = st
+	}
+	if st.queued || st.dead {
+		return
+	}
+	st.queued = true
+	st.readyAt = time.Now()
 	// With overload control on, anchor the queue-entry stamp at the
 	// arrival time persisted in the oldest pending packet buffer rather
 	// than at this wakeup: ready-channel and scheduler delays upstream of
 	// the run queue are queueing too, and anchoring at wakeup would hide
 	// them from the CoDel sojourn and the request deadline.
-	var arrival time.Time
 	if lp.srv.cfg.Overload.Enabled {
-		arrival = c.OldestRxTime()
-	}
-	lp.sched.mu.Lock()
-	st := lp.sched.conns[c]
-	if st == nil {
-		if max := lp.srv.cfg.MaxConns; max > 0 && len(lp.sched.conns) >= max {
-			lp.sched.mu.Unlock()
-			lp.shed(c)
-			return
-		}
-		st = newConnState(c, c)
-		lp.sched.conns[c] = st
-	}
-	if st.claimed {
-		st.repost = true
-	} else if !st.queued && !st.dead {
-		st.queued = true
-		st.readyAt = time.Now()
-		if !arrival.IsZero() && arrival.Before(st.readyAt) {
+		if arrival := c.OldestRxTime(); !arrival.IsZero() && arrival.Before(st.readyAt) {
 			st.readyAt = arrival
 		}
-		lp.sched.runq = append(lp.sched.runq, st)
-		lp.sched.qlen.Store(int32(len(lp.sched.runq)))
 	}
-	lp.sched.mu.Unlock()
+	lp.runq = append(lp.runq, st)
+	lp.qlen.Store(int32(len(lp.runq)))
 }
 
-// popBatch claims up to max runnable connections for an executor,
-// appending them to out. A claimed connection is untouchable by every
-// other goroutine until doneWith returns it.
+// popBatch takes up to max runnable connections off the run queue,
+// appending them to out.
 //
 // With Config.Overload enabled this is also the CoDel observation
-// point: each claim's run-queue sojourn feeds the controller, and when
-// the law says shed, the *newest* queued connection is claimed into the
-// batch with its shed503 flag set — the executor answers its pending
+// point: each connection's run-queue sojourn feeds the controller, and
+// when the law says shed, the *newest* queued connection is taken into
+// the batch with its shed503 flag set — the executor answers its pending
 // requests with 503+Retry-After-Ms instead of executing them. Shedding
 // newest-over-oldest keeps the requests that have already waited (and
 // whose clients have already invested their budget) while pushing back
@@ -528,17 +422,15 @@ func (lp *loop) popBatch(out []*connState, max int) []*connState {
 	overload := lp.srv.cfg.Overload.Enabled
 	var now time.Time
 	var minSojourn, sumSojourn time.Duration
-	lp.sched.mu.Lock()
-	q := lp.sched.runq
+	q := lp.runq
 	n := 0
 	for n < len(q) && len(out) < max {
 		st := q[n]
 		n++
 		st.queued = false
-		if st.claimed || st.dead {
+		if st.dead {
 			continue
 		}
-		st.claimed = true
 		out = append(out, st)
 		if overload {
 			if now.IsZero() {
@@ -559,77 +451,42 @@ func (lp *loop) popBatch(out []*connState, max int) []*connState {
 	q = q[:len(q)-n]
 	if overload && !now.IsZero() {
 		lp.stats.queueDelayNanos.Add(int64(sumSojourn))
-		if lp.sched.cd.observe(minSojourn, now) {
+		if lp.cd.observe(minSojourn, now) {
 			// Shed the newest queued connection (the run-queue tail).
 			for len(q) > 0 {
 				st := q[len(q)-1]
 				q[len(q)-1] = nil
 				q = q[:len(q)-1]
 				st.queued = false
-				if st.claimed || st.dead {
+				if st.dead {
 					continue
 				}
-				st.claimed = true
 				st.shed503 = true
 				out = append(out, st)
 				lp.stats.codelSheds.Add(1)
 				break
 			}
 		}
-		if was := lp.brownout.Load(); was != lp.sched.cd.dropping {
-			lp.brownout.Store(lp.sched.cd.dropping)
+		if was := lp.brownout.Load(); was != lp.cd.dropping {
+			lp.brownout.Store(lp.cd.dropping)
 			if !was {
 				lp.stats.brownouts.Add(1)
 			}
 		}
 	}
-	lp.sched.runq = q
-	lp.sched.qlen.Store(int32(len(lp.sched.runq)))
-	lp.sched.mu.Unlock()
+	lp.runq = q
+	lp.qlen.Store(int32(len(q)))
 	return out
 }
 
-// doneWith releases an executor's claims. A readable event that arrived
-// during a claim (repost) requeues that connection and rings the home
-// loop's wake channel, so data that raced with a steal is drained even
-// if no further packet ever arrives on the flow.
-func (lp *loop) doneWith(batch []*connState) {
-	kick := false
-	lp.sched.mu.Lock()
-	for _, st := range batch {
-		st.claimed = false
-		st.shed503 = false
-		if st.repost {
-			st.repost = false
-			if !st.dead && !st.queued {
-				st.queued = true
-				lp.sched.runq = append(lp.sched.runq, st)
-				kick = true
-			}
-		}
-	}
-	lp.sched.qlen.Store(int32(len(lp.sched.runq)))
-	lp.sched.mu.Unlock()
-	if kick {
-		lp.kick()
-	}
-}
-
-// queuedLen reads the run-queue depth gauge — lock-free, so peers'
-// victim scans cost the hot loop nothing.
-func (lp *loop) queuedLen() int {
-	return int(lp.sched.qlen.Load())
-}
-
-// depth is the backlog metric of the steal path's victim selection:
-// undrained stack ready events + NIC rx ring occupancy + queued
-// run-queue connections on this loop.
+// depth is the QueueDepth gauge: undrained stack ready events + NIC rx
+// ring occupancy + queued run-queue connections on this loop.
 func (lp *loop) depth() int {
 	s := lp.srv
-	return s.stk.ReadyLenQ(lp.q) + s.stk.NIC().RxQueueLen(lp.q) + lp.queuedLen()
+	return s.stk.ReadyLenQ(lp.q) + s.stk.NIC().RxQueueLen(lp.q) + int(lp.qlen.Load())
 }
 
-// batchMax is the claim size for one service cycle. In brownout the
+// batchMax is the batch size for one service cycle. In brownout the
 // group-commit burst is forced up to BrownoutBatch: under pressure a
 // bigger group amortizes its one fence over more PUTs, which is exactly
 // when that trade is worth the added per-request latency.
@@ -646,23 +503,19 @@ func (lp *loop) batchMax() int {
 	return 1
 }
 
-// drainCycles bounds the service cycles one drain call may run, and
-// stealRounds bounds the steal cycles one tick may run, before control
-// returns to the loop's select. Without the bound a continuously-busy
-// run queue (sustained load, or a retransmission storm feeding events
-// faster than the two-yield gather window) starves accepts and the
-// shutdown path forever — the select is the only place they are heard.
-const (
-	drainCycles = 8
-	stealRounds = 4
-)
+// drainCycles bounds the service cycles one drain call may run before
+// control returns to the loop's select. Without the bound a
+// continuously-busy run queue (sustained load, or a retransmission storm
+// feeding events faster than the two-yield gather window) starves
+// accepts and the shutdown path forever — the select is the only place
+// they are heard.
+const drainCycles = 8
 
-// drain runs service cycles on this loop's own run queue until it is
-// empty or the cycle budget runs out; in the latter case it re-kicks the
-// wake channel so the select re-enters drain after giving accepts,
-// shutdown, and ticks a chance. With batching enabled each cycle first
-// gathers more readable events via a bounded busy-poll, preserving the
-// group-commit burst formation of the pre-scheduler design.
+// drain runs service cycles on this loop's run queue until it is empty
+// or the cycle budget runs out; in the latter case run's select comes
+// straight back here (its ready case) after giving accepts, shutdown and
+// ticks a chance. With batching enabled each cycle first gathers more
+// readable events via a bounded busy-poll, so group-commit bursts form.
 func (lp *loop) drain(rx <-chan *tcp.Conn) {
 	for i := 0; i < drainCycles; i++ {
 		select {
@@ -678,20 +531,10 @@ func (lp *loop) drain(rx <-chan *tcp.Conn) {
 		if len(lp.burst) == 0 {
 			return
 		}
-		x := lp.executorFor(lp)
-		x.runCycle(lp.burst)
-		lp.doneWith(lp.burst)
-	}
-	lp.kick()
-}
-
-// kick rings the loop's wake channel (non-blocking) so its select runs
-// drain again: used when claims release with reposted events pending and
-// when drain exhausts its cycle budget with the run queue non-empty.
-func (lp *loop) kick() {
-	select {
-	case lp.wake <- struct{}{}:
-	default:
+		lp.exec.runCycle(lp.burst)
+		for _, st := range lp.burst {
+			st.shed503 = false
+		}
 	}
 }
 
@@ -699,13 +542,13 @@ func (lp *loop) kick() {
 // returns false when the listener has closed. Registering is a map
 // insert (or a drop, for another loop's flow) — far cheaper than a
 // service cycle — yet the run select picks among ready cases at random,
-// so a loop saturated enough to re-enter drain through its own wake
-// channel hears accepts rarely; worse, on a single CPU gather's
-// scheduler yields are exactly when dialing clients make progress, so
-// handshakes complete fastest while every loop is mid-cycle. Unchecked,
-// the listener backlog overflows and resets connections whose dials
-// already succeeded. drain and gather therefore poll this between
-// cycles, bounding the queue by one service cycle.
+// so a loop saturated enough to re-enter drain through its ready case
+// hears accepts rarely; worse, on a single CPU gather's scheduler yields
+// are exactly when dialing clients make progress, so handshakes complete
+// fastest while every loop is mid-cycle. Unchecked, the listener backlog
+// overflows and resets connections whose dials already succeeded. drain
+// and gather therefore poll this between cycles, bounding the queue by
+// one service cycle.
 func (lp *loop) drainAccepts() (open bool) {
 	for {
 		select {
@@ -731,13 +574,12 @@ func (lp *loop) drainAccepts() (open bool) {
 // consecutive empty polls means the batch has genuinely drained, so an
 // unloaded connection pays at most two scheduler yields. The overall
 // poll budget keeps a stream of events that never grows the run queue
-// (retransmissions for claimed or dead connections) from pinning the
-// loop here.
+// (retransmissions for dead connections) from pinning the loop here.
 func (lp *loop) gather(rx <-chan *tcp.Conn) {
 	idle := 0
 	target := lp.batchMax()
 	budget := 4 * target
-	for polls := 0; lp.queuedLen() < target && idle < 2 && polls < budget; polls++ {
+	for polls := 0; len(lp.runq) < target && idle < 2 && polls < budget; polls++ {
 		select {
 		case c, ok := <-rx:
 			if !ok {
@@ -754,106 +596,6 @@ func (lp *loop) gather(rx <-chan *tcp.Conn) {
 	}
 }
 
-// trySteal runs one steal round: pick the deepest backlogged peer, pull
-// its undrained ready events into its run queue, claim a batch, and run
-// one service cycle on this goroutine under the victim shard's epoch
-// snapshot — then hand everything back. Returns true if a cycle ran;
-// the caller loops until the backlog is gone.
-//
-// Connections, not the token, are claimed up front: the thief parses
-// and assembles its stolen batch while the victim is still committing
-// its own, and only the first staged mutation blocks on Acquire — a
-// wait bounded by one in-flight commit, which an idle loop can afford.
-// (A TryAcquire admission gate was tried first; with the victim
-// continuously mid-cycle its token-free windows are rarely sampled, so
-// a gated thief starves even as the victim's queue grows.) A round that
-// found a deep victim but no claimable connection counts as a
-// StealAbort — the backlog was contended away or is all mid-service.
-// pickVictim is the distance-aware victim selection: every PM line a
-// stolen cycle touches lives in the victim's partition, so a
-// cross-socket steal pays the remote rate per line. Same-node victims
-// are drained first; only when no same-node backlog clears minDepth
-// does the thief go cross-node — balance still beats locality once the
-// local sockets are level. depth is a parameter so the policy is
-// testable against fabricated backlogs.
-func pickVictim(lp *loop, loops []*loop, minDepth int, depth func(*loop) int) *loop {
-	var victim *loop
-	best := minDepth
-	for _, v := range loops {
-		if v == lp || v.shard < 0 || v.node != lp.node {
-			continue
-		}
-		if d := depth(v); d >= best {
-			best, victim = d, v
-		}
-	}
-	if victim == nil {
-		best = minDepth
-		for _, v := range loops {
-			if v == lp || v.shard < 0 || v.node == lp.node {
-				continue
-			}
-			if d := depth(v); d >= best {
-				best, victim = d, v
-			}
-		}
-	}
-	return victim
-}
-
-func (lp *loop) trySteal() bool {
-	s := lp.srv
-	if s.sharded == nil || !s.cfg.Steal.Enabled {
-		return false
-	}
-	// Steal only from genuine idleness — the local backlog has priority.
-	// A loop still in brownout is not idle either: its controller has
-	// not yet proven the standing queue drained, so taking on a peer's
-	// work would feed the very pressure the brownout is shedding.
-	if lp.queuedLen() > 0 || s.stk.ReadyLenQ(lp.q) > 0 || lp.brownout.Load() {
-		return false
-	}
-	victim := pickVictim(lp, s.loops, s.cfg.Steal.MinDepth, (*loop).depth)
-	if victim == nil {
-		return false
-	}
-	if !victim.theft.CompareAndSwap(false, true) {
-		return false // another thief is already on this victim
-	}
-	defer victim.theft.Store(false)
-	// Drain the victim's ready channel into its run queue — channel
-	// receives are safe from any goroutine, and ClearReady re-arms the
-	// edge trigger exactly as the home loop would.
-	vrx := s.stk.ReadableQ(victim.q)
-pull:
-	for {
-		select {
-		case c, ok := <-vrx:
-			if !ok {
-				break pull
-			}
-			c.ClearReady()
-			victim.noteReady(c)
-		default:
-			break pull
-		}
-	}
-	lp.burst = victim.popBatch(lp.burst[:0], lp.batchMax())
-	if len(lp.burst) == 0 {
-		lp.stats.stealAborts.Add(1)
-		return false
-	}
-	x := lp.executorFor(victim)
-	x.runCycle(lp.burst)
-	lp.stats.steals.Add(1)
-	lp.stats.stolenOps.Add(x.ops)
-	if victim.node != lp.node {
-		lp.stats.crossSteals.Add(1)
-	}
-	victim.doneWith(lp.burst)
-	return true
-}
-
 // shed rejects a connection at the MaxConns cap: the client gets an
 // immediate 503 (with the Retry-After-Ms pacing hint) and the
 // connection closes, keeping per-loop state bounded under connection
@@ -867,42 +609,28 @@ func (lp *loop) shed(c *tcp.Conn) {
 
 // sweepIdle closes connections that have not delivered a request within
 // the idle timeout, so a stalled client cannot wedge the loop's
-// resources. Claimed connections are skipped — an executor is servicing
-// them right now, so they are not idle.
+// resources.
 func (lp *loop) sweepIdle(now time.Time) {
-	timeout := lp.srv.cfg.IdleTimeout
-	var victims []*connState
-	lp.sched.mu.Lock()
-	for _, st := range lp.sched.conns {
-		if st.claimed || now.Sub(st.lastActive) <= timeout {
-			continue
+	for _, st := range lp.conns {
+		if now.Sub(st.lastActive) > lp.srv.cfg.IdleTimeout {
+			lp.stats.idleClosed.Add(1)
+			lp.reap(st)
 		}
-		st.claimed = true // reserve against a concurrent stealer's claim
-		victims = append(victims, st)
-	}
-	lp.sched.mu.Unlock()
-	for _, st := range victims {
-		lp.stats.idleClosed.Add(1)
-		lp.reap(st)
 	}
 }
 
 // reap tears one of this loop's connections down and releases anything
-// its half-assembled request adopted. The caller must hold the claim (an
-// executor) or have reserved the connection under sched.mu (idle sweep),
-// so no other goroutine touches st concurrently.
+// its half-assembled request adopted.
 func (lp *loop) reap(st *connState) {
 	if st.cur != nil {
 		for _, base := range st.cur.adopted {
-			lp.store.ReleaseUnused(base)
+			lp.exec.store.ReleaseUnused(base)
 		}
 		st.cur = nil
 	}
 	st.c.Close()
-	lp.sched.mu.Lock()
 	st.dead = true
-	delete(lp.sched.conns, st.tc)
-	lp.sched.mu.Unlock()
+	delete(lp.conns, st.tc)
 }
 
 // connState is one connection as the request engine sees it: where its
@@ -912,7 +640,7 @@ func (lp *loop) reap(st *connState) {
 type connState struct {
 	c io.WriteCloser
 	// tc is the simulated stack's connection, nil on an OS socket: the
-	// receive queue the event loops drain, the sched-table key, the
+	// receive queue the event loops drain, the loop's conns key, the
 	// asynchronous EOF/error state, and the fragment transmit behind
 	// zeroCopyGet (reached only with a PM receive pool, so never with a
 	// socket).
@@ -921,21 +649,18 @@ type connState struct {
 	cur    *pendingReq
 	resp   []byte
 	dead   bool
-	// Scheduling flags, guarded by the home loop's sched.mu. queued:
-	// sitting in the run queue. claimed: an executor (home or stealing)
-	// holds the connection — nobody else may touch it. repost: a
-	// readable event arrived while claimed; requeue on release.
-	queued, claimed, repost bool
-	// shed503 marks a connection claimed by a CoDel shed decision: the
+	// queued: sitting in the loop's run queue.
+	queued bool
+	// shed503 marks a connection taken by a CoDel shed decision: the
 	// executor parses its pending requests (cheap) but answers each
 	// with 503+Retry-After-Ms instead of executing (the expensive
-	// part), keeping the HTTP pipeline synchronized. Set under sched.mu
-	// at claim time, read by the claiming executor, cleared at release.
+	// part), keeping the HTTP pipeline synchronized. Set by popBatch,
+	// cleared when the cycle ends.
 	shed503 bool
 	// readyAt is when the connection last entered the run queue — with
 	// overload control on, backdated to the arrival stamp of its oldest
 	// pending packet, so delivery delays upstream of the queue count.
-	// Set under sched.mu by noteReady: the base of the CoDel sojourn
+	// Set by noteReady: the base of the CoDel sojourn
 	// observation and a fallback anchor for the request deadline (+ client
 	// budget).
 	readyAt time.Time
@@ -984,31 +709,18 @@ func newConnState(c io.WriteCloser, tc *tcp.Conn) *connState {
 
 // executor is the request engine: handleBuf -> beginRequest -> dispatch
 // -> finishConn is the only path a request takes through this package.
-// An event loop runs service cycles with it against one target loop's
-// connections and shard: lp is the executing loop — stats, node and key
-// arenas attribute to it; tgt is the loop whose claimed connections and
-// shard are served. In the common case lp == tgt (a loop serving its
-// own queue); in a steal they differ, and the executor enters holding
-// tgt's shard ownership token. Either way the mutation-path invariants
-// are carried by the token and the epoch snapshot, not by which
-// goroutine is driving. A NetServer connection goroutine owns one with
-// no loops and no store — the copy-path executor a DRAM-pool loop is.
+// Each event loop owns one and runs its service cycles with it against
+// the loop's own connections and shard. A NetServer connection goroutine
+// owns one with no loop and no store — the copy-path executor a
+// DRAM-pool loop is.
 type executor struct {
 	eng   *engine
-	stats *statsCounters // the executing loop's, or the socket connection's
-	lp    *loop          // executing loop: node, arenas; nil on a socket
-	tgt   *loop          // target loop: connections, shard; nil on a socket
-	store *core.Store
-	shard int
+	stats *statsCounters // the loop's, or the socket connection's
+	lp    *loop          // nil on a socket
+	store *core.Store    // the loop's shard; nil = copy path only
+	shard int            // index of store within eng.sharded (-1 if none)
 
-	// token records whether this executor holds the target shard's
-	// ownership token (ShardedStore.Acquire) — the exclusive right to
-	// stage mutations and group-commit the shard. The home path takes it
-	// lazily at the first zero-copy PUT and commitGroup releases it, so
-	// read-only cycles never serialise against a concurrent owner.
-	token bool
-
-	// cycleEpoch is the target shard's rebuild epoch (core.Store.Epoch)
+	// cycleEpoch is the shard's rebuild epoch (core.Store.Epoch)
 	// snapshotted when the current service cycle began, before any PUT
 	// was staged. cycleBad marks the cycle poisoned: an online rebuild
 	// dropped staged puts whose acks are already buffered, so commitGroup
@@ -1016,54 +728,15 @@ type executor struct {
 	// cycle is discarded (the connections close instead of acking).
 	cycleEpoch uint64
 	cycleBad   bool
-	// ops counts requests this executor instance dispatched — the
-	// StolenOps accounting for steal cycles.
-	ops uint64
 	// stagedOps counts puts staged into the shard's group this cycle.
 	// Zero means there is no group to commit: commitGroup then skips the
 	// store's Commit round trip (and the acked-write gate re-check, which
 	// only protects staged acks), so a GET-only cycle never takes the
-	// shard mutex or the ownership token — reads stop queueing behind a
-	// stolen shard's drain.
+	// shard mutex.
 	stagedOps int
 }
 
-// executorFor resets this loop's executor scratch for a cycle against
-// tgt (itself, or a steal victim).
-func (lp *loop) executorFor(tgt *loop) *executor {
-	x := &lp.exec
-	*x = executor{
-		eng:   &lp.srv.engine,
-		stats: &lp.stats,
-		lp:    lp,
-		tgt:   tgt,
-		store: tgt.store,
-		shard: tgt.shard,
-	}
-	return x
-}
-
-// ensureToken acquires the target shard's ownership token if this
-// executor does not already hold it. Blocking here is fine: the holder
-// is mid-cycle and cycles are bounded by MaxBatch.
-func (x *executor) ensureToken() {
-	if x.token || x.eng.sharded == nil || x.shard < 0 {
-		return
-	}
-	x.eng.sharded.Acquire(x.shard)
-	x.token = true
-}
-
-// releaseToken hands the shard back. Idempotent — commitGroup releases
-// mid-cycle and the cycle end releases again as a safety net.
-func (x *executor) releaseToken() {
-	if x.token {
-		x.eng.sharded.Release(x.shard)
-		x.token = false
-	}
-}
-
-// runCycle services one claimed batch. A batch of one (or batching
+// runCycle services one batch. A batch of one (or batching
 // disabled) takes the unbatched path — immediate per-op commits and
 // responses, the adaptive cutoff that keeps unloaded latency flat.
 // Larger batches run the group-commit protocol: stage every zero-copy
@@ -1085,7 +758,6 @@ func (x *executor) runCycle(batch []*connState) {
 	for _, st := range batch {
 		x.finishConn(st)
 	}
-	x.releaseToken()
 }
 
 // service drains all pending packet buffers on one connection and
@@ -1094,11 +766,10 @@ func (x *executor) service(st *connState) {
 	x.beginCycle()
 	x.serviceConn(st, false)
 	x.finishConn(st)
-	x.releaseToken()
 }
 
 // beginCycle arms the acked-write gate for one service cycle: it
-// snapshots the target shard's rebuild epoch before anything is staged,
+// snapshots the shard's rebuild epoch before anything is staged,
 // so commitGroup can later prove the staged records survived to their
 // fence.
 func (x *executor) beginCycle() {
@@ -1106,15 +777,14 @@ func (x *executor) beginCycle() {
 	if x.store != nil {
 		x.cycleEpoch = x.store.Epoch()
 		if x.eng.numaOn {
-			// Declare which socket drives this cycle: the home loop's own
-			// node, or the thief's on a stolen cycle — every PM charge the
+			// Declare which socket drives this cycle: every PM charge the
 			// cycle issues bills cross-socket lines at the remote rate.
 			x.store.SetNUMANode(x.lp.node)
 		}
 	}
 }
 
-// servingSelf reports whether the target shard currently serves through
+// servingSelf reports whether the loop's shard currently serves through
 // the very Store object this executor's zero-copy paths use.
 // ServingStore resolves the serving check and the store identity under
 // one lock: a mismatch means the shard is down, rebuilding, or was
@@ -1126,14 +796,13 @@ func (x *executor) servingSelf() bool {
 	return err == nil && st == x.store
 }
 
-// commitGroup commits the target shard's staged group, then verifies the
+// commitGroup commits the shard's staged group, then verifies the
 // cycle's buffered acks are safe to flush: the shard must still be
 // serving through the same Store object and rebuild epoch the cycle
 // started with. A mismatch means an online rebuild (Store.Rehydrate)
 // may have dropped staged puts whose 200s are already buffered — the
 // cycle is poisoned (cycleBad) and its connections abort instead of
-// acking writes that were never made durable. The ownership token is
-// released here: the staged group it protected is resolved either way.
+// acking writes that were never made durable.
 func (x *executor) commitGroup() bool {
 	if x.store == nil {
 		return true
@@ -1150,7 +819,6 @@ func (x *executor) commitGroup() bool {
 		if !x.cycleBad && !x.servingSelf() {
 			x.cycleBad = true
 		}
-		x.releaseToken()
 		return !x.cycleBad
 	}
 	x.stagedOps = 0
@@ -1158,7 +826,6 @@ func (x *executor) commitGroup() bool {
 	if !x.cycleBad && (!x.servingSelf() || x.store.Epoch() != x.cycleEpoch) {
 		x.cycleBad = true
 	}
-	x.releaseToken()
 	return !x.cycleBad
 }
 
@@ -1199,11 +866,11 @@ func (x *executor) finishConn(st *connState) {
 }
 
 // reap tears a connection down. An event loop's connection also leaves
-// its sched table and releases what its half-assembled request adopted;
+// its loop's table and releases what its half-assembled request adopted;
 // a socket has neither, and marking it dead ends its serving goroutine.
 func (x *executor) reap(st *connState) {
-	if x.tgt != nil {
-		x.tgt.reap(st)
+	if x.lp != nil {
+		x.lp.reap(st)
 		return
 	}
 	st.c.Close()
@@ -1232,8 +899,8 @@ func (x *executor) handleBuf(st *connState, b *pkt.Buf, staged bool) {
 	p := b.Bytes()
 	zc := x.store != nil && b.PMOff() >= 0
 	if zc && x.eng.sharded != nil && x.eng.sharded.ShardByOff(b.PMOff()) != x.shard {
-		// The packet landed in a PM partition other than the target
-		// shard's — the executing path's rx pool is not the shard's pool.
+		// The packet landed in a PM partition other than the loop's
+		// shard's — the loop's rx pool is not the shard's pool.
 		// Adopting it would hand one shard's data slot to another shard's
 		// allocator, so fall back to the copy path and count it.
 		zc = false
@@ -1278,7 +945,7 @@ func (x *executor) handleBuf(st *connState, b *pkt.Buf, staged bool) {
 	adoptedBase := -1
 	if len(spans) > 0 {
 		// A span stores zero-copy only if its PUT's key hashes to the
-		// target shard (keyOff >= 0); misaligned PUTs fall back to the
+		// loop's shard (keyOff >= 0); misaligned PUTs fall back to the
 		// copy path so correctness never depends on client alignment.
 		anyZC := false
 		for _, sp := range spans {
@@ -1457,13 +1124,12 @@ func statusForErr(err error) int {
 
 // dispatch executes one completed request and queues its response.
 // With staged set (group-commit burst), zero-copy PUTs stage into the
-// target shard's pending group instead of committing per-op; every other
+// shard's pending group instead of committing per-op; every other
 // operation first commits the pending group, both as a read barrier and
 // because ops like zeroCopyGet flush buffered responses — no staged
 // PUT's ack may escape before its fence.
 func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
 	x.stats.requests.Add(1)
-	x.ops++
 	defer func() {
 		for _, base := range pr.adopted {
 			x.store.ReleaseUnused(base)
@@ -1505,11 +1171,6 @@ func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
 		var err error
 		if pr.keyOff >= 0 {
 			x.stats.zcPuts.Add(1)
-			// Staging is the mutation the ownership token serialises:
-			// take it before touching the shard's staged group. The
-			// unbatched op commits internally, so its token window closes
-			// with the call; a staged op holds it to commitGroup.
-			x.ensureToken()
 			opt := core.PutOptions{
 				Extents: pr.exts, KeyOff: pr.keyOff,
 				HasSum: pr.sumsOK, HWTime: pr.hwtime,
@@ -1521,7 +1182,6 @@ func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
 				}
 			} else {
 				err = x.store.PutExtents(pr.req.Key, pr.vlen, opt)
-				x.releaseToken()
 			}
 		} else {
 			// Copy-path PUTs may route to a shard this executor does not
@@ -1540,7 +1200,7 @@ func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
 			x.zeroCopyGet(st, pr.req.Key)
 			return
 		}
-		// Target shard down, rebuilding or replaced: fall back to the
+		// Loop's shard down, rebuilding or replaced: fall back to the
 		// backend router, which answers ErrShardDown (503) for a
 		// quarantined keyspace instead of reading through the stale
 		// store pointer.
@@ -1684,40 +1344,27 @@ func (x *executor) protocolError(st *connState) {
 	x.reap(st)
 }
 
-// allocKey copies key bytes into the executing goroutine's key arena for
-// the target shard, returning their region offset (-1 on exhaustion).
-// The arena is a data slot of the target shard pinned while this
-// goroutine appends into it; records referencing the keys keep the slot
-// alive after rotation. Arenas are keyed per (executing loop, target
-// shard) so steal cycles never share arena state with the home loop, and
-// the (store, epoch) stamp abandons any slot whose shard was rebuilt out
-// from under it.
+// allocKey copies key bytes into the loop's key arena, returning their
+// region offset (-1 on exhaustion). The arena is a data slot of the
+// loop's shard pinned while the loop appends into it; records
+// referencing the keys keep the slot alive after rotation.
 func (x *executor) allocKey(key []byte) int {
-	a := x.lp.arenas[x.shard]
-	if a != nil && (a.store != x.store || a.epoch != x.cycleEpoch) {
-		// The shard was rebuilt or replaced since the arena was cut: stop
-		// appending into the old slot. Its pin survives the rebuild
-		// (a rescan preserves pins), so dropping it here re-admits the
-		// slot once surviving records stop referencing it.
-		a.unpin()
-		delete(x.lp.arenas, x.shard)
-		a = nil
-	}
-	if a == nil || a.used+len(key) > x.store.DataBufSize() {
-		if a != nil {
+	a := &x.lp.arena
+	if a.unpin == nil || a.epoch != x.cycleEpoch || a.used+len(key) > x.store.DataBufSize() {
+		// Rotate: the slot is full, or the shard was rebuilt since it was
+		// cut and the rebuilt allocator may repurpose it. The pin survives
+		// a rebuild (a rescan preserves pins), so dropping it here
+		// re-admits the slot once surviving records stop referencing it.
+		if a.unpin != nil {
 			a.unpin()
+			a.unpin = nil
 		}
 		base := x.store.AllocDataSlot()
 		if base < 0 {
 			return -1
 		}
-		if a == nil {
-			a = &keyArena{}
-			x.lp.arenas[x.shard] = a
-		}
-		a.store, a.epoch = x.store, x.cycleEpoch
-		a.off, a.used = base, 0
-		a.unpin = x.store.PinExtents([]core.Extent{{Off: base, Len: 1}})
+		*a = keyArena{epoch: x.cycleEpoch, off: base,
+			unpin: x.store.PinExtents([]core.Extent{{Off: base, Len: 1}})}
 	}
 	off := a.off + a.used
 	x.store.WriteData(off, key)

@@ -43,29 +43,16 @@ type Stats struct {
 	// are discarded and the connection reset so no acked write is ever
 	// lost (clients classify the reset as transient and retry).
 	AckAborts uint64
-	// Steals counts stolen service cycles this loop ran against another
-	// loop's queue; StolenOps counts the requests those cycles handled;
-	// StealAborts counts steal rounds that picked a deep victim but found
-	// no claimable connection — the backlog was contended away by the
-	// home loop (or another thief) before this one could claim it.
-	// CrossSteals is the subset of Steals whose victim lived on another
-	// NUMA node — cycles that paid the remote PM rate per line for the
-	// balance they bought (always 0 when placement is single-node).
-	Steals      uint64
-	StolenOps   uint64
-	StealAborts uint64
-	CrossSteals uint64
 	// Node is a gauge: the NUMA node this loop declared (per-loop
 	// snapshots only; aggregation leaves it 0).
 	Node int
 	// ZeroCopyFallbacks counts PUT payloads that arrived in a packet
-	// buffer outside the serving shard's PM partition — the executing
-	// loop's rx pool was not the shard's pool — and fell back to the
-	// copy path.
+	// buffer outside the serving shard's PM partition — the loop's rx
+	// pool was not the shard's pool — and fell back to the copy path.
 	ZeroCopyFallbacks uint64
 	// QueueDepth is a gauge sampled at snapshot time: undrained stack
 	// ready events + NIC ring occupancy + queued run-queue connections
-	// for this loop — the victim-selection metric of the steal path.
+	// for this loop.
 	QueueDepth int
 	// ShardsDown is a gauge: store shards currently quarantined (served
 	// keyspace answers 503).
@@ -116,10 +103,6 @@ func (s *Stats) merge(o Stats) {
 	s.GroupCommits += o.GroupCommits
 	s.GroupedConns += o.GroupedConns
 	s.AckAborts += o.AckAborts
-	s.Steals += o.Steals
-	s.StolenOps += o.StolenOps
-	s.StealAborts += o.StealAborts
-	s.CrossSteals += o.CrossSteals
 	s.ZeroCopyFallbacks += o.ZeroCopyFallbacks
 	s.QueueDepth += o.QueueDepth
 	s.ShardsDown += o.ShardsDown
@@ -148,8 +131,6 @@ type statsCounters struct {
 	queueDelayNanos                       atomic.Int64
 	groupCommits, groupedConns            atomic.Uint64
 	ackAborts                             atomic.Uint64
-	steals, stolenOps, stealAborts        atomic.Uint64
-	crossSteals                           atomic.Uint64
 	zcFallbacks                           atomic.Uint64
 	parseNanos                            atomic.Int64
 	busyNanos                             atomic.Int64
@@ -173,10 +154,7 @@ func (c *statsCounters) Snapshot() Stats {
 		Brownouts:    c.brownouts.Load(),
 		QueueDelay:   time.Duration(c.queueDelayNanos.Load()),
 		GroupCommits: c.groupCommits.Load(), GroupedConns: c.groupedConns.Load(),
-		AckAborts: c.ackAborts.Load(),
-		Steals:    c.steals.Load(), StolenOps: c.stolenOps.Load(),
-		StealAborts:       c.stealAborts.Load(),
-		CrossSteals:       c.crossSteals.Load(),
+		AckAborts:         c.ackAborts.Load(),
 		ZeroCopyFallbacks: c.zcFallbacks.Load(),
 		ParseTime:         time.Duration(c.parseNanos.Load()),
 		BusyTime:          time.Duration(c.busyNanos.Load()),

@@ -295,22 +295,45 @@ func TestBodyBoundRefusesOversizedPut(t *testing.T) {
 	}
 }
 
-// TestHealthzWithoutHealer: with no health source installed, /healthz is
-// built from the store's own shard states — a quarantined shard makes it
-// 503 with that shard down, exactly when its keys answer 503.
+// TestHealthzWithoutHealer: with no healer installed, /healthz is the
+// server's own report. It is built from the store's shard states — a
+// quarantined shard makes it 503 with that shard down, exactly when its
+// keys answer 503 — and still carries the read-path section after a GET
+// and the numa section under a 2-node placement.
 func TestHealthzWithoutHealer(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
-			_, ss, _ := healShardedSetup(t)
+			r, ss, keys := healShardedSetup(t)
+			if err := ss.SetNUMAPlacement(calib.Off().NUMA, 2, []int{0, 1, 0, 1}); err != nil {
+				t.Fatal(err)
+			}
 			sv := tr.serve(t, ShardedPktStore{S: ss}, Config{}, nil)
 			c := mustDial(t, sv)
+			c.Write([]byte("GET /k/" + keys[1] + " HTTP/1.1\r\n\r\n"))
+			if resp := readResponses(t, c, 1); !bytes.HasPrefix(resp, []byte("HTTP/1.1 200")) {
+				t.Fatalf("GET %s: %q", keys[1], resp)
+			}
 			c.Write([]byte("GET /healthz HTTP/1.1\r\n\r\n"))
-			if resp := readResponses(t, c, 1); !bytes.HasPrefix(resp, []byte("HTTP/1.1 200")) || !bytes.Contains(resp, []byte(`"ready":true`)) {
+			resp := readResponses(t, c, 1)
+			if !bytes.HasPrefix(resp, []byte("HTTP/1.1 200")) || !bytes.Contains(resp, []byte(`"ready":true`)) {
 				t.Fatalf("all shards serving: %q", resp)
+			}
+			var rep HealthReport
+			if err := json.Unmarshal(resp[bytes.Index(resp, []byte("\r\n\r\n"))+4:], &rep); err != nil {
+				t.Fatalf("healthz body not JSON: %v in %q", err, resp)
+			}
+			if rep.Reads == nil || rep.Reads.Gets != 1 || rep.Reads.Hits != 1 {
+				t.Errorf("reads section after one GET hit: %+v", rep.Reads)
+			}
+			rs := r.Stats()
+			if rep.NUMA == nil || rep.NUMA.Nodes != 2 ||
+				rep.NUMA.LocalLines != rs.LocalLines || rep.NUMA.RemoteLines != rs.RemoteLines {
+				t.Errorf("numa section %+v, want 2 nodes and the region's %d/%d local/remote lines",
+					rep.NUMA, rs.LocalLines, rs.RemoteLines)
 			}
 			ss.Quarantine(2, fmt.Errorf("injected"))
 			c.Write([]byte("GET /healthz HTTP/1.1\r\n\r\n"))
-			resp := readResponses(t, c, 1)
+			resp = readResponses(t, c, 1)
 			if !bytes.HasPrefix(resp, []byte("HTTP/1.1 503")) ||
 				!bytes.Contains(resp, []byte(`{"shard":2,"state":"down","reason":"injected"}`)) {
 				t.Fatalf("shard 2 quarantined, no healer: %q", resp)

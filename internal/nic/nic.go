@@ -179,8 +179,8 @@ func (n *NIC) RxPoolQ(q int) *pkt.Pool { return n.rxPools[q] }
 func (n *NIC) Rx(q int) <-chan *pkt.Buf { return n.rxqs[q] }
 
 // RxQueueLen returns the number of received packets waiting in queue
-// q's descriptor ring — the NIC-level component of a queue's occupancy,
-// which work-stealing loops use to pick victims by depth.
+// q's descriptor ring — the NIC-level component of a queue's occupancy
+// (the serving loop's QueueDepth gauge).
 func (n *NIC) RxQueueLen(q int) int { return len(n.rxqs[q]) }
 
 // Queues returns the RSS queue count.

@@ -181,8 +181,8 @@ func (r *Region) Carve(off, n int) *Domain {
 func (d *Domain) Region() *Region { return d.r }
 
 // SetNode declares which NUMA node the core driving this handle runs on
-// (a serving loop restamps it per cycle, so a stolen cycle bills the
-// thief's socket). Lines homed elsewhere are charged the remote rates.
+// (a serving loop restamps it per cycle). Lines homed elsewhere are
+// charged the remote rates.
 func (d *Domain) SetNode(n int) { d.node.Store(int32(n)) }
 
 // Node reports the last stamped driving node (0 until stamped).

@@ -143,8 +143,8 @@ func (s *Stack) Readable() <-chan *Conn { return s.ready[0] }
 func (s *Stack) ReadableQ(q int) <-chan *Conn { return s.ready[q] }
 
 // ReadyLenQ returns the number of undrained readable events on RSS
-// queue q — the stack-level component of a queue's occupancy, which
-// work-stealing loops use to pick victims by depth.
+// queue q — the stack-level component of a queue's occupancy (the
+// serving loop's QueueDepth gauge).
 func (s *Stack) ReadyLenQ(q int) int { return len(s.ready[q]) }
 
 // Queues returns the number of RSS queues (= readable channels).
