@@ -26,7 +26,10 @@
 // on, and writes BENCH_readmix.json. The numa experiment sweeps socket
 // placements (flat, aligned, interleaved, anti-aligned) of PM
 // partitions vs queues/loops on a modeled 2-socket machine and writes
-// BENCH_numa.json.
+// BENCH_numa.json. The surge experiment drives open-loop load at
+// 0.5-3x calibrated capacity with overload control (the X-Budget-Us
+// deadline rule) off and on, runs a client circuit-breaker containment
+// episode against a MaxConns-capped server, and writes BENCH_surge.json.
 package main
 
 import (
@@ -34,6 +37,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -299,7 +304,10 @@ func main() {
 			if out == "" || *experiment == "all" {
 				out = "BENCH_surge.json"
 			}
-			blob, err := json.MarshalIndent(res, "", "  ")
+			blob, err := json.MarshalIndent(struct {
+				provenance
+				bench.SurgeResult
+			}{newProvenance(prof), res}, "", "  ")
 			if err != nil {
 				return err
 			}
@@ -388,5 +396,30 @@ func main() {
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
+	}
+}
+
+// provenance names where a recorded result came from: the commit ("+dirty"
+// when the tree has uncommitted changes, "unknown" outside a git
+// checkout), the toolchain, the host's CPU count and the latency profile.
+type provenance struct {
+	Commit     string `json:"commit"`
+	GoVersion  string `json:"go_version"`
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Profile    string `json:"profile"`
+}
+
+func newProvenance(prof calib.Profile) provenance {
+	rev := "unknown"
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		rev = strings.TrimSpace(string(out))
+		if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+			rev += "+dirty"
+		}
+	}
+	return provenance{
+		Commit: rev, GoVersion: runtime.Version(),
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Profile: prof.Name,
 	}
 }

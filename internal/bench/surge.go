@@ -20,13 +20,12 @@ import (
 const surgeValueSize = 256
 
 // SurgePoint is one cell of the overload sweep: a fixed offered-load
-// factor with the overload controller on or off.
+// factor with overload control on or off.
 type SurgePoint struct {
 	// Factor is offered load as a multiple of calibrated capacity.
 	Factor float64
-	// Control marks the overload controller (deadline drops + CoDel)
-	// enabled; false is the binary-shed baseline every PR before this
-	// one shipped.
+	// Control marks overload control (expired-budget drops) enabled;
+	// false is the binary-shed baseline.
 	Control bool
 	// OfferedRate is the open-loop Poisson rate (req/s).
 	OfferedRate float64
@@ -38,8 +37,8 @@ type SurgePoint struct {
 	// from scheduled arrival — client queue wait included.
 	AcceptedP50Us, AcceptedP99Us float64
 	// Server-side overload counters for the run.
-	SrvExpired, SrvCoDelSheds, SrvBrownouts, SrvSheds uint64
-	QueueDelayMs                                      float64
+	SrvExpired, SrvSheds uint64
+	QueueDelayMs         float64
 }
 
 // SurgeContainment summarizes the client-containment phase: more
@@ -53,9 +52,9 @@ type SurgeContainment struct {
 	BreakerFastFails  uint64
 	BudgetDenied      uint64
 	Hedges, HedgeWins uint64
-	// HealthOverload is the healer's /healthz overload section captured
-	// at the end of the phase — breaker transitions and server sheds on
-	// one report.
+	// HealthOverload is the server's /healthz overload section captured
+	// at the end of the phase: the accept-cap sheds that tripped the
+	// clients' breakers.
 	HealthOverload *kvserver.OverloadHealth
 }
 
@@ -243,8 +242,7 @@ func RunSurge(profile calib.Profile, shards, conns int, duration time.Duration, 
 				Goodput:       res.Goodput(),
 				AcceptedP50Us: us(res.Hist.Percentile(50)),
 				AcceptedP99Us: us(res.Hist.Percentile(99)),
-				SrvExpired:    st.Expired, SrvCoDelSheds: st.CoDelSheds,
-				SrvBrownouts: st.Brownouts, SrvSheds: st.Sheds,
+				SrvExpired:    st.Expired, SrvSheds: st.Sheds,
 				QueueDelayMs: float64(st.QueueDelay.Microseconds()) / 1e3,
 			})
 		}
@@ -254,8 +252,8 @@ func RunSurge(profile calib.Profile, shards, conns int, duration time.Duration, 
 	// server admits (MaxConns). The surplus clients' 503s must trip
 	// breakers — bounded fast-fails — instead of hammering the accept
 	// path; hedged GETs exercise the tail-racing path on the admitted
-	// ones. A healer aggregates the client breakers next to the server
-	// counters, the /healthz view an operator would see.
+	// ones. The server's /healthz overload section shows the other side:
+	// the accept-cap sheds.
 	{
 		admit := conns / 8
 		if admit < 2 {
@@ -345,15 +343,7 @@ func RunSurge(profile calib.Profile, shards, conns int, duration time.Duration, 
 			}(i)
 		}
 		wg.Wait()
-		// The /healthz view: the server's report, with a healer adding
-		// the clients' breaker tally.
-		h := kvserver.NewHealer(d.ss, kvserver.HealConfig{})
-		h.SetPressureSource(d.srv.Pressure)
-		h.SetBreakerSource(func() uint64 { return agg.BreakerOpens })
-		d.srv.SetHealer(h)
-		go h.Run()
 		rep := d.srv.Health()
-		h.Close()
 		d.close()
 		out.Containment = SurgeContainment{
 			Clients: clients, Admitted: admit,
@@ -372,8 +362,8 @@ func RunSurge(profile calib.Profile, shards, conns int, duration time.Duration, 
 func (r SurgeResult) Print(w io.Writer) {
 	fprintf(w, "Overload surge: %d shards, %d conns, capacity %.0f req/s (closed-loop p99 %.1fus), budget/SLO %v (%v per point)\n",
 		r.Shards, r.Conns, r.CapacityRps, r.ClosedP99Us, r.Budget, r.Duration)
-	fprintf(w, "\n%-14s %10s %10s %10s %10s %10s %9s %9s %9s\n",
-		"point", "offered/s", "goodput/s", "good%", "acc p99us", "shed", "expired", "codel", "brownout")
+	fprintf(w, "\n%-14s %10s %10s %10s %10s %10s %9s\n",
+		"point", "offered/s", "goodput/s", "good%", "acc p99us", "shed", "expired")
 	for _, p := range r.Points {
 		name := fmt.Sprintf("%.1fx", p.Factor)
 		if p.Control {
@@ -385,9 +375,9 @@ func (r SurgeResult) Print(w io.Writer) {
 		if p.Offered > 0 {
 			frac = float64(p.Good) / float64(p.Offered) * 100
 		}
-		fprintf(w, "%-14s %10.0f %10.0f %9.1f%% %10.1f %10d %9d %9d %9d\n",
+		fprintf(w, "%-14s %10.0f %10.0f %9.1f%% %10.1f %10d %9d\n",
 			name, p.OfferedRate, p.Goodput, frac, p.AcceptedP99Us,
-			p.Shed+p.ClientDrops, p.SrvExpired, p.SrvCoDelSheds, p.SrvBrownouts)
+			p.Shed+p.ClientDrops, p.SrvExpired)
 	}
 	if peak := r.PeakGoodput(); peak > 0 {
 		for _, f := range []float64{2, 3} {
@@ -404,9 +394,8 @@ func (r SurgeResult) Print(w io.Writer) {
 		fprintf(w, "\nContainment: %d retrying clients vs %d admitted: %d requests, %d retries, %d breaker opens, %d fast-fails, %d hedges (%d won).\n",
 			c.Clients, c.Admitted, c.Requests, c.Retries, c.BreakerOpens, c.BreakerFastFails, c.Hedges, c.HedgeWins)
 		if c.HealthOverload != nil {
-			fprintf(w, "healthz overload: sheds=%d expired=%d codel=%d brownouts=%d breaker_opens=%d\n",
-				c.HealthOverload.Sheds, c.HealthOverload.Expired, c.HealthOverload.CoDelSheds,
-				c.HealthOverload.Brownouts, c.HealthOverload.BreakerOpens)
+			fprintf(w, "healthz overload: sheds=%d expired=%d\n",
+				c.HealthOverload.Sheds, c.HealthOverload.Expired)
 		}
 	}
 }

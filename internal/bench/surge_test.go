@@ -9,9 +9,9 @@ import (
 )
 
 // TestSurgeSmoke is the CI gate on overload control: at 2x capacity
-// with the controller on, the server must shed measurably (doomed-work
-// drops, CoDel sheds, or client-side lapses) while goodput holds a
-// floor relative to the sweep's peak. Short mode shrinks the sweep to
+// with control on, the server must shed measurably (doomed-work drops
+// or client-side lapses) while goodput holds a floor relative to the
+// sweep's peak. Short mode shrinks the sweep to
 // the 1x and 2x control-on points plus the 2x baseline.
 func TestSurgeSmoke(t *testing.T) {
 	prof := calib.Off()
@@ -32,7 +32,7 @@ func TestSurgeSmoke(t *testing.T) {
 	if p2 == nil || p2.Offered == 0 {
 		t.Fatalf("no 2x control point: %+v", res.Points)
 	}
-	if p2.Shed+p2.ClientDrops+p2.SrvExpired+p2.SrvCoDelSheds == 0 {
+	if p2.Shed+p2.ClientDrops+p2.SrvExpired == 0 {
 		t.Fatalf("2x overload shed nothing: %+v", *p2)
 	}
 	// Goodput floor: the controller must keep a usable fraction of peak
@@ -46,13 +46,14 @@ func TestSurgeSmoke(t *testing.T) {
 		}
 	}
 	// Containment: the surplus clients must have tripped breakers, and
-	// the healthz view must carry the tally.
+	// the server's healthz must show the accept-cap sheds that tripped
+	// them.
 	c := res.Containment
 	if c.BreakerOpens == 0 {
 		t.Fatalf("no breaker opens in containment phase: %+v", c)
 	}
-	if c.HealthOverload == nil || c.HealthOverload.BreakerOpens != c.BreakerOpens {
-		t.Fatalf("healthz overload section missing breaker tally: %+v", c)
+	if c.HealthOverload == nil || c.HealthOverload.Sheds == 0 {
+		t.Fatalf("healthz overload section shows no accept-cap sheds: %+v", c)
 	}
 	var sb strings.Builder
 	res.Print(&sb)

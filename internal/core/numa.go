@@ -27,7 +27,6 @@ func (ss *ShardedStore) SetNUMAPlacement(prof calib.NUMAProfile, nodes int, shar
 	n := len(ss.shards)
 	if nodes <= 1 {
 		ss.numaNodes = 1
-		ss.homeNodes = nil
 		ss.r.SetNUMA(1, prof, nil)
 		return nil
 	}
@@ -70,7 +69,6 @@ func (ss *ShardedStore) SetNUMAPlacement(prof calib.NUMAProfile, nodes int, shar
 		}
 	}
 	ss.numaNodes = nodes
-	ss.homeNodes = home
 	ss.r.SetNUMA(nodes, prof, ranges)
 	// Stamp each store's caller-node default with its home: recovery,
 	// scrub and healer work the shard drives itself is node-local until
@@ -109,12 +107,4 @@ func (ss *ShardedStore) NUMANodes() int {
 		return 1
 	}
 	return ss.numaNodes
-}
-
-// NodeOf reports shard i's home NUMA node (0 without a model).
-func (ss *ShardedStore) NodeOf(i int) int {
-	if ss.homeNodes == nil {
-		return 0
-	}
-	return ss.homeNodes[i]
 }

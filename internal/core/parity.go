@@ -586,13 +586,3 @@ func (s *Store) HeldDataSlots() int {
 	}
 	return n
 }
-
-// ScrubPass returns the scrubber's current sweep generation (advanced
-// each time a scrub pass wraps the slot array). Rebuilds use the
-// per-slot stamps from earlier generations to skip re-validating
-// recently-clean records.
-func (s *Store) ScrubPass() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scrubPass
-}

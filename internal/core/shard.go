@@ -82,10 +82,9 @@ type ShardedStore struct {
 	// Rebuild re-attaches entries to freshly opened Stores.
 	parity []*parityRT
 
-	// NUMA placement (SetNUMAPlacement): socket count and each shard's
-	// home node. Written once before serving, read-only afterwards.
+	// numaNodes is the socket count SetNUMAPlacement installed. Written
+	// once before serving, read-only afterwards.
 	numaNodes int
-	homeNodes []int
 }
 
 // OpenSharded formats or recovers a ShardedStore of shards partitions
@@ -620,30 +619,6 @@ func (ss *ShardedStore) Verify() ([][]byte, error) {
 		bad = append(bad, b...)
 	}
 	return bad, nil
-}
-
-// VerifyShards scrubs each serving shard and quarantines any whose scrub
-// errors or reports corrupt records. It returns the number of shards
-// newly quarantined — the graceful-degradation entry point for periodic
-// integrity sweeps.
-func (ss *ShardedStore) VerifyShards() int {
-	n := 0
-	for i := 0; i < ss.shardCount(); i++ {
-		s := ss.Shard(i)
-		if s == nil {
-			continue
-		}
-		bad, err := s.Verify()
-		switch {
-		case err != nil:
-			ss.Quarantine(i, err)
-			n++
-		case len(bad) > 0:
-			ss.Quarantine(i, fmt.Errorf("%w: %d records failed checksum scrub", ErrCorrupt, len(bad)))
-			n++
-		}
-	}
-	return n
 }
 
 // Sync commits all shards' staged puts, then writes the region's

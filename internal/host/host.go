@@ -47,8 +47,6 @@ type Options struct {
 	// node (nic.Config.QueueNodes); the serving loops read the mapping
 	// to place themselves on the interrupt's socket.
 	ServerQueueNodes []int
-	// RxPoolBufs sizes the DRAM receive pools (default 4096).
-	RxPoolBufs int
 	// Loss/Reorder/Duplicate/Corrupt inject fabric impairments (tests
 	// and fault-injection harnesses). Corrupt flips one random bit per
 	// affected frame; the checksum path must catch it.
@@ -57,9 +55,10 @@ type Options struct {
 	Seed int64
 	// StackConfig tunes both TCP stacks.
 	StackConfig tcp.Config
-	// QueueLen bounds fabric queues.
-	QueueLen int
 }
+
+// rxPoolBufs sizes the DRAM receive pools.
+const rxPoolBufs = 4096
 
 // DefaultOffloads matches the testbed NICs: checksum offload both ways,
 // TSO, hardware timestamps.
@@ -79,9 +78,6 @@ func NewTestbed(opt Options) *Testbed {
 	if opt.Offloads != nil {
 		off = *opt.Offloads
 	}
-	if opt.RxPoolBufs == 0 {
-		opt.RxPoolBufs = 4096
-	}
 	link := netsim.LinkConfig{
 		Latency:   opt.Profile.WireLatency,
 		Bandwidth: opt.Profile.WireBandwidth,
@@ -90,13 +86,12 @@ func NewTestbed(opt Options) *Testbed {
 		Duplicate: opt.Duplicate,
 		Corrupt:   opt.Corrupt,
 		Seed:      opt.Seed,
-		QueueLen:  opt.QueueLen,
 	}
 	pa, pb := netsim.NewLink(link)
 
 	mk := func(id int, name string, port *netsim.Port, rxPool *pkt.Pool, rxPools []*pkt.Pool, queueNodes []int) *Host {
 		if rxPool == nil && len(rxPools) == 0 {
-			rxPool = pkt.NewPool(2048, opt.RxPoolBufs)
+			rxPool = pkt.NewPool(2048, rxPoolBufs)
 		}
 		h := &Host{
 			Name: name,

@@ -82,13 +82,10 @@ type RetryConfig struct {
 	BreakerCooldown time.Duration
 	// RetryBudget caps retry amplification with a token bucket: the
 	// bucket starts full at RetryBudget tokens, each retry spends one,
-	// and each success refills RetryBudgetRatio (default 0.1) up to the
-	// cap. An empty bucket stops retries — a saturated server is not
-	// DDoSed by its own clients. Zero disables.
+	// and each success refills retryBudgetRatio up to the cap. An empty
+	// bucket stops retries — a saturated server is not DDoSed by its own
+	// clients. Zero disables.
 	RetryBudget float64
-	// RetryBudgetRatio is the per-success refill (default 0.1: at most
-	// one retry per ten successes in steady state).
-	RetryBudgetRatio float64
 	// Hedge, when > 0, hedges idempotent GETs: if the primary response
 	// has not arrived within this delay, a second connection races the
 	// same GET and the first answer wins. Point it near the expected
@@ -97,6 +94,10 @@ type RetryConfig struct {
 	// Seed randomizes the jitter; 0 derives one from the config.
 	Seed int64
 }
+
+// retryBudgetRatio is the retry budget's per-success refill: at most
+// one retry per ten successes in steady state.
+const retryBudgetRatio = 0.1
 
 func (c *RetryConfig) fill() {
 	if c.Attempts <= 0 {
@@ -110,9 +111,6 @@ func (c *RetryConfig) fill() {
 	}
 	if c.BreakerThreshold > 0 && c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 100 * time.Millisecond
-	}
-	if c.RetryBudget > 0 && c.RetryBudgetRatio <= 0 {
-		c.RetryBudgetRatio = 0.1
 	}
 	if c.Seed == 0 {
 		c.Seed = int64(c.Attempts)<<32 ^ int64(c.Backoff)
@@ -262,7 +260,7 @@ func (rc *RetryClient) noteSuccess() {
 	rc.brk = brkClosed
 	rc.brkFails = 0
 	if rc.cfg.RetryBudget > 0 {
-		rc.tokens += rc.cfg.RetryBudgetRatio
+		rc.tokens += retryBudgetRatio
 		if rc.tokens > rc.cfg.RetryBudget {
 			rc.tokens = rc.cfg.RetryBudget
 		}

@@ -32,17 +32,6 @@ type Healer struct {
 	busy    []bool          // per shard: a rebuild goroutine is in flight
 	stats   HealStats
 	rejoins []time.Duration
-	// pressureSrc is the server's overload signal (Server.Pressure,
-	// 0..1): the scrubber sheds its own budget first when the serving
-	// path is browned out — background PM reads are the most
-	// discretionary work in the system.
-	pressureSrc func() float64
-	// breakerSrc optionally aggregates client-side circuit-breaker
-	// opens (kvclient.RetryStats.BreakerOpens) for deployments that
-	// co-locate the store's clients (benches, sidecar proxies), so
-	// breaker transitions surface in /healthz next to the server-side
-	// overload counters.
-	breakerSrc func() uint64
 
 	// rejoinC publishes each rejoin sample the moment a rebuild
 	// re-admits its shard — the event-driven wait the heal benchmarks
@@ -67,7 +56,8 @@ type Healer struct {
 }
 
 // HealConfig tunes the supervisor. The zero value scrubs 64 slots per
-// shard every 5ms and retries failed rebuilds from 10ms up to 1s.
+// shard every 5ms and retries failed rebuilds from 10ms up to 1s
+// (rebuildBackoffMax).
 type HealConfig struct {
 	// ScrubInterval is the tick between scrub steps. Together with
 	// ScrubSlots it sets the scrub bandwidth budget:
@@ -77,10 +67,12 @@ type HealConfig struct {
 	// ScrubSlots is the number of slots re-validated per shard per tick.
 	ScrubSlots int
 	// RebuildBackoff is the delay before retrying a failed rebuild;
-	// it doubles per consecutive failure up to RebuildBackoffMax.
-	RebuildBackoff    time.Duration
-	RebuildBackoffMax time.Duration
+	// it doubles per consecutive failure up to rebuildBackoffMax.
+	RebuildBackoff time.Duration
 }
+
+// rebuildBackoffMax caps the doubling rebuild retry delay.
+const rebuildBackoffMax = time.Second
 
 func (c *HealConfig) fill() {
 	if c.ScrubInterval <= 0 {
@@ -91,9 +83,6 @@ func (c *HealConfig) fill() {
 	}
 	if c.RebuildBackoff <= 0 {
 		c.RebuildBackoff = 10 * time.Millisecond
-	}
-	if c.RebuildBackoffMax <= 0 {
-		c.RebuildBackoffMax = time.Second
 	}
 }
 
@@ -116,10 +105,6 @@ type HealStats struct {
 	// are visible in the store's own counters).
 	Reconstructions    uint64
 	UnrecoverableSlots uint64
-	// ScrubThrottled counts scrub steps that ran with a reduced (or
-	// zero) slot budget because the serving path was under overload
-	// pressure (see Healer.SetPressureSource).
-	ScrubThrottled uint64
 	// ShardsDown / ShardsRebuilding are gauges sampled at Stats time.
 	ShardsDown       int
 	ShardsRebuilding int
@@ -162,26 +147,6 @@ func NewHealer(ss *core.ShardedStore, cfg HealConfig) *Healer {
 // event-driven signal that a rebuild completed — no counter polling, no
 // wall-clock window.
 func (h *Healer) RejoinC() <-chan time.Duration { return h.rejoinC }
-
-// SetPressureSource wires the server's overload signal (typically
-// Server.Pressure) into the supervisor: while loops are browned out the
-// scrub budget shrinks proportionally — at full pressure scrub steps
-// skip entirely — so background PM scans stop competing with the
-// serving path exactly when it is saturated.
-func (h *Healer) SetPressureSource(fn func() float64) {
-	h.mu.Lock()
-	h.pressureSrc = fn
-	h.mu.Unlock()
-}
-
-// SetBreakerSource wires an aggregate of client-side circuit-breaker
-// opens into the healthz report's overload section, for deployments
-// that co-locate the store's own clients.
-func (h *Healer) SetBreakerSource(fn func() uint64) {
-	h.mu.Lock()
-	h.breakerSrc = fn
-	h.mu.Unlock()
-}
 
 // Run drives the heal loop until Close.
 func (h *Healer) Run() {
@@ -262,10 +227,10 @@ func (h *Healer) tryRebuild(i int, now time.Time) {
 			h.stats.RebuildFailures++
 			if h.backoff[i] <= 0 {
 				h.backoff[i] = h.cfg.RebuildBackoff
-			} else if h.backoff[i] < h.cfg.RebuildBackoffMax {
+			} else if h.backoff[i] < rebuildBackoffMax {
 				h.backoff[i] *= 2
-				if h.backoff[i] > h.cfg.RebuildBackoffMax {
-					h.backoff[i] = h.cfg.RebuildBackoffMax
+				if h.backoff[i] > rebuildBackoffMax {
+					h.backoff[i] = rebuildBackoffMax
 				}
 			}
 			h.nextTry[i] = end.Add(h.backoff[i])
@@ -290,23 +255,7 @@ func (h *Healer) scrubStep(i int) {
 	}
 	h.mu.Lock()
 	cursor := h.cursors[i]
-	pressure := h.pressureSrc
 	h.mu.Unlock()
-	// Overload brownout throttles the scrub budget first: background
-	// CRC walks are pure discretionary PM traffic, so they yield their
-	// share of the media and the store locks to the serving path.
-	budget := h.cfg.ScrubSlots
-	if pressure != nil {
-		if p := pressure(); p > 0 {
-			budget = int(float64(h.cfg.ScrubSlots) * (1 - p))
-			h.mu.Lock()
-			h.stats.ScrubThrottled++
-			h.mu.Unlock()
-			if budget <= 0 {
-				return
-			}
-		}
-	}
 	if cursor == 0 {
 		if err := st.CheckSuperblock(); err != nil {
 			h.ss.Quarantine(i, err)
@@ -316,7 +265,7 @@ func (h *Healer) scrubStep(i int) {
 			return
 		}
 	}
-	res := st.ScrubSlots(cursor, budget)
+	res := st.ScrubSlots(cursor, h.cfg.ScrubSlots)
 	h.mu.Lock()
 	h.cursors[i] = res.Next
 	h.stats.ScrubErrorsFound += uint64(res.Bad)
@@ -366,7 +315,7 @@ func (h *Healer) Stats() HealStats {
 // quarantined shard reads down, and the endpoint answers 503, exactly
 // when its keys answer 503), this server's loop and overload counters,
 // the read-path section, the NUMA section under a multi-node placement,
-// and — with a healer installed — its scrub, rebuild and breaker state.
+// and — with a healer installed — its scrub and rebuild state.
 func (e *engine) Health() HealthReport {
 	var states []core.ShardStatus
 	if e.sharded != nil {
@@ -405,9 +354,7 @@ func (e *engine) Health() HealthReport {
 	return rep
 }
 
-// addTo fills the report's scrub section from the supervisor's counters
-// and adds the client-breaker tally (SetBreakerSource) to its overload
-// section.
+// addTo fills the report's scrub section from the supervisor's counters.
 func (h *Healer) addTo(rep *HealthReport) {
 	st := h.Stats()
 	rep.Scrub = ScrubHealth{
@@ -418,13 +365,6 @@ func (h *Healer) addTo(rep *HealthReport) {
 		RebuildFailures: st.RebuildFailures,
 		Reconstructions: st.Reconstructions,
 		Unrecoverable:   st.UnrecoverableSlots,
-		Throttled:       st.ScrubThrottled,
-	}
-	h.mu.Lock()
-	brk := h.breakerSrc
-	h.mu.Unlock()
-	if brk != nil {
-		rep.Overload.BreakerOpens = brk()
 	}
 }
 
@@ -444,7 +384,6 @@ type ScrubHealth struct {
 	RebuildFailures uint64 `json:"rebuild_failures"`
 	Reconstructions uint64 `json:"reconstructions"`
 	Unrecoverable   uint64 `json:"unrecoverable_slots"`
-	Throttled       uint64 `json:"throttled,omitempty"`
 }
 
 // LoopHealth is one event loop's view in the healthz report: its live
@@ -455,26 +394,19 @@ type LoopHealth struct {
 	QueueDepth int    `json:"queue_depth"`
 	Node       int    `json:"node"`
 	Requests   uint64 `json:"requests"`
-	// Overload view: whether the loop's CoDel controller is currently
-	// shedding (brownout), and its doomed-work/shed counters.
-	Brownout   bool   `json:"brownout,omitempty"`
-	Expired    uint64 `json:"expired,omitempty"`
-	CoDelSheds uint64 `json:"codel_sheds,omitempty"`
+	// Expired counts this loop's requests answered 503 unexecuted
+	// because their X-Budget-Us lapsed.
+	Expired uint64 `json:"expired"`
 }
 
-// OverloadHealth is the overload-control section of the healthz report:
-// the accept-layer and queue-controller shed counters that were
-// previously invisible to operators, aggregated across loops, plus the
-// optional client-side breaker aggregate (SetBreakerSource).
+// OverloadHealth is the overload-control section of the healthz report,
+// aggregated across loops: accept-cap sheds, idle reaps, expired
+// budgets and the summed run-queue delay.
 type OverloadHealth struct {
-	Sheds         uint64  `json:"sheds"`
-	IdleClosed    uint64  `json:"idle_closed"`
-	Expired       uint64  `json:"expired"`
-	CoDelSheds    uint64  `json:"codel_sheds"`
-	Brownouts     uint64  `json:"brownouts"`
-	BrownoutLoops int     `json:"brownout_loops"`
-	QueueDelayMs  float64 `json:"queue_delay_ms"`
-	BreakerOpens  uint64  `json:"breaker_opens,omitempty"`
+	Sheds        uint64  `json:"sheds"`
+	IdleClosed   uint64  `json:"idle_closed"`
+	Expired      uint64  `json:"expired"`
+	QueueDelayMs float64 `json:"queue_delay_ms"`
 }
 
 // ReadPathHealth is the lock-free read path's section of the healthz
@@ -526,16 +458,11 @@ func (rep *HealthReport) addLoops(loops []Stats) {
 			QueueDepth: ls.QueueDepth,
 			Node:       ls.Node,
 			Requests:   ls.Requests,
-			Brownout:   ls.BrownoutLoops > 0,
 			Expired:    ls.Expired,
-			CoDelSheds: ls.CoDelSheds,
 		})
 		ov.Sheds += ls.Sheds
 		ov.IdleClosed += ls.IdleClosed
 		ov.Expired += ls.Expired
-		ov.CoDelSheds += ls.CoDelSheds
-		ov.Brownouts += ls.Brownouts
-		ov.BrownoutLoops += ls.BrownoutLoops
 		ov.QueueDelayMs += float64(ls.QueueDelay) / float64(time.Millisecond)
 	}
 	rep.Overload = &ov

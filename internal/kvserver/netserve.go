@@ -17,7 +17,7 @@ import (
 // run (handleBuf -> beginRequest -> dispatch -> finishConn), so requests
 // parse, expire, count and answer exactly as on the simulated stack's
 // copy path. The Go netpoller and scheduler are this transport's event
-// loop; the hand-written run queue (CoDel, bursts) stays with the
+// loop; the hand-written run queue (burst formation) stays with the
 // simulated stack (DESIGN.md §5.17).
 type NetServer struct {
 	engine

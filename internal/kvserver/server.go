@@ -44,13 +44,29 @@ type Config struct {
 	// (nic.Config.QueueNodes), which default to node 0 everywhere — the
 	// single-socket no-op.
 	LoopNodes []int
-	// Overload configures deadline-aware admission and the CoDel
-	// run-queue controller (see OverloadConfig). Disabled by default.
+	// Overload configures deadline-aware admission (see
+	// OverloadConfig). Disabled by default.
 	Overload OverloadConfig
 }
 
+// OverloadConfig tunes deadline-aware admission (Config.Overload). Zero
+// value: disabled — the server keeps the binary MaxConns shed and
+// executes every parsed request.
+type OverloadConfig struct {
+	// Enabled turns on doomed-work elimination: a request whose
+	// X-Budget-Us budget lapsed before execution is answered 503
+	// instead of executed.
+	Enabled bool
+	// RetryAfter is the backoff hint (Retry-After-Ms) attached to
+	// overload 503s — accept-cap sheds and expired-budget drops.
+	// Default 25ms.
+	RetryAfter time.Duration
+}
+
 func (c *Config) fill() {
-	c.Overload.fill(c.MaxBatch)
+	if c.Overload.RetryAfter <= 0 {
+		c.Overload.RetryAfter = 25 * time.Millisecond
+	}
 }
 
 // Server is the storage server application. One event-loop goroutine per
@@ -89,8 +105,8 @@ type engine struct {
 	// loopStats is the embedding server's per-loop counter view, the
 	// source of the health report's loops and overload sections.
 	loopStats func() []Stats
-	// healer, once installed (SetHealer), adds its scrub, rebuild and
-	// client-breaker state to the health report.
+	// healer, once installed (SetHealer), adds its scrub and rebuild
+	// state to the health report.
 	healer atomic.Pointer[Healer]
 }
 
@@ -109,8 +125,8 @@ func (e *engine) init(backend Backend, cfg Config, loopStats func() []Stats) {
 	}
 }
 
-// SetHealer adds h's scrub, rebuild and client-breaker state to the
-// GET /healthz report; every other section is the server's own.
+// SetHealer adds h's scrub and rebuild state to the GET /healthz
+// report; every other section is the server's own.
 func (e *engine) SetHealer(h *Healer) { e.healer.Store(h) }
 
 // Stats aggregates every loop's counters (Server.LoopStats, or all of a
@@ -139,8 +155,7 @@ func (e *engine) Stats() Stats {
 // loop is one event-loop "core": it serves the connections whose flows
 // RSS to its queue and — in sharded mode — the store shard backing that
 // queue's receive pool. Everything on it is touched only by the loop's
-// own goroutine, except the qlen and brownout gauges that LoopStats and
-// Pressure read from others.
+// own goroutine, except the qlen gauge that LoopStats reads from others.
 type loop struct {
 	srv   *Server
 	q     int
@@ -154,13 +169,6 @@ type loop struct {
 	runq  []*connState
 	// qlen mirrors len(runq) for the QueueDepth gauge.
 	qlen atomic.Int32
-	// cd is the CoDel sojourn controller over runq (Config.Overload).
-	cd codel
-	// brownout mirrors the CoDel controller's dropping state: while set,
-	// batchMax returns the larger BrownoutBatch (fence amortization when
-	// it buys the most) and Server.Pressure reports the loop as pressed
-	// so the Healer throttles background scrub.
-	brownout atomic.Bool
 	// accept is the shared listener queue (set by Run); every loop drains
 	// it, and drain/gather poll it mid-cycle so a saturated loop cannot
 	// starve handshake completion (see drainAccepts).
@@ -210,7 +218,6 @@ func NewWithConfig(stk *tcp.Stack, port uint16, backend Backend, cfg Config) (*S
 			q:     q,
 			node:  stk.NIC().NodeOfQueue(q),
 			conns: make(map[*tcp.Conn]*connState),
-			cd:    codel{target: s.cfg.Overload.Target, interval: s.cfg.Overload.Interval},
 		}
 		lp.exec = executor{eng: &s.engine, stats: &lp.stats, lp: lp, shard: -1}
 		if q < len(s.cfg.LoopNodes) {
@@ -242,28 +249,8 @@ func (s *Server) LoopStats() []Stats {
 		out[i] = lp.stats.Snapshot()
 		out[i].QueueDepth = lp.depth()
 		out[i].Node = lp.node
-		if lp.brownout.Load() {
-			out[i].BrownoutLoops = 1
-		}
 	}
 	return out
-}
-
-// Pressure is the overload signal exported to background work (the
-// Healer's scrub budget): the fraction of event loops currently in
-// brownout, 0 when fully healthy through 1 when every loop's queue
-// controller is shedding.
-func (s *Server) Pressure() float64 {
-	if len(s.loops) == 0 {
-		return 0
-	}
-	n := 0
-	for _, lp := range s.loops {
-		if lp.brownout.Load() {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.loops))
 }
 
 // Run services the event loops until Close. The caller's goroutine runs
@@ -397,7 +384,7 @@ func (lp *loop) noteReady(c *tcp.Conn) {
 	// arrival time persisted in the oldest pending packet buffer rather
 	// than at this wakeup: ready-channel and scheduler delays upstream of
 	// the run queue are queueing too, and anchoring at wakeup would hide
-	// them from the CoDel sojourn and the request deadline.
+	// them from the queue delay and the request deadline.
 	if lp.srv.cfg.Overload.Enabled {
 		if arrival := c.OldestRxTime(); !arrival.IsZero() && arrival.Before(st.readyAt) {
 			st.readyAt = arrival
@@ -408,20 +395,12 @@ func (lp *loop) noteReady(c *tcp.Conn) {
 }
 
 // popBatch takes up to max runnable connections off the run queue,
-// appending them to out.
-//
-// With Config.Overload enabled this is also the CoDel observation
-// point: each connection's run-queue sojourn feeds the controller, and
-// when the law says shed, the *newest* queued connection is taken into
-// the batch with its shed503 flag set — the executor answers its pending
-// requests with 503+Retry-After-Ms instead of executing them. Shedding
-// newest-over-oldest keeps the requests that have already waited (and
-// whose clients have already invested their budget) while pushing back
-// on fresh arrivals.
+// appending them to out. With Config.Overload enabled it also adds each
+// connection's run-queue sojourn to the QueueDelay counter.
 func (lp *loop) popBatch(out []*connState, max int) []*connState {
 	overload := lp.srv.cfg.Overload.Enabled
 	var now time.Time
-	var minSojourn, sumSojourn time.Duration
+	var sumSojourn time.Duration
 	q := lp.runq
 	n := 0
 	for n < len(q) && len(out) < max {
@@ -435,9 +414,6 @@ func (lp *loop) popBatch(out []*connState, max int) []*connState {
 		if overload {
 			if now.IsZero() {
 				now = time.Now()
-				minSojourn = now.Sub(st.readyAt)
-			} else if d := now.Sub(st.readyAt); d < minSojourn {
-				minSojourn = d
 			}
 			sumSojourn += now.Sub(st.readyAt)
 		}
@@ -451,28 +427,6 @@ func (lp *loop) popBatch(out []*connState, max int) []*connState {
 	q = q[:len(q)-n]
 	if overload && !now.IsZero() {
 		lp.stats.queueDelayNanos.Add(int64(sumSojourn))
-		if lp.cd.observe(minSojourn, now) {
-			// Shed the newest queued connection (the run-queue tail).
-			for len(q) > 0 {
-				st := q[len(q)-1]
-				q[len(q)-1] = nil
-				q = q[:len(q)-1]
-				st.queued = false
-				if st.dead {
-					continue
-				}
-				st.shed503 = true
-				out = append(out, st)
-				lp.stats.codelSheds.Add(1)
-				break
-			}
-		}
-		if was := lp.brownout.Load(); was != lp.cd.dropping {
-			lp.brownout.Store(lp.cd.dropping)
-			if !was {
-				lp.stats.brownouts.Add(1)
-			}
-		}
 	}
 	lp.runq = q
 	lp.qlen.Store(int32(len(q)))
@@ -486,17 +440,9 @@ func (lp *loop) depth() int {
 	return s.stk.ReadyLenQ(lp.q) + s.stk.NIC().RxQueueLen(lp.q) + int(lp.qlen.Load())
 }
 
-// batchMax is the batch size for one service cycle. In brownout the
-// group-commit burst is forced up to BrownoutBatch: under pressure a
-// bigger group amortizes its one fence over more PUTs, which is exactly
-// when that trade is worth the added per-request latency.
+// batchMax is the batch size for one service cycle.
 func (lp *loop) batchMax() int {
 	m := lp.srv.cfg.MaxBatch
-	if m > 1 && lp.brownout.Load() {
-		if b := lp.srv.cfg.Overload.BrownoutBatch; b > m {
-			return b
-		}
-	}
 	if m > 1 {
 		return m
 	}
@@ -532,9 +478,6 @@ func (lp *loop) drain(rx <-chan *tcp.Conn) {
 			return
 		}
 		lp.exec.runCycle(lp.burst)
-		for _, st := range lp.burst {
-			st.shed503 = false
-		}
 	}
 }
 
@@ -651,18 +594,11 @@ type connState struct {
 	dead   bool
 	// queued: sitting in the loop's run queue.
 	queued bool
-	// shed503 marks a connection taken by a CoDel shed decision: the
-	// executor parses its pending requests (cheap) but answers each
-	// with 503+Retry-After-Ms instead of executing (the expensive
-	// part), keeping the HTTP pipeline synchronized. Set by popBatch,
-	// cleared when the cycle ends.
-	shed503 bool
 	// readyAt is when the connection last entered the run queue — with
 	// overload control on, backdated to the arrival stamp of its oldest
 	// pending packet, so delivery delays upstream of the queue count.
-	// Set by noteReady: the base of the CoDel sojourn
-	// observation and a fallback anchor for the request deadline (+ client
-	// budget).
+	// Set by noteReady: the base of the QueueDelay sum and a fallback
+	// anchor for the request deadline (+ client budget).
 	readyAt time.Time
 	// lastActive is the last time the connection delivered bytes; the
 	// idle sweep closes connections stalled past Config.IdleTimeout.
@@ -1023,7 +959,7 @@ func (x *executor) beginRequest(st *connState, b *pkt.Buf, zc bool) {
 		}
 		pr.deadline = anchor.Add(pr.req.Budget)
 	}
-	if req.Op == kvproto.OpPut && zc && !st.shed503 && x.eng.sharded.ShardFor(req.Key) == x.shard {
+	if req.Op == kvproto.OpPut && zc && x.eng.sharded.ShardFor(req.Key) == x.shard {
 		// The zero-copy path writes through the executor's direct store
 		// pointer, so it must not ingest into a shard the sharded router
 		// has quarantined — the copy path routes through the router, which
@@ -1143,18 +1079,13 @@ func (x *executor) dispatch(st *connState, pr *pendingReq, staged bool) {
 		x.refuse(st, pr)
 		return
 	}
-	// Two ways to a 503 with the pacing hint and none of the expensive
-	// work (staging, fences, store reads). CoDel shed: the queue
-	// controller decided this connection's pending requests push the
-	// standing queue past target; parsing kept the pipeline
-	// synchronized. Doomed-work elimination: the client's budget lapsed
-	// while the request waited — it has already timed out or retried, so
-	// executing now would burn capacity on an answer nobody reads.
-	expired := !st.shed503 && !pr.deadline.IsZero() && time.Now().After(pr.deadline)
-	if expired {
+	// Doomed-work elimination: the client's budget lapsed while the
+	// request waited — it has already timed out or retried, so executing
+	// now would burn capacity on an answer nobody reads. Answer 503 with
+	// the pacing hint and none of the expensive work (staging, fences,
+	// store reads).
+	if !pr.deadline.IsZero() && time.Now().After(pr.deadline) {
 		x.stats.expired.Add(1)
-	}
-	if st.shed503 || expired {
 		st.resp = httpmsg.AppendResponseRetryAfter(st.resp, 503, 0,
 			x.eng.cfg.Overload.RetryAfter.Milliseconds())
 		return

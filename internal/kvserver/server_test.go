@@ -514,3 +514,11 @@ func TestEndToEndGroupCommit(t *testing.T) {
 		t.Fatalf("verify after grouped churn: %q", bad)
 	}
 }
+
+func TestOverloadConfigDefaults(t *testing.T) {
+	var c Config
+	c.fill()
+	if c.Overload.RetryAfter != 25*time.Millisecond {
+		t.Fatalf("RetryAfter default = %v", c.Overload.RetryAfter)
+	}
+}

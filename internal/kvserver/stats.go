@@ -22,17 +22,10 @@ type Stats struct {
 	// Overload-control counters (Config.Overload). Expired counts
 	// requests dropped unexecuted because their client budget
 	// (X-Budget-Us) lapsed before dispatch — doomed work eliminated.
-	// CoDelSheds counts run-queue shed decisions by the sojourn-time
-	// controller (each 503s one queued connection's pending requests).
-	// Brownouts counts entries into brownout (controller dropping
-	// state); BrownoutLoops is a gauge — loops currently browned out.
 	// QueueDelay accumulates run-queue sojourn over every claimed
-	// connection (the raw signal the controller integrates).
-	Expired       uint64
-	CoDelSheds    uint64
-	Brownouts     uint64
-	BrownoutLoops int
-	QueueDelay    time.Duration
+	// connection.
+	Expired    uint64
+	QueueDelay time.Duration
 	// GroupCommits counts group-commit cycles that batched more than one
 	// connection; GroupedConns counts the connections they covered, so
 	// GroupedConns/GroupCommits is the achieved burst size.
@@ -96,9 +89,6 @@ func (s *Stats) merge(o Stats) {
 	s.Sheds += o.Sheds
 	s.IdleClosed += o.IdleClosed
 	s.Expired += o.Expired
-	s.CoDelSheds += o.CoDelSheds
-	s.Brownouts += o.Brownouts
-	s.BrownoutLoops += o.BrownoutLoops
 	s.QueueDelay += o.QueueDelay
 	s.GroupCommits += o.GroupCommits
 	s.GroupedConns += o.GroupedConns
@@ -127,7 +117,7 @@ type statsCounters struct {
 	zcPuts, zcGets                        atomic.Uint64
 	derivedSums, softwareSums             atomic.Uint64
 	sheds, idleClosed                     atomic.Uint64
-	expired, codelSheds, brownouts        atomic.Uint64
+	expired                               atomic.Uint64
 	queueDelayNanos                       atomic.Int64
 	groupCommits, groupedConns            atomic.Uint64
 	ackAborts                             atomic.Uint64
@@ -150,8 +140,7 @@ func (c *statsCounters) Snapshot() Stats {
 		ZeroCopyPuts: c.zcPuts.Load(), ZeroCopyGets: c.zcGets.Load(),
 		DerivedSums: c.derivedSums.Load(), SoftwareSums: c.softwareSums.Load(),
 		Sheds: c.sheds.Load(), IdleClosed: c.idleClosed.Load(),
-		Expired: c.expired.Load(), CoDelSheds: c.codelSheds.Load(),
-		Brownouts:    c.brownouts.Load(),
+		Expired:      c.expired.Load(),
 		QueueDelay:   time.Duration(c.queueDelayNanos.Load()),
 		GroupCommits: c.groupCommits.Load(), GroupedConns: c.groupedConns.Load(),
 		AckAborts:         c.ackAborts.Load(),

@@ -8,6 +8,7 @@ import (
 	"net"
 	"regexp"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -337,6 +338,45 @@ func TestHealthzWithoutHealer(t *testing.T) {
 			if !bytes.HasPrefix(resp, []byte("HTTP/1.1 503")) ||
 				!bytes.Contains(resp, []byte(`{"shard":2,"state":"down","reason":"injected"}`)) {
 				t.Fatalf("shard 2 quarantined, no healer: %q", resp)
+			}
+		})
+	}
+}
+
+// TestHealthzOverloadSchema pins the key sets of /healthz's overload
+// section and of a loops[] entry on both transports. Both report only
+// the server's own state: accept-cap sheds, idle reaps, expired budgets
+// and queue delay, whatever the counters read.
+func TestHealthzOverloadSchema(t *testing.T) {
+	keys := func(m map[string]any) string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, ",")
+	}
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			sv := tr.serve(t, Discard{}, Config{Overload: OverloadConfig{Enabled: true}}, nil)
+			c := mustDial(t, sv)
+			c.Write([]byte("GET /healthz HTTP/1.1\r\n\r\n"))
+			resp := readResponses(t, c, 1)
+			var rep struct {
+				Overload map[string]any   `json:"overload"`
+				Loops    []map[string]any `json:"loops"`
+			}
+			if err := json.Unmarshal(resp[bytes.Index(resp, []byte("\r\n\r\n"))+4:], &rep); err != nil {
+				t.Fatalf("healthz body not JSON: %v in %q", err, resp)
+			}
+			if got, want := keys(rep.Overload), "expired,idle_closed,queue_delay_ms,sheds"; got != want {
+				t.Errorf("overload keys %s, want %s", got, want)
+			}
+			if len(rep.Loops) == 0 {
+				t.Fatalf("no loops in %q", resp)
+			}
+			if got, want := keys(rep.Loops[0]), "expired,node,queue,queue_depth,requests"; got != want {
+				t.Errorf("loops[0] keys %s, want %s", got, want)
 			}
 		})
 	}

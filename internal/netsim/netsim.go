@@ -68,7 +68,6 @@ type Port struct {
 	heldReady  time.Time
 	queueDrops uint64
 	lossDrops  uint64
-	corrupted  uint64
 }
 
 // NewLink creates a full-duplex link and returns its two ports.
@@ -107,7 +106,6 @@ func (p *Port) SendAt(b []byte, ready time.Time) bool {
 		// offload (or the stack's software verify) must catch this and
 		// drop the frame, forcing retransmission.
 		b[p.rng.Intn(len(b))] ^= 1 << uint(p.rng.Intn(8))
-		p.corrupted++
 	}
 	if p.holding {
 		ok := p.emit(b, ready)
@@ -175,12 +173,4 @@ func (p *Port) LossDrops() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.lossDrops
-}
-
-// CorruptFrames reports frames bit-flipped by the corruption impairment
-// on this port's transmit direction.
-func (p *Port) CorruptFrames() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.corrupted
 }

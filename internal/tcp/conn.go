@@ -141,17 +141,6 @@ func (c *Conn) State() string {
 	return c.state.String()
 }
 
-// SubscribeReadable opts this connection into Stack.Readable events
-// (accepted connections are subscribed automatically).
-func (c *Conn) SubscribeReadable() {
-	c.stk.mu.Lock()
-	c.wantReady = true
-	if c.rcvQ.Len() > 0 || c.finRcvd || c.err != nil {
-		c.stk.pushReadyLocked(c)
-	}
-	c.stk.mu.Unlock()
-}
-
 // ClearReady re-arms the edge trigger after the server loop takes this
 // connection off the Readable channel.
 func (c *Conn) ClearReady() {
@@ -793,11 +782,6 @@ func (c *Conn) Close() error {
 	c.sndQ = append(c.sndQ, fin)
 	c.outputLocked()
 	return nil
-}
-
-// Abort resets the connection immediately (RST to peer, local teardown).
-func (c *Conn) Abort() {
-	c.abort(ErrClosed)
 }
 
 func (c *Conn) abort(err error) {

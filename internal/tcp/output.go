@@ -220,10 +220,10 @@ func (c *Conn) backoffLocked() {
 
 func (c *Conn) armDelackLocked() {
 	if c.delackTimer == nil {
-		c.delackTimer = time.AfterFunc(c.stk.cfg.DelayedACK, c.onDelack)
+		c.delackTimer = time.AfterFunc(delayedACK, c.onDelack)
 		return
 	}
-	c.delackTimer.Reset(c.stk.cfg.DelayedACK)
+	c.delackTimer.Reset(delayedACK)
 }
 
 func (c *Conn) onDelack() {

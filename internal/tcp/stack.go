@@ -31,16 +31,18 @@ type Config struct {
 	SndBuf int
 	// MinRTO clamps the retransmission timeout. Default 20ms.
 	MinRTO time.Duration
-	// DelayedACK is the delayed-acknowledgement timer. Default 1ms
-	// (busy-polling testbed configuration).
-	DelayedACK time.Duration
-	// ReadyLen bounds the readable-event queue. Default 4096.
-	ReadyLen int
-	// Backlog bounds each listener's accept queue; SYNs beyond it are
-	// refused (RST) instead of growing server state without bound.
-	// Default 128.
-	Backlog int
 }
+
+const (
+	// delayedACK is the delayed-acknowledgement timer (busy-polling
+	// testbed configuration).
+	delayedACK = time.Millisecond
+	// readyLen bounds each RSS queue's readable-event channel.
+	readyLen = 4096
+	// backlog bounds each listener's accept queue; SYNs beyond it are
+	// refused (RST) instead of growing server state without bound.
+	backlog = 128
+)
 
 func (c *Config) fill() {
 	if c.RcvBuf == 0 {
@@ -51,15 +53,6 @@ func (c *Config) fill() {
 	}
 	if c.MinRTO == 0 {
 		c.MinRTO = 20 * time.Millisecond
-	}
-	if c.DelayedACK == 0 {
-		c.DelayedACK = time.Millisecond
-	}
-	if c.ReadyLen == 0 {
-		c.ReadyLen = 4096
-	}
-	if c.Backlog == 0 {
-		c.Backlog = 128
 	}
 }
 
@@ -108,7 +101,7 @@ func NewStack(n *nic.NIC, addr ipv4.Addr, cfg Config) *Stack {
 		done:      make(chan struct{}),
 	}
 	for q := range s.ready {
-		s.ready[q] = make(chan *Conn, cfg.ReadyLen)
+		s.ready[q] = make(chan *Conn, readyLen)
 	}
 	for q := 0; q < n.Queues(); q++ {
 		s.wg.Add(1)
@@ -185,7 +178,7 @@ func (s *Stack) Listen(port uint16) (*Listener, error) {
 	if _, busy := s.listeners[port]; busy {
 		return nil, ErrListenerUsed
 	}
-	l := &Listener{stk: s, port: port, acceptQ: make(chan *Conn, s.cfg.Backlog)}
+	l := &Listener{stk: s, port: port, acceptQ: make(chan *Conn, backlog)}
 	s.listeners[port] = l
 	return l, nil
 }

@@ -25,6 +25,9 @@ const (
 	DistZipf
 )
 
+// zipfS is DistZipf's skew exponent (s > 1; larger is more skewed).
+const zipfS = 1.1
+
 // Config describes a workload.
 type Config struct {
 	// Conns is the number of concurrent persistent connections.
@@ -40,11 +43,9 @@ type Config struct {
 	ValueSize int
 	// KeySpace is the number of distinct keys.
 	KeySpace int
-	// KeyDist selects how keys are drawn.
+	// KeyDist selects how keys are drawn; DistZipf uses skew exponent
+	// zipfS.
 	KeyDist Dist
-	// ZipfS is the Zipf skew exponent for DistZipf (s > 1; larger is more
-	// skewed). 0 means the default 1.1.
-	ZipfS float64
 	// PutPct/DeletePct are the operation mix out of 100; the remainder
 	// is GETs (GetPct derives it).
 	PutPct    int
@@ -67,14 +68,6 @@ type Config struct {
 	// ShardOfKey maps a key to its owning shard (bind core.ShardOf to
 	// the shard count).
 	ShardOfKey func(key []byte) int
-	// Retry, when set, runs each worker over kvclient's retrying client:
-	// transient failures — 503 sheds, shard-down windows, response
-	// timeouts, connection resets — back off and re-issue instead of
-	// aborting the worker, so the generator rides through heal events.
-	// Implies Pipeline 1. Hash alignment (QueueOf) is bypassed: the
-	// retry layer redials internally, which would invalidate a computed
-	// alignment.
-	Retry *kvclient.RetryConfig
 	// Rate, when > 0, switches the generator to open loop: arrivals are
 	// a Poisson process at Rate requests/second total (split evenly
 	// across connections), scheduled independently of completions — the
@@ -83,7 +76,7 @@ type Config struct {
 	// into a paced sender and an in-order receiver; arrivals that find
 	// the in-flight window full are dropped client-side and counted
 	// (Result.ClientDrops) rather than back-pressured. Requires
-	// Duration; incompatible with Retry and Pipeline (ignored).
+	// Duration; incompatible with Pipeline (ignored).
 	Rate float64
 	// Budget, in open-loop mode, is both the wire latency budget and the
 	// client SLO: each request carries the budget *remaining* at send
@@ -105,11 +98,8 @@ type Config struct {
 type Result struct {
 	Requests uint64
 	Errors   uint64
-	// Retries counts transient-failure re-attempts absorbed by the retry
-	// layer (only populated when Config.Retry is set).
-	Retries uint64
-	Elapsed time.Duration
-	Hist    hdrhist.Hist
+	Elapsed  time.Duration
+	Hist     hdrhist.Hist
 	// Open-loop accounting (Config.Rate > 0). Offered counts scheduled
 	// arrivals in the measured window; Good counts responses accepted
 	// (non-503) within the Budget SLO; Shed counts overload rejections —
@@ -169,25 +159,16 @@ func Run(cfg Config, dial Dialer) (Result, error) {
 	if cfg.Duration <= 0 && cfg.Requests <= 0 {
 		cfg.Duration = time.Second
 	}
-	if cfg.Retry != nil {
-		cfg.Pipeline = 1
-	}
 	if cfg.Rate > 0 && cfg.Duration <= 0 {
 		cfg.Duration = time.Second // open loop is duration-bounded
 	}
-	if cfg.ZipfS == 0 {
-		cfg.ZipfS = 1.1
-	}
 
 	type connResult struct {
-		reqs, errs, retries uint64
-		offered, good       uint64
-		shed, clientDrops   uint64
-		hist                hdrhist.Hist
-		err                 error
-	}
-	if cfg.Retry != nil {
-		cfg.Rate = 0 // open loop drives raw clients; retry redials internally
+		reqs, errs        uint64
+		offered, good     uint64
+		shed, clientDrops uint64
+		hist              hdrhist.Hist
+		err               error
 	}
 	results := make([]connResult, cfg.Conns)
 	var wg sync.WaitGroup
@@ -209,32 +190,16 @@ func Run(cfg Config, dial Dialer) (Result, error) {
 		go func(ci int) {
 			defer wg.Done()
 			res := &results[ci]
-			var cl *kvclient.Client
-			var rc *kvclient.RetryClient
-			var conn kvclient.Conn
-			if cfg.Retry != nil {
-				rcfg := *cfg.Retry
-				if rcfg.Seed == 0 {
-					rcfg.Seed = cfg.Seed + int64(ci)*104729 + 1
-				}
-				rc = kvclient.NewRetry(dial, rcfg)
-				defer func() {
-					res.retries = rc.Stats().Retries
-					rc.Close()
-				}()
-			} else {
-				c, err := dial()
-				if err != nil {
-					res.err = err
-					return
-				}
-				conn = c
-				cl = kvclient.New(conn)
-				defer cl.Close()
+			conn, err := dial()
+			if err != nil {
+				res.err = err
+				return
 			}
+			cl := kvclient.New(conn)
+			defer cl.Close()
 			alignQ := -1
 			var keyCache map[int][]byte
-			if conn != nil && cfg.QueueOf != nil && cfg.ShardOfKey != nil {
+			if cfg.QueueOf != nil && cfg.ShardOfKey != nil {
 				alignQ = cfg.QueueOf(conn)
 				keyCache = make(map[int][]byte)
 			}
@@ -262,7 +227,7 @@ func Run(cfg Config, dial Dialer) (Result, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(ci)*7919))
 			var zipf *rand.Zipf
 			if cfg.KeyDist == DistZipf {
-				zipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.KeySpace-1))
+				zipf = rand.NewZipf(rng, zipfS, 1, uint64(cfg.KeySpace-1))
 			}
 			value := make([]byte, cfg.ValueSize)
 			rng.Read(value)
@@ -282,7 +247,7 @@ func Run(cfg Config, dial Dialer) (Result, error) {
 				return makeKey(keyID)
 			}
 
-			if cfg.Rate > 0 && cl != nil {
+			if cfg.Rate > 0 {
 				os, err := runOpenLoop(cfg, cl, ci, rng, nextKey, startMeasure, stop)
 				res.reqs, res.errs = os.reqs, os.errs
 				res.offered, res.good = os.offered, os.good
@@ -383,23 +348,11 @@ func Run(cfg Config, dial Dialer) (Result, error) {
 				var err error
 				switch {
 				case op < cfg.PutPct:
-					if rc != nil {
-						err = rc.Put(key, value)
-					} else {
-						err = cl.Put(key, value)
-					}
+					err = cl.Put(key, value)
 				case op < cfg.PutPct+cfg.DeletePct:
-					if rc != nil {
-						_, err = rc.Delete(key)
-					} else {
-						_, err = cl.Delete(key)
-					}
+					_, err = cl.Delete(key)
 				default:
-					if rc != nil {
-						_, _, err = rc.Get(key)
-					} else {
-						_, _, err = cl.Get(key)
-					}
+					_, _, err = cl.Get(key)
 				}
 				lat := time.Since(t0)
 				if t0.After(startMeasure) {
@@ -412,13 +365,8 @@ func Run(cfg Config, dial Dialer) (Result, error) {
 					}
 				}
 				if err != nil {
-					if rc == nil || !kvclient.Transient(err) {
-						res.err = err
-						return
-					}
-					// Retry budget exhausted mid-outage: already counted as
-					// an error; the worker keeps going and rejoins the load
-					// once the shard heals.
+					res.err = err
+					return
 				}
 			}
 		}(ci)
@@ -430,7 +378,6 @@ func Run(cfg Config, dial Dialer) (Result, error) {
 	for i := range results {
 		out.Requests += results[i].reqs
 		out.Errors += results[i].errs
-		out.Retries += results[i].retries
 		out.Offered += results[i].offered
 		out.Good += results[i].good
 		out.Shed += results[i].shed

@@ -129,13 +129,6 @@ type ClusterConfig struct {
 	// partition, N server event loops. 0 or 1 keeps the original
 	// single-core deployment bit-for-bit.
 	Shards int
-	// Nodes models a NUMA machine with that many sockets. Shard i's PM
-	// partition, RSS queue interrupt and event loop all land on node
-	// i mod Nodes (the aligned placement), and the region bills the
-	// profile's remote rates on every cache line that crosses sockets.
-	// 0 or 1 keeps the flat single-socket model — a strict no-op on
-	// the charging path.
-	Nodes int
 }
 
 // NewCluster builds and starts a simulated deployment. The server NIC
@@ -161,21 +154,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	var loopNodes, queueNodes []int
-	if cfg.Nodes > 1 {
-		// Aligned placement: shard i, its RSS queue and its event loop
-		// all live on node i mod Nodes. Placement must be installed
-		// before the server is built — the server caches whether the
-		// deployment is multi-socket when it wires its loops.
-		shardNode := make([]int, n)
-		for i := range shardNode {
-			shardNode[i] = i % cfg.Nodes
-		}
-		if err := ss.SetNUMAPlacement(cfg.Profile.NUMA, cfg.Nodes, shardNode); err != nil {
-			return nil, err
-		}
-		loopNodes, queueNodes = shardNode, shardNode
-	}
 	if d := ss.DownShards(); d > 0 {
 		// The NIC's RSS queues receive directly into each shard's PM
 		// partition; a deployment cannot wire queues to a quarantined
@@ -188,12 +166,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 	tb := host.NewTestbed(host.Options{
-		Profile:          cfg.Profile,
-		ServerRxPools:    ss.Pools(),
-		ServerQueueNodes: queueNodes,
+		Profile:       cfg.Profile,
+		ServerRxPools: ss.Pools(),
 	})
-	srv, err := kvserver.NewWithConfig(tb.Server.Stack, 80, kvserver.ShardedPktStore{S: ss},
-		kvserver.Config{LoopNodes: loopNodes})
+	srv, err := kvserver.New(tb.Server.Stack, 80, kvserver.ShardedPktStore{S: ss})
 	if err != nil {
 		tb.Close()
 		return nil, err
