@@ -6,8 +6,8 @@ import (
 )
 
 // prepared describes one staged put awaiting its group commit: the slot
-// image is written (seq=0), the record's descriptor is linked into the
-// index, and its dirty lines sit in the store's FlushSet.
+// image is written (seq=0), the record's descriptor is published in its
+// key's index node, and its dirty lines sit in the store's FlushSet.
 type prepared struct {
 	slot int    // metadata slot holding the uncommitted image
 	seq  uint64 // commit sequence assigned at stage time
@@ -188,7 +188,6 @@ func (s *Store) supersedeStagedLocked(j int) int {
 // (retireLocked), batched the clear (phase C), or never stamped it
 // (superseded staged puts).
 func (s *Store) recycleRecordLocked(idx int) {
-	s.entry(idx).desc.Store(nil)
 	sl := s.slot(idx)
 	exts, err := s.readExtentsLocked(sl, nil)
 	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))

@@ -18,16 +18,16 @@
 // key prefix, 32 reserved bytes, and up to two inline value extents with
 // a chain for more; one CRC32C covers all of it plus the key bytes. The
 // slots are the store's only persistent structure and its source of
-// truth. The index — a skip list ordered by key whose nodes are the
-// slots' 64-byte DRAM entries (index.go) — is volatile: nothing of it is
-// written to PM, and recovery rebuilds it by scanning the slot array for
-// committed slots.
+// truth. The index — a hash table for point lookups over a skip list
+// for order, with one stable 64-byte DRAM node per key (index.go) — is
+// volatile: nothing of it is written to PM, and recovery rebuilds it by
+// scanning the slot array for committed slots.
 //
 // Crash-consistency protocol: puts are staged, then committed as a
 // group (a per-op put is a group of one). Staging writes the data
 // lines, key bytes, chain slots and the uncommitted (seq=0) slot image,
-// publishes the record's descriptor and links its slot's entry into the
-// index, and accumulates every dirty range in a pmem.FlushSet. Commit
+// publishes the record's descriptor in its key's index node, and
+// accumulates every dirty range in a pmem.FlushSet. Commit
 // then runs three phases, each one deduplicated flush batch plus one
 // fence:
 //
@@ -49,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -303,9 +304,9 @@ type Store struct {
 
 	pool     *pkt.Pool // data-area packet pool (shared with the NIC)
 	metaFree []int32   // free metadata slot indices; int32 halves what every open allocates
-	// meta is the per-slot entry table (index.go), in chunks of
-	// metaChunk entries allocated on first touch.
-	meta  []atomic.Pointer[metaChunkArr]
+	// slots is the per-slot volatile state (index.go), allocated in
+	// chunks on first touch.
+	slots chunked[slotState]
 	data  []dataState
 	seq   uint64
 	count int
@@ -330,8 +331,11 @@ type Store struct {
 	// parityFold is applyParityLocked's reusable span batch (guarded by
 	// mu, like every commit-path scratch).
 	parityFold []pmem.XorSpan
+	// img is stagePutLocked's slot-image scratch (guarded by mu): the
+	// image is copied into PM, so one buffer serves every put.
+	img []byte
 	// scrubPass is the scrubber's current sweep generation (starts at 1
-	// so a metaState stamp of 0 always means "never validated").
+	// so a slotState stamp of 0 always means "never validated").
 	scrubPass uint32
 
 	rng   *rand.Rand
@@ -362,10 +366,22 @@ type Store struct {
 	// traffic, gauge near zero) or an immediate concession to the lock
 	// (sustained write pressure, gauge pinned high).
 	oddHot atomic.Int32
-	// head is the index's head node: only its links are used, the first
-	// entry per level (slot index + 1, 0 = nil). Written under mu inside
+	// head is the skip list's head node: only its links are used, the
+	// first node per level (node id + 1, 0 = nil). Written under mu inside
 	// mutation brackets, read with plain atomic loads by lock-free GETs.
-	head metaState
+	head nodeEntry
+	// nodes is the node table, indexed by node id and allocated in chunks
+	// on first touch. nodeUsed has bit n set while node id n is taken;
+	// every word below nodeLow is full.
+	nodes    chunked[nodeEntry]
+	nodeUsed []uint64
+	nodeLow  int
+	// buckets is the hash table (index.go): each bucket node id + 1
+	// (0 = empty), probed linearly from the key's home (hashKey under
+	// seed). Replaced and written under mu inside mutation brackets,
+	// loaded atomically by lock-free GETs.
+	buckets atomic.Pointer[[]atomic.Uint32]
+	seed    maphash.Seed
 	// Read-side counters, atomic so the fast path can count without the
 	// lock; Stats() merges them into the snapshot.
 	gets             atomic.Uint64
@@ -400,9 +416,13 @@ func openAt(pm *pmem.Domain, cfg Config, base int) (*Store, error) {
 		base:     base,
 		metaBase: base + superblockSize,
 		rng:      rand.New(rand.NewSource(0x9e3779b9)),
+		img:      make([]byte, cfg.SlotSize),
 	}
 	s.dataBase = s.metaBase + cfg.MetaSlots*cfg.SlotSize
-	s.meta = make([]atomic.Pointer[metaChunkArr], (cfg.MetaSlots+metaChunk-1)/metaChunk)
+	s.slots = newChunked[slotState](cfg.MetaSlots)
+	s.nodes = newChunked[nodeEntry](cfg.MetaSlots)
+	s.nodeUsed = make([]uint64, (cfg.MetaSlots+63)/64)
+	s.seed = maphash.MakeSeed()
 	s.data = make([]dataState, cfg.DataSlots)
 	for i := range s.data {
 		s.data[i].refs = -1
@@ -511,6 +531,7 @@ func (s *Store) format() {
 	for i := s.cfg.MetaSlots - 1; i >= 0; i-- {
 		s.metaFree = append(s.metaFree, int32(i))
 	}
+	s.newBucketsLocked(0)
 }
 
 // writeSuperblock (re)writes the superblock from the configured geometry —

@@ -23,13 +23,14 @@ import (
 //     any change means a mutation overlapped and the result is thrown
 //     away.
 //
-//   - The index (index.go): the slots' 64-byte entries, each holding
-//     its record's immutable descriptor pointer, key prefix and atomic
-//     successor words per level. Mutators change it under s.mu inside
-//     their seqlock brackets; readers walk it with plain atomic loads —
-//     the same walker the locked paths use. Mid-bracket the index can
-//     be momentarily torn — an unpublished entry, a link into a chunk
-//     never allocated, or an exhausted step budget — which readers
+//   - The index (index.go): a hash table of node ids over the keys'
+//     64-byte skip-list nodes, each holding its key's current immutable
+//     descriptor pointer and key prefix. Mutators change it under s.mu
+//     inside their seqlock brackets; readers probe it with plain atomic
+//     loads — the same probe the locked point paths use. Mid-bracket
+//     the table can be momentarily torn — a bucket naming a freed node
+//     or a chunk never allocated, a run a backward-shift delete is
+//     moving (a false miss), a descriptor just swapped — which readers
 //     treat as a retry signal, never an error.
 //
 //   - Per-data-slot pin counters (dataState.pins). A validated
@@ -174,7 +175,7 @@ func (s *Store) yieldOnOdd() bool {
 
 // fastLookup runs one optimistic lookup. On fastOK with a non-nil
 // descriptor the record's data slots are pinned and the store's
-// mutation sequence is verified unchanged since before the walk; the
+// mutation sequence is verified unchanged since before the probe; the
 // caller must unpinFast(d.exts) when done with the bytes.
 func (s *Store) fastLookup(key []byte) (d *nodeDesc, seq0 uint64, out fastOutcome) {
 	seq0 = s.mutSeq.Load()
@@ -194,7 +195,7 @@ func (s *Store) fastLookup(key []byte) (d *nodeDesc, seq0 uint64, out fastOutcom
 		// locked path must commit it before serving.
 		return nil, 0, fastFall
 	}
-	_, ge, ok := s.findGE(key, keyPrefix(key), nil)
+	ge, ok := s.probe(key, s.hashKey(key))
 	if !ok {
 		if s.mutSeq.Load() != seq0 {
 			return nil, 0, fastRetrySeq
@@ -204,6 +205,8 @@ func (s *Store) fastLookup(key []byte) (d *nodeDesc, seq0 uint64, out fastOutcom
 		return nil, 0, fastFall
 	}
 	if ge == nil {
+		// A miss, possibly false (a backward shift in flight): only an
+		// unchanged sequence makes it true.
 		if s.mutSeq.Load() != seq0 {
 			return nil, 0, fastRetrySeq
 		}

@@ -135,13 +135,13 @@ func (s *Store) ScrubSlots(cursor, n int) ScrubResult {
 		if binary.LittleEndian.Uint64(sl[oSeq:]) == 0 {
 			continue // uncommitted or deleted
 		}
-		m := s.entry(i)
+		m := s.slots.at(i)
 		if m.fenced {
 			continue // already quarantined: damage reported once
 		}
 		res.Checked++
 		s.pm.Touch(s.slotOff(i), s.cfg.SlotSize)
-		d := m.desc.Load()
+		d := s.descAt(i)
 		exts, err := s.validateSlot(sl, nil)
 		if err != nil {
 			res.Bad++
@@ -264,7 +264,7 @@ func (s *Store) CorruptRecord(key []byte, t FlipTarget, pick int, mask byte) int
 	// mid-copy — pins stop repairs and recycling, not injected damage).
 	s.beginMutLocked()
 	defer s.endMutLocked()
-	d := s.lookupLocked(key, nil)
+	d := s.lookupLocked(key, s.hashKey(key))
 	if d == nil {
 		return -1
 	}

@@ -112,10 +112,11 @@ func TestIndexKeyOrder(t *testing.T) {
 	}
 	for level := 0; level < maxHeight; level++ {
 		var last []byte
-		for w := s.head.next[level].Load(); w != 0; w = s.loadEntry(int(w - 1)).next[level].Load() {
-			d := s.descAt(int(w - 1))
-			if d == nil || d.height <= level || (last != nil && bytes.Compare(last, d.key) >= 0) {
-				t.Fatalf("level %d: entry %d out of order or unpublished", level, w-1)
+		for w := s.head.next[level].Load(); w != 0; w = s.nodes.load(int(w - 1)).next[level].Load() {
+			e := s.nodes.load(int(w - 1))
+			d := e.desc.Load()
+			if d == nil || int(e.height) <= level || (last != nil && bytes.Compare(last, d.key) >= 0) {
+				t.Fatalf("level %d: node %d out of order or unpublished", level, w-1)
 			}
 			last = d.key
 		}
@@ -125,7 +126,7 @@ func TestIndexKeyOrder(t *testing.T) {
 		// The first model key >= k is what the walk must land on.
 		i, _ := slices.BinarySearchFunc(sorted, k, bytes.Compare)
 		s.mu.Lock()
-		d := s.lookupLocked(k, nil)
+		d := s.lookupLocked(k, s.hashKey(k))
 		s.mu.Unlock()
 		if (d != nil) != present || (present && !bytes.Equal(d.key, k)) {
 			t.Fatalf("lookupLocked(%x) = %v, model present=%v", k, d != nil, present)
@@ -150,28 +151,213 @@ func TestIndexKeyOrder(t *testing.T) {
 	}
 }
 
-// chunksOf counts the entry table's allocated chunks.
-func chunksOf(s *Store) int {
+// TestHashAndWalkAgree drives random puts, overwrites, same-batch
+// overwrites and deletes, with power cuts and reopens, online rehydrates
+// and scrub excisions mixed in, beside a map model. After every step,
+// every key's hash probe must find exactly the descriptor the skip-list
+// walk finds (and the model's bytes), the linked node count must equal
+// Len, the buckets must name exactly the linked nodes and fill at most
+// half the table, and the node ids
+// taken must be exactly the linked ones (so live plus free ids cover
+// MetaSlots once). Every so often an
+// overwrite-only stretch must leave every link word and height as it
+// was: an overwrite swaps a descriptor and relinks nothing.
+func TestHashAndWalkAgree(t *testing.T) {
+	pmem.SetCrashLogger(func(int64) {})
+	defer pmem.SetCrashLogger(nil)
+	rng := rand.New(rand.NewSource(39))
+	cfg := Config{MetaSlots: 128, DataSlots: 256, DataBufSize: 128, VerifyOnGet: true}
+	r := pmem.New(cfg.RegionSize(), calib.Off())
+	s, err := Open(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.DeleteFunc(trickyKeys(rng, 90), func(k []byte) bool { return len(k) == 0 })
+	model := map[string][]byte{}
+	present := func() [][]byte {
+		var ks [][]byte
+		for _, k := range keys {
+			if _, ok := model[string(k)]; ok {
+				ks = append(ks, k)
+			}
+		}
+		return ks
+	}
+
+	check := func(step int, what string) {
+		t.Helper()
+		n := s.Len()
+		s.mu.Lock()
+		linked := map[int]bool{}
+		for w := s.head.next[0].Load(); w != 0; w = s.nodes.load(int(w - 1)).next[0].Load() {
+			if d := s.nodes.load(int(w - 1)).desc.Load(); d == nil || int(d.node) != int(w-1) || s.descAt(d.slot) != d {
+				s.mu.Unlock()
+				t.Fatalf("step %d (%s): linked node %d unpublished or not its slot's", step, what, w-1)
+			}
+			linked[int(w-1)] = true
+		}
+		for id := 0; id < cfg.MetaSlots; id++ {
+			if taken := s.nodeUsed[id/64]&(1<<(id%64)) != 0; taken != linked[id] {
+				s.mu.Unlock()
+				t.Fatalf("step %d (%s): node %d taken=%v, linked=%v", step, what, id, taken, linked[id])
+			}
+		}
+		buckets := 0
+		table := *s.buckets.Load()
+		for i := range table {
+			if w := table[i].Load(); w != 0 {
+				buckets++
+				if !linked[int(w-1)] {
+					s.mu.Unlock()
+					t.Fatalf("step %d (%s): bucket %d names unlinked node %d", step, what, i, w-1)
+				}
+			}
+		}
+		var probed []*nodeDesc
+		for _, k := range keys {
+			d, ok := s.probe(k, s.hashKey(k))
+			_, hit, _ := s.findGE(k, keyPrefix(k), nil)
+			if !ok || d != hit {
+				s.mu.Unlock()
+				t.Fatalf("step %d (%s): probe(%x) = %v ok=%v, walk = %v", step, what, k, d != nil, ok, hit != nil)
+			}
+			probed = append(probed, d)
+		}
+		s.mu.Unlock()
+		if len(linked) != n || buckets != n || len(table) < 2*n {
+			t.Fatalf("step %d (%s): %d linked, %d of %d buckets taken; Len %d", step, what, len(linked), buckets, len(table), n)
+		}
+		for i, k := range keys {
+			want, ok := model[string(k)]
+			if (probed[i] != nil) != ok {
+				t.Fatalf("step %d (%s): probe(%x) found=%v, model present=%v", step, what, k, probed[i] != nil, ok)
+			}
+			if v, got, err := s.Get(k); err != nil || got != ok || !bytes.Equal(v, want) {
+				t.Fatalf("step %d (%s): Get(%x) = %q, %v, %v; model %q", step, what, k, v, got, err, want)
+			}
+		}
+	}
+	links := func() []uint32 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var out []uint32
+		for l := range s.head.next {
+			out = append(out, s.head.next[l].Load())
+		}
+		for w := s.head.next[0].Load(); w != 0; w = s.nodes.load(int(w - 1)).next[0].Load() {
+			e := s.nodes.load(int(w - 1))
+			out = append(out, w, uint32(e.height))
+			for l := range e.height {
+				out = append(out, e.next[l].Load())
+			}
+		}
+		return out
+	}
+	val := func(step int) []byte { return []byte(fmt.Sprintf("v%d", step)) }
+	put := func(k, v []byte) {
+		if err := s.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		model[string(k)] = v
+	}
+	putTwice := func(k []byte, step int) { // a same-batch overwrite
+		if err := s.PutStaged(k, val(-step)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutStaged(k, val(step)); err != nil {
+			t.Fatal(err)
+		}
+		s.Commit()
+		model[string(k)] = val(step)
+	}
+
+	excised := 0
+	for step := 0; step < 3000; step++ {
+		k := keys[rng.Intn(len(keys))]
+		what := ""
+		switch op := rng.Intn(100); {
+		case op < 45:
+			what = "put"
+			put(k, val(step))
+		case op < 60:
+			what = "same-batch put"
+			putTwice(k, step)
+		case op < 90:
+			what = "delete"
+			if _, err := s.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, string(k))
+		case op < 93:
+			what = "crash+reopen"
+			r.Crash(int64(step))
+			if s, err = Open(r, cfg); err != nil {
+				t.Fatalf("step %d: reopen: %v", step, err)
+			}
+		case op < 96:
+			what = "rehydrate"
+			if err := s.Rehydrate(); err != nil {
+				t.Fatalf("step %d: Rehydrate: %v", step, err)
+			}
+		case op < 98:
+			ks := present()
+			if excised >= 12 || len(ks) == 0 {
+				continue
+			}
+			// A key-byte flip fails the slot CRC (quarantine and unlink);
+			// a value-byte flip fails the value sum (retire).
+			what = "scrub excision"
+			k = ks[rng.Intn(len(ks))]
+			target := []FlipTarget{FlipKeyByte, FlipValueByte}[rng.Intn(2)]
+			if s.CorruptRecord(k, target, rng.Intn(64), 0x10) < 0 {
+				t.Fatalf("step %d: CorruptRecord(%x) found no record", step, k)
+			}
+			if res := scrubAll(s); res.Excised != 1 {
+				t.Fatalf("step %d: scrub excised %d records, want 1", step, res.Excised)
+			}
+			delete(model, string(k))
+			excised++
+		default:
+			what = "overwrites only"
+			before := links()
+			for _, k := range present() {
+				if rng.Intn(2) == 0 {
+					put(k, val(step))
+				} else {
+					putTwice(k, step)
+				}
+			}
+			if after := links(); !slices.Equal(before, after) {
+				t.Fatalf("step %d: an overwrite-only stretch changed the skip list's links or heights", step)
+			}
+		}
+		check(step, what)
+	}
+}
+
+// chunksOf counts a table's allocated chunks.
+func chunksOf[T any](t chunked[T]) int {
 	n := 0
-	for c := range s.meta {
-		if s.meta[c].Load() != nil {
+	for c := range t {
+		if t[c].Load() != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// TestEntryTable pins the entry layout (one cache line) and the table's
-// first-touch allocation: an empty store allocates no chunk, a hundred
-// puts one, a rehydrate none, and 16 384 records in a 65 536-slot store
-// cost the table at most 1.1 MiB (an eager table would be 4 MiB).
+// TestEntryTable pins the node layout (one cache line) and the node
+// table's first-touch allocation: an empty store allocates no chunk, a
+// hundred puts one, a rehydrate none, and 16 384 records in a 65 536-slot
+// store cost the node table at most 1.1 MiB (an eager table would be
+// 4 MiB) and the slot table 16 chunks.
 func TestEntryTable(t *testing.T) {
-	if sz := unsafe.Sizeof(metaState{}); sz != 64 {
-		t.Fatalf("metaState is %d bytes, want 64 (one cache line)", sz)
+	if sz := unsafe.Sizeof(nodeEntry{}); sz != 64 {
+		t.Fatalf("nodeEntry is %d bytes, want 64 (one cache line)", sz)
 	}
 	cfg := Config{MetaSlots: 65536, DataSlots: 16384, DataBufSize: 64}
 	_, s := newStore(t, cfg)
-	if n := chunksOf(s); n != 0 {
+	if n := chunksOf(s.nodes) + chunksOf(s.slots); n != 0 {
 		t.Fatalf("an empty store allocated %d chunks", n)
 	}
 	for i := 0; i < 100; i++ {
@@ -179,13 +365,13 @@ func TestEntryTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := chunksOf(s); n != 1 {
+	if n := chunksOf(s.nodes); n != 1 {
 		t.Fatalf("100 puts allocated %d chunks, want 1", n)
 	}
 	if err := s.Rehydrate(); err != nil {
 		t.Fatal(err)
 	}
-	if n, l := chunksOf(s), s.Len(); n != 1 || l != 100 {
+	if n, l := chunksOf(s.nodes), s.Len(); n != 1 || l != 100 {
 		t.Fatalf("after Rehydrate: %d chunks, %d records; want 1, 100", n, l)
 	}
 	for i := 100; i < 16384; i++ {
@@ -193,9 +379,12 @@ func TestEntryTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	table := len(s.meta)*int(unsafe.Sizeof(s.meta[0])) + chunksOf(s)*int(unsafe.Sizeof(metaChunkArr{}))
+	table := len(s.nodes)*int(unsafe.Sizeof(s.nodes[0])) + chunksOf(s.nodes)*int(unsafe.Sizeof([tableChunk]nodeEntry{}))
 	if table > 1100<<10 {
-		t.Fatalf("the entry table holds %d bytes for 16 384 records, want <= 1.1 MiB", table)
+		t.Fatalf("the node table holds %d bytes for 16 384 records, want <= 1.1 MiB", table)
+	}
+	if n := chunksOf(s.slots); n > 16 {
+		t.Fatalf("the slot table allocated %d chunks for 16 384 records, want <= 16", n)
 	}
 }
 
@@ -220,9 +409,9 @@ func TestAllocsPerOp(t *testing.T) {
 		pin  float64
 		fn   func()
 	}{
-		{"Put", 7, func() { s.Put(next(), val) }},
+		{"Put", 5, func() { s.Put(next(), val) }},
 		{"Get", 1, func() { s.Get(next()) }},
-		{"PutStaged x 8 + Commit", 56, func() {
+		{"PutStaged x 8 + Commit", 40, func() {
 			for j := 0; j < 8; j++ {
 				s.PutStaged(next(), val)
 			}
@@ -235,11 +424,28 @@ func TestAllocsPerOp(t *testing.T) {
 	}
 }
 
-// BenchmarkLookupCold16K times one index lookup among 16 384
-// perflab-shaped keys with the caches swept by an 8 MiB buffer before
-// each, so every hop misses as it does between requests in a server
-// loop. ns/lookup counts the lookup alone; ns/op includes the sweep.
+// BenchmarkLookupCold16K times one ordered seek (findGE, the walk
+// Ascend and a fresh insert make) among 16 384 perflab-shaped keys with
+// the caches swept by an 8 MiB buffer before each, so every hop misses
+// as it does between requests in a server loop. ns/lookup counts the
+// seek alone; ns/op includes the sweep.
 func BenchmarkLookupCold16K(b *testing.B) {
+	benchLookupCold(b, func(s *Store, k []byte) *nodeDesc {
+		_, hit, _ := s.findGE(k, keyPrefix(k), nil)
+		return hit
+	})
+}
+
+// BenchmarkPointLookupCold16K times one point lookup (the hash probe
+// GET, PUT and DELETE make, hashing included) under the same cold
+// caches as BenchmarkLookupCold16K.
+func BenchmarkPointLookupCold16K(b *testing.B) {
+	benchLookupCold(b, func(s *Store, k []byte) *nodeDesc {
+		return s.lookupLocked(k, s.hashKey(k))
+	})
+}
+
+func benchLookupCold(b *testing.B, lookup func(s *Store, k []byte) *nodeDesc) {
 	const n = 16384
 	cfg := Config{MetaSlots: 2 * n, DataSlots: 2 * n, DataBufSize: 64}
 	r := pmem.New(cfg.RegionSize(), calib.Off())
@@ -264,7 +470,7 @@ func BenchmarkLookupCold16K(b *testing.B) {
 		k := keys[(i*7919)%n]
 		t0 := time.Now()
 		s.mu.Lock()
-		d := s.lookupLocked(k, nil)
+		d := lookup(s, k)
 		s.mu.Unlock()
 		walk += time.Since(t0)
 		if d == nil {

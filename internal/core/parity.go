@@ -377,7 +377,7 @@ func (s *Store) liftDamageLocked(idx int) {
 	koff := int(binary.LittleEndian.Uint32(sl[oKOff:]))
 	s.data[s.dataSlotIndex(koff)].held = false
 	s.setValueBadLocked(idx, false)
-	s.entry(idx).stamp = s.scrubPass
+	s.slots.at(idx).stamp = s.scrubPass
 }
 
 // repairRecordLocked reconstructs the data-area bytes of the record in

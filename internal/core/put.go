@@ -122,9 +122,10 @@ func (s *Store) putCopy(key, value []byte, staged bool) error {
 
 // stagePutLocked prepares a put for the next group commit: it writes
 // the data, key, chains and the uncommitted (seq=0) slot image,
-// publishes the record's descriptor and links its slot's entry into the
-// index, and accumulates every dirty range into s.fs. Nothing is flushed or fenced here — a per-op put is
-// simply a stage followed immediately by commitStagedLocked.
+// publishes the record's descriptor in its key's index node, and
+// accumulates every dirty range into s.fs. Nothing is flushed or fenced
+// here — a per-op put is simply a stage followed immediately by
+// commitStagedLocked.
 func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	s.beginMutLocked()
 	defer s.endMutLocked()
@@ -141,12 +142,11 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	}
 	slotIdx := int(s.metaFree[len(s.metaFree)-1])
 	s.metaFree = s.metaFree[:len(s.metaFree)-1]
-	s.entry(slotIdx).stamp = 0
+	s.slots.at(slotIdx).stamp = 0
 	chains := make([]int, nChains)
 	for i := range chains {
 		chains[i] = int(s.metaFree[len(s.metaFree)-1])
 		s.metaFree = s.metaFree[:len(s.metaFree)-1]
-		s.entry(chains[i]).stamp = 0
 	}
 	s.bd.Alloc += s.since(tAlloc)
 
@@ -175,12 +175,13 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	s.bd.Checksum += s.since(tCsum)
 
 	tMeta := s.tnow()
-	var prev [maxHeight]*metaState
-	old := s.lookupLocked(key, &prev)
+	h := s.hashKey(key)
+	old := s.lookupLocked(key, h)
 	kp := keyPrefix(key)
 
 	// Build the slot image with seq=0 (uncommitted).
-	img := make([]byte, s.cfg.SlotSize)
+	img := s.img
+	clear(img)
 	binary.LittleEndian.PutUint32(img[oMagic:], slotMagic)
 	img[oExtCnt] = byte(len(exts))
 	binary.LittleEndian.PutUint64(img[oHWTime:], uint64(opt.HWTime.UnixNano()))
@@ -229,17 +230,25 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	s.seq = seq
 	s.bd.Flush += s.since(tFlush)
 
-	// Link into the index; reference the data slots. Readers cannot
-	// serve the record before Commit — stagedN forces the lock-free path
-	// to fall back, and the locked read is the commit barrier — so they
-	// see it exactly when its ack-gating group commit has made it durable.
+	// Publish in the index; reference the data slots. An overwrite
+	// swaps the descriptor in its key's node and shares the old one's
+	// immutable key bytes; only a fresh key is copied, walked and linked.
+	// Readers cannot serve the record before Commit — stagedN forces the
+	// lock-free path to fall back, and the locked read is the commit
+	// barrier — so they see it exactly when its ack-gating group commit
+	// has made it durable.
 	tLink := s.tnow()
 	d := &nodeDesc{
-		slot: slotIdx, key: bytes.Clone(key), kp: kp,
-		exts: slices.Clone(exts), vlen: vlen, csum: combined,
-		hwtime: opt.HWTime.UnixNano(), seq: seq, height: s.randomHeightLocked(),
+		slot: slotIdx, kp: kp, exts: slices.Clone(exts), hash: h,
+		vlen: uint32(vlen), csum: combined, hwtime: opt.HWTime.UnixNano(), seq: seq,
 	}
-	s.insertLocked(d, old, &prev)
+	if old != nil {
+		d.key = old.key
+		s.swapLocked(d, old)
+	} else {
+		d.key = bytes.Clone(key)
+		s.insertLocked(d)
+	}
 	s.bd.Meta += s.since(tLink)
 
 	for _, e := range exts {
@@ -248,10 +257,7 @@ func (s *Store) stagePutLocked(key []byte, vlen int, opt PutOptions) error {
 	s.refDataLocked(opt.KeyOff)
 
 	p := prepared{slot: slotIdx, seq: seq, old: -1}
-	switch {
-	case old == nil:
-		s.count++
-	default:
+	if old != nil {
 		if j := s.stagedIndexOf(old.slot); j >= 0 {
 			// Overwriting an uncommitted put of the same batch: it is
 			// superseded in place and this put inherits whatever
@@ -395,7 +401,7 @@ func (s *Store) getRefLocked(key []byte) (Ref, bool, error) {
 	// or a crash could lose a value another client already read.
 	s.commitStagedLocked()
 	s.gets.Add(1)
-	d := s.lookupLocked(key, nil)
+	d := s.lookupLocked(key, s.hashKey(key))
 	if d == nil {
 		return Ref{}, false, nil
 	}
@@ -459,7 +465,7 @@ func (s *Store) Delete(key []byte) (bool, error) {
 	// assume every indexed record is committed.
 	s.commitStagedLocked()
 	s.stats.Deletes++
-	d := s.lookupLocked(key, nil)
+	d := s.lookupLocked(key, s.hashKey(key))
 	if d == nil {
 		return false, nil
 	}

@@ -67,8 +67,9 @@ type scanPart struct {
 // The sequential one does every write: failures in slot order (repair or
 // quarantine), a k-way merge of the sorted lists that keeps the first
 // version of each key and retires the rest, the value sweep, slot-order
-// adoption, the free list, and the index in key order. The outcome does
-// not depend on the worker count.
+// adoption, the free list, and the skip list in key order, while one
+// more goroutine fills the hash table. The outcome does not depend on
+// the worker count.
 func (s *Store) rescan(online bool) error {
 	used := make([]bool, s.cfg.MetaSlots)
 	unrecoverable := 0
@@ -80,7 +81,7 @@ func (s *Store) rescan(online bool) error {
 	fenceUnrecoverable := func(i int) {
 		unrecoverable++
 		s.quarantined++
-		m := s.entry(i)
+		m := s.slots.at(i)
 		m.fenced, m.stamp = true, 0
 		used[i] = true
 	}
@@ -95,21 +96,27 @@ func (s *Store) rescan(online bool) error {
 	defer s.endMutLocked()
 	s.seq, s.count, s.quarantined = 0, 0, 0
 	if online {
-		// At boot the entry table is fresh — no chunk allocated, nothing
-		// to reset. Online, only allocated chunks can hold state.
+		// At boot the tables are fresh — no chunk allocated, every bucket
+		// empty, nothing to reset. Online, only allocated chunks can hold
+		// state; slot stamps survive, so the value sweep below can trust
+		// the scrubber's recent work.
 		for l := range s.head.next {
 			s.head.next[l].Store(0)
 		}
-		for c := range s.meta {
-			chunk := s.meta[c].Load()
-			if chunk == nil {
-				continue
-			}
-			for i := range chunk {
-				if chunk[i].desc.Load() != nil { // an atomic store costs ~20× a load
-					chunk[i].desc.Store(nil)
+		for c := range s.nodes {
+			if chunk := s.nodes[c].Load(); chunk != nil {
+				for i := range chunk {
+					if chunk[i].desc.Load() != nil { // an atomic store costs ~20× a load
+						chunk[i].desc.Store(nil)
+					}
 				}
-				chunk[i].fenced = false
+			}
+		}
+		for c := range s.slots {
+			if chunk := s.slots[c].Load(); chunk != nil {
+				for i := range chunk {
+					chunk[i].nodeXor, chunk[i].fenced = 0, false
+				}
 			}
 		}
 		// Record reference counts are about to be recomputed from the
@@ -174,7 +181,9 @@ func (s *Store) rescan(online bool) error {
 
 	// Dedup: the merge yields each key's versions newest first (equal
 	// sequences: lowest slot first). The first of each run survives; the
-	// others' commit words are cleared. keep[i] is slot i's survivor.
+	// others' commit words are cleared. keep[i] is slot i's survivor's
+	// position in survivors + 1, or 0: half a pointer table's bytes, and
+	// nothing for the collector to scan.
 	lists := [][]*nodeDesc{repaired.sorted}
 	n := len(repaired.sorted)
 	s.seq = repaired.maxSeq
@@ -183,15 +192,15 @@ func (s *Store) rescan(online bool) error {
 		n += len(parts[i].sorted)
 		s.seq = max(s.seq, parts[i].maxSeq)
 	}
-	keep := make([]*nodeDesc, s.cfg.MetaSlots)
+	keep := make([]int32, s.cfg.MetaSlots)
 	survivors := make([]*nodeDesc, 0, n) // key order
 	mergeCands(lists, func(d *nodeDesc) {
 		if k := len(survivors); k > 0 && bytes.Equal(survivors[k-1].key, d.key) {
 			s.clearSeqLocked(d.slot)
 			return
 		}
-		keep[d.slot] = d
 		survivors = append(survivors, d)
+		keep[d.slot] = int32(len(survivors))
 	})
 
 	if s.parity != nil && online {
@@ -201,11 +210,11 @@ func (s *Store) rescan(online bool) error {
 		// for records the scrubber validated within the last full pass,
 		// whose stamps make the re-read redundant (the scrub-aware rebuild
 		// hand-off that shrinks time-to-rejoin).
-		for i, d := range keep {
-			if d == nil {
+		for i, k := range keep {
+			if k == 0 {
 				continue
 			}
-			m := s.entry(i)
+			m := s.slots.at(i)
 			switch {
 			case m.stamp != 0 && s.scrubPass-m.stamp <= 1:
 			case s.valueChecksumOKLocked(s.slot(i)):
@@ -213,18 +222,36 @@ func (s *Store) rescan(online bool) error {
 			case s.repairRecordLocked(i, true) == nil:
 			default:
 				fenceUnrecoverable(i)
-				keep[i] = nil
+				keep[i] = 0
 			}
 		}
 	}
 
+	// The hash table fills beside the rest of the serial phase: a second
+	// goroutine sizes a fresh one to the survivors and stores each one's
+	// bucket under the hash its scan worker computed, while this one
+	// adopts, frees and links. Nothing else touches the buckets until it
+	// is done, and keep and survivors are read-only from here on.
+	var hashed sync.WaitGroup
+	hashed.Add(1)
+	go func() {
+		defer hashed.Done()
+		s.newBucketsLocked(len(survivors))
+		for i, k := range keep {
+			if k != 0 {
+				s.bucketStoreLocked(survivors[k-1].hash, i) // a survivor's node id is its slot
+			}
+		}
+	}()
+
 	// Mark used slots (records + their chains) and data references, in
 	// slot order: after churn key order is a random walk over the slot
 	// array and the data area.
-	for i, d := range keep {
-		if d == nil {
+	for i, k := range keep {
+		if k == 0 {
 			continue
 		}
+		d := survivors[k-1]
 		used[i] = true
 		sl := s.slot(i)
 		chain := int(binary.LittleEndian.Uint32(sl[oChain:])) - 1
@@ -249,32 +276,34 @@ func (s *Store) rescan(online bool) error {
 		}
 	}
 
-	// Build the index: heights are drawn in key order from the store's
-	// seeded generator, so the same survivors always build the same
-	// index; then one pass in reverse key order writes each survivor's
-	// entry once, its successor per level being the last entry written
-	// at that level.
-	for _, d := range survivors {
-		if keep[d.slot] != nil { // else fenced by the value sweep
-			d.height = s.randomHeightLocked()
-			s.count++
-		}
-	}
+	// Build the index. A survivor's node id is its slot, so the node
+	// table's chunks are the ones its slots touch, and the slot table
+	// already maps it (a fresh or reset entry names the slot's own node).
+	// One pass in reverse key order writes each survivor's node once:
+	// its height drawn from the store's seeded generator, so the same
+	// survivors always build the same skip list, and its successor per
+	// level the last node written at that level.
+	clear(s.nodeUsed)
+	s.nodeLow = 0
 	var succ [maxHeight]uint32
 	for i := len(survivors) - 1; i >= 0; i-- {
 		d := survivors[i]
-		if keep[d.slot] == nil {
-			continue
+		if keep[d.slot] == 0 {
+			continue // fenced by the value sweep
 		}
-		e := s.publishLocked(d)
-		for l := 0; l < d.height; l++ {
+		s.count++
+		e := s.publishLocked(d, d.slot)
+		e.height = int32(s.randomHeightLocked())
+		for l := range e.height {
 			e.next[l].Store(succ[l])
 			succ[l] = uint32(d.slot + 1)
 		}
+		s.nodeUsed[d.slot/64] |= 1 << (d.slot % 64)
 	}
 	for l := range succ {
 		s.head.next[l].Store(succ[l])
 	}
+	hashed.Wait()
 
 	if unrecoverable > 0 {
 		// Committed (possibly acked) records exist that cannot currently be
@@ -356,7 +385,8 @@ func (p *scanPart) take(s *Store, i int, sl []byte) (*nodeDesc, error) {
 	d.key = p.keys[len(p.keys)-len(key) : len(p.keys) : len(p.keys)]
 	d.kp = keyPrefix(key)
 	d.exts = exts[:len(exts):len(exts)]
-	d.vlen = int(binary.LittleEndian.Uint32(sl[oVLen:]))
+	d.hash = s.hashKey(key)
+	d.vlen = binary.LittleEndian.Uint32(sl[oVLen:])
 	d.csum = binary.LittleEndian.Uint32(sl[oVCsum:])
 	d.hwtime = int64(binary.LittleEndian.Uint64(sl[oHWTime:]))
 	d.seq = binary.LittleEndian.Uint64(sl[oSeq:])
@@ -428,7 +458,7 @@ func (s *Store) quarantineSlotLocked(i int, err error) {
 		s.onQuarantine(i, err)
 	}
 	s.quarantined++
-	s.entry(i).fenced = true
+	s.slots.at(i).fenced = true
 }
 
 // adoptForRecovery transitions a data slot from pool-owned to store-owned
@@ -535,7 +565,7 @@ func (s *Store) Ascend(start []byte, fn func(rec Record) bool) error {
 		}
 		next := e.next[0].Load()
 		if e = nil; next != 0 {
-			e = s.loadEntry(int(next - 1))
+			e = s.nodes.load(int(next - 1))
 		}
 	}
 	return nil

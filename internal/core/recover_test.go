@@ -137,9 +137,10 @@ type scanOutcome struct {
 func outcomeOf(s *Store) scanOutcome {
 	o := scanOutcome{MetaFree: slices.Clone(s.metaFree), Seq: s.seq, Count: s.count, Quarantined: s.quarantined}
 	for w := s.head.next[0].Load(); w != 0; {
-		d := s.descAt(int(w - 1))
-		o.Index = append(o.Index, fmt.Sprintf("%s/%d/%d", d.key, d.slot, d.height))
-		w = s.loadEntry(d.slot).next[0].Load()
+		e := s.nodes.load(int(w - 1))
+		d := e.desc.Load()
+		o.Index = append(o.Index, fmt.Sprintf("%s/%d/%d", d.key, d.slot, e.height))
+		w = e.next[0].Load()
 	}
 	return o
 }

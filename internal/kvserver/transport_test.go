@@ -20,6 +20,7 @@ import (
 	"packetstore/internal/kvclient"
 	"packetstore/internal/pkt"
 	"packetstore/internal/pmem"
+	"packetstore/internal/tcp"
 )
 
 // served is a running server as a test sees it, whichever transport
@@ -27,6 +28,11 @@ import (
 type served struct {
 	dial  func() (kvclient.Conn, error)
 	stats func() Stats
+	// quiet, when set, reports that nothing c sent is still in flight:
+	// every byte acknowledged and no frame waiting on the link or in a
+	// NIC ring in either direction. Only the simulated fabric keeps
+	// that state in the Go heap.
+	quiet func(c kvclient.Conn) bool
 }
 
 // transports is the transport dimension of the end-to-end tests: the
@@ -48,6 +54,9 @@ var transports = []struct {
 		return served{
 			dial:  func() (kvclient.Conn, error) { return tb.Dial(80) },
 			stats: srv.Stats,
+			quiet: func(c kvclient.Conn) bool {
+				return c.(*tcp.Conn).Unacked() == 0 && tb.Client.NIC.Backlog() == 0 && tb.Server.NIC.Backlog() == 0
+			},
 		}
 	}},
 	{"loopback", func(t *testing.T, backend Backend, cfg Config, _ *pkt.Pool) served {
@@ -271,6 +280,13 @@ func TestBodyBoundRefusesOversizedPut(t *testing.T) {
 				t.Fatalf("want 507, got %q", resp)
 			}
 			waitFor(t, "the sent body to be consumed", func() bool { return sv.stats().BytesIn >= uint64(len(req)) })
+			// The server consumes the body before the fabric drains: the
+			// client's unacknowledged segments, and the retransmissions
+			// that receive-pool overruns cause, are simulator heap, not
+			// the server's.
+			if sv.quiet != nil {
+				waitFor(t, "the simulated fabric to drain", func() bool { return sv.quiet(c) })
+			}
 			after := heap()
 			runtime.KeepAlive(req) // live on both sides of the comparison
 			if after > before+uint64(len(req))/4 {

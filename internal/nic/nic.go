@@ -186,6 +186,17 @@ func (n *NIC) RxQueueLen(q int) int { return len(n.rxqs[q]) }
 // Queues returns the RSS queue count.
 func (n *NIC) Queues() int { return len(n.rxqs) }
 
+// Backlog counts the frames sent to this NIC that its stack has not
+// taken yet: those still queued on the link and those in its receive
+// rings.
+func (n *NIC) Backlog() int {
+	b := len(n.port.Recv())
+	for _, q := range n.rxqs {
+		b += len(q)
+	}
+	return b
+}
+
 // NodeOfQueue reports the NUMA node queue q's interrupt fires on
 // (Config.QueueNodes; node 0 when unconfigured).
 func (n *NIC) NodeOfQueue(q int) int {

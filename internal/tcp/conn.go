@@ -134,6 +134,14 @@ func (c *Conn) RxQueue() int { return c.rxq }
 // Stack returns the owning stack.
 func (c *Conn) Stack() *Stack { return c.stk }
 
+// Unacked returns the bytes queued for sending that the peer has not
+// acknowledged yet.
+func (c *Conn) Unacked() int {
+	c.stk.mu.Lock()
+	defer c.stk.mu.Unlock()
+	return c.sndBufUsed
+}
+
 // State returns the connection state name (diagnostics).
 func (c *Conn) State() string {
 	c.stk.mu.Lock()
