@@ -531,7 +531,8 @@ func (s *Store) format() {
 	for i := s.cfg.MetaSlots - 1; i >= 0; i-- {
 		s.metaFree = append(s.metaFree, int32(i))
 	}
-	s.newBucketsLocked(0)
+	b := newBuckets(0)
+	s.buckets.Store(&b)
 }
 
 // writeSuperblock (re)writes the superblock from the configured geometry —

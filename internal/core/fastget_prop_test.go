@@ -120,21 +120,8 @@ func TestFastGetPropertyUnderChaos(t *testing.T) {
 				hi[k].Store(v)
 				var err error
 				if it%7 == 3 { // staged group path
-					// Acked as a server acks a group: only if the store's
-					// epoch did not move between staging and Commit. A
-					// rebuild in between drops the staged put, and
-					// ShardedStore.Commit skips a quarantined shard, so
-					// commit on the store itself.
-					st := ss.StoreFor(key)
-					if st == nil {
-						continue // shard down: nothing staged
-					}
-					epoch := st.Epoch()
-					if err = st.PutStaged(key, propVal(key, v)); err == nil {
-						st.Commit()
-						if st.Epoch() != epoch {
-							continue // dropped by a rebuild: never acked
-						}
+					if err = ss.PutStaged(key, propVal(key, v)); err == nil {
+						ss.Commit()
 					}
 				} else {
 					err = ss.Put(key, propVal(key, v))

@@ -362,35 +362,37 @@ func (s *Store) takeNodeLocked() int {
 // minBuckets is the smallest hash table: room for 32 keys.
 const minBuckets = 64
 
-// newBucketsLocked installs an empty hash table for up to n keys: a
-// power of two at least twice n, so keys never fill more than half of
-// it and an insert always finds an empty bucket. Sized to the keys, not
-// to Config.MetaSlots, a store's table is as small as its index and an
-// open faults in only what its keys need.
-func (s *Store) newBucketsLocked(n int) {
-	b := make([]atomic.Uint32, 1<<bits.Len(uint(max(2*n, minBuckets)-1)))
-	s.buckets.Store(&b)
+// newBuckets returns an empty hash table for up to n keys: a power of
+// two at least twice n, so keys never fill more than half of it and an
+// insert always finds an empty bucket. Sized to the keys, not to
+// Config.MetaSlots, a store's table is as small as its index and an open
+// faults in only what its keys need.
+func newBuckets(n int) []atomic.Uint32 {
+	return make([]atomic.Uint32, 1<<bits.Len(uint(max(2*n, minBuckets)-1)))
 }
 
 // bucketInsertLocked enters node n, whose key hashes to h, in the first
-// empty bucket of its run, first doubling the table if the key would
-// fill more than half of it.
+// empty bucket of its run. If the key would fill more than half of the
+// table, it first fills a doubled table with every entry and then
+// publishes it with one store, so a probe meets either the old table or
+// the whole new one.
 func (s *Store) bucketInsertLocked(h uint64, n int) {
 	b := *s.buckets.Load()
 	if 2*(s.count+1) > len(b) {
-		s.newBucketsLocked(len(b))
+		g := newBuckets(len(b))
 		for i := range b {
 			if w := b[i].Load(); w != 0 {
-				s.bucketStoreLocked(s.nodes.load(int(w-1)).desc.Load().hash, int(w-1))
+				bucketStore(g, s.nodes.load(int(w-1)).desc.Load().hash, int(w-1))
 			}
 		}
+		s.buckets.Store(&g)
+		b = g
 	}
-	s.bucketStoreLocked(h, n)
+	bucketStore(b, h, n)
 }
 
-// bucketStoreLocked stores node n in the first empty bucket of h's run.
-func (s *Store) bucketStoreLocked(h uint64, n int) {
-	b := *s.buckets.Load()
+// bucketStore stores node n in the first empty bucket of h's run in b.
+func bucketStore(b []atomic.Uint32, h uint64, n int) {
 	mask := uint64(len(b) - 1)
 	i := h & mask
 	for b[i].Load() != 0 {

@@ -67,9 +67,8 @@ type scanPart struct {
 // The sequential one does every write: failures in slot order (repair or
 // quarantine), a k-way merge of the sorted lists that keeps the first
 // version of each key and retires the rest, the value sweep, slot-order
-// adoption, the free list, and the skip list in key order, while one
-// more goroutine fills the hash table. The outcome does not depend on
-// the worker count.
+// adoption with the hash table's fill, the free list, and the skip list
+// in key order. The outcome does not depend on the worker count.
 func (s *Store) rescan(online bool) error {
 	used := make([]bool, s.cfg.MetaSlots)
 	unrecoverable := 0
@@ -227,31 +226,18 @@ func (s *Store) rescan(online bool) error {
 		}
 	}
 
-	// The hash table fills beside the rest of the serial phase: a second
-	// goroutine sizes a fresh one to the survivors and stores each one's
-	// bucket under the hash its scan worker computed, while this one
-	// adopts, frees and links. Nothing else touches the buckets until it
-	// is done, and keep and survivors are read-only from here on.
-	var hashed sync.WaitGroup
-	hashed.Add(1)
-	go func() {
-		defer hashed.Done()
-		s.newBucketsLocked(len(survivors))
-		for i, k := range keep {
-			if k != 0 {
-				s.bucketStoreLocked(survivors[k-1].hash, i) // a survivor's node id is its slot
-			}
-		}
-	}()
-
 	// Mark used slots (records + their chains) and data references, in
 	// slot order: after churn key order is a random walk over the slot
-	// array and the data area.
+	// array and the data area. The same pass fills a fresh hash table,
+	// sized to the survivors, under the hashes the scan workers computed;
+	// it is published with the skip list below.
+	b := newBuckets(len(survivors))
 	for i, k := range keep {
 		if k == 0 {
 			continue
 		}
 		d := survivors[k-1]
+		bucketStore(b, d.hash, i) // a survivor's node id is its slot
 		used[i] = true
 		sl := s.slot(i)
 		chain := int(binary.LittleEndian.Uint32(sl[oChain:])) - 1
@@ -303,7 +289,7 @@ func (s *Store) rescan(online bool) error {
 	for l := range succ {
 		s.head.next[l].Store(succ[l])
 	}
-	hashed.Wait()
+	s.buckets.Store(&b)
 
 	if unrecoverable > 0 {
 		// Committed (possibly acked) records exist that cannot currently be
